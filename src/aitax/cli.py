@@ -44,8 +44,8 @@ from .errors import (
     SolverError,
     ThresholdRangeError,
 )
-from .oracle import AxisSpec, GridSpec, agreement, brute_force_steady, grid_bracketing
-from .planner import Regime, foc_residuals, solve_finite_horizon, solve_steady_state
+from .oracle import agreement, brute_force_steady, grid_bracketing
+from .planner import Regime, _objective, foc_residuals, solve_finite_horizon, solve_steady_state
 from .production import Grid4, check_assumptions
 from .reporting import (
     RunManifest,
@@ -72,6 +72,8 @@ EXIT_NO_FLIP = 5
 EXIT_ORACLE = 6
 
 _ROUNDTRIP_TOL = 1e-6
+# relative; a file written by this program matches its recomputed objective exactly
+_OBJECTIVE_TOL = 1e-12
 
 
 def _digest(raw: bytes) -> str:
@@ -192,23 +194,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
-    """Re-check a stored solution: KKT residuals plus the oracle comparison."""
+    """Re-check a stored steady state against ``config``.
+
+    Checks the KKT residuals, that the stored objective is the one the
+    stored allocation gives, and that the grid oracle finds nothing better
+    and the same regime.  Finite-horizon files raise DomainError: the
+    oracle grid is built around stationary solutions only.
+    """
+    grid = grid_bracketing(loaded, frac=args.frac, points=args.grid_points)
     residuals = foc_residuals(config, loaded.allocation, loaded.multipliers)
     worst = max(float(np.max(np.abs(np.atleast_1d(v)))) for v in residuals.values())
-    grid = GridSpec(**{
-        name: AxisSpec(lo=v * (1.0 - args.frac), hi=v * (1.0 + args.frac),
-                       points=args.grid_points)
-        for name, v in {
-            "c_c": loaded.allocation.c_c[0], "c_m": loaded.allocation.c_m[0],
-            "l_c": loaded.allocation.l_c[0], "l_m": loaded.allocation.l_m[0],
-            "k": loaded.allocation.k[0], "ai": loaded.allocation.ai[0],
-        }.items()
-    })
-    oracle = brute_force_steady(config, grid)
     stored = float(loaded.payload["objective"])
-    gap = oracle.objective - stored
-    ok = (worst <= _ROUNDTRIP_TOL and gap <= oracle.gap_allowance
-          and loaded.regime == oracle.regime)
+    objective = _objective(config, loaded.allocation)
+    stored_ok = abs(stored - objective) <= _OBJECTIVE_TOL * max(1.0, abs(objective))
+    if not stored_ok:
+        print(f"stored objective {render_float(stored)} differs from "
+              f"{render_float(objective)}, recomputed from the stored allocation",
+              file=sys.stderr)
+    oracle = brute_force_steady(config, grid)
+    gap = oracle.objective - objective
+    objective_ok = stored_ok and gap <= oracle.gap_allowance
+    ok = worst <= _ROUNDTRIP_TOL and objective_ok and loaded.regime == oracle.regime
     report = {
         "source": "file",
         "kkt_residual": worst,
@@ -216,7 +222,7 @@ def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
         "objective_file": stored,
         "objective_oracle": oracle.objective,
         "objective_gap": gap,
-        "objective_ok": gap <= oracle.gap_allowance,
+        "objective_ok": objective_ok,
         "regime_file": loaded.regime,
         "regime_oracle": oracle.regime,
         "regime_ok": loaded.regime == oracle.regime,
@@ -230,7 +236,7 @@ def _cmd_oracle_verify(args) -> int:
     config, raw = load_config(args.config)
     if args.solution is not None:
         loaded = load_solution(args.solution)
-        report, ok = _verify_loaded(args, loaded.config, loaded)
+        report, ok = _verify_loaded(args, config, loaded)
     else:
         solution = solve_steady_state(config)
         grid = grid_bracketing(solution, frac=args.frac, points=args.grid_points)

@@ -140,21 +140,6 @@ class Allocation:
         return len(self.c_c)
 
 
-def effective_labor(pi: float, l: float, z: float):
-    """Type-level labor input pi * l * z supplied to the technology."""
-    pi_a = np.asarray(pi, dtype=float)
-    l_a = np.asarray(l, dtype=float)
-    z_a = np.asarray(z, dtype=float)
-    if np.any(pi_a <= 0.0) or np.any(pi_a >= 1.0):
-        raise DomainError(f"population share must lie in (0, 1), got {pi!r}")
-    if np.any(l_a < 0.0):
-        raise DomainError(f"labor must be nonnegative, got {l!r}")
-    if np.any(z_a <= 0.0):
-        raise DomainError(f"productivity must be positive, got {z!r}")
-    out = pi_a * l_a * z_a
-    return float(out) if out.ndim == 0 else out
-
-
 _SHARE_FIELDS = ("mu_top", "lambda_c", "theta_m")
 _EXPONENT_FIELDS = ("sigma_top", "rho_c", "rho_m")
 

@@ -16,6 +16,10 @@ multiplier as an unknown, and accept the first regime that converges with
 an admissible multiplier and a slack other constraint.  Regimes are tried
 most-violated first, then the other single constraint, then both.
 
+One KKT kernel (``_kkt``) writes the first-order conditions for both the
+steady state and the finite-horizon path; the Newton residuals and the
+public ``foc_residuals`` both evaluate it.
+
 All solves are deterministic: fixed restart schedule, no randomness.
 """
 
@@ -62,12 +66,27 @@ RESTART_SCALINGS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125, 8.0, 0.0625)
 
 _MU_INIT_FRACTION = 0.05
 
+# lower bounds of (c_c, c_m, l_c, l_m, k, ai, lam) in the Newton unknowns
+_LOWER = (EPS_C, EPS_C, 1e-10, 1e-10, 1e-10, 1e-10, 1e-12)
+
+# names of the seven rows the KKT kernel returns, in order
+_ROWS = ("c_c", "c_m", "l_c", "l_m", "k", "ai", "feasibility")
+
 
 class Regime(str, enum.Enum):
     NONE_BIND = "none_bind"
     COGNITIVE_BINDS = "cognitive_binds"
     MANUAL_BINDS = "manual_binds"
     BOTH_BIND = "both_bind"
+
+
+# the incentive constraints imposed as equalities in each regime
+_BINDING = {
+    Regime.NONE_BIND: (),
+    Regime.COGNITIVE_BINDS: (AgentKind.COGNITIVE,),
+    Regime.MANUAL_BINDS: (AgentKind.MANUAL,),
+    Regime.BOTH_BIND: (AgentKind.COGNITIVE, AgentKind.MANUAL),
+}
 
 
 @dataclass(frozen=True)
@@ -114,8 +133,8 @@ class _ChainTerms:
     """Wage-ratio pieces of the FOCs at one point (scalar or per-period arrays)."""
 
     ev: TechEvaluation
-    r_mc: object  # w_m / w_c
-    r_cm: object
+    el_c: object  # effective labor pi * l * z
+    el_m: object
     lt_c: object  # labor the cognitive type supplies when mimicking
     lt_m: object
     x_k: object
@@ -126,10 +145,12 @@ class _ChainTerms:
     cross_m: object
 
 
-def _chain_terms(config: EconomyConfig, l_c, l_m, el_c, el_m, k, ai, mu_c, mu_m) -> _ChainTerms:
+def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTerms:
     prefs = config.prefs
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
     pi_m, z_m = config.manual.pi, config.manual.z
+    el_c = pi_c * l_c * z_c
+    el_m = pi_m * l_m * z_m
     ev = evaluate(config.tech, config, el_c, el_m, k, ai)
 
     ratio = ev.mp.f_lc / ev.mp.f_lm
@@ -154,7 +175,7 @@ def _chain_terms(config: EconomyConfig, l_c, l_m, el_c, el_m, k, ai, mu_c, mu_m)
     cross_m = mu_c * nup_lt_c * (r_mc + l_m * g_mc[1] * pi_m * z_m)
 
     return _ChainTerms(
-        ev=ev, r_mc=r_mc, r_cm=r_cm, lt_c=lt_c, lt_m=lt_m,
+        ev=ev, el_c=el_c, el_m=el_m, lt_c=lt_c, lt_m=lt_m,
         x_k=x_k, x_ai=x_ai, y_c=y_c, y_m=y_m, cross_c=cross_c, cross_m=cross_m,
     )
 
@@ -167,57 +188,170 @@ def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
     return slack_c, slack_m
 
 
-def _active_mus(x, active):
-    mu_c = mu_m = 0.0
-    idx = 7
-    if AgentKind.COGNITIVE in active:
-        mu_c = x[idx]
-        idx += 1
-    if AgentKind.MANUAL in active:
-        mu_m = x[idx]
-    return mu_c, mu_m
+def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
+    """KKT rows and flow incentive slacks at a candidate.
 
-
-def _stationary_residual_fn(config: EconomyConfig, active: tuple, ubi: float):
+    Scalars are a steady state.  Arrays are an n-period path whose ``k``
+    and ``ai`` hold the n + 1 stocks K_0 .. K_n.  Returns the seven rows
+    named in ``_ROWS``, the cognitive and manual flow slacks, and the chain
+    terms.  The stationary stock rows are the Euler equations divided
+    through by lam; the path's are not.  Keep the steady state on scalars:
+    ``**`` on length-1 arrays can differ from scalar ``**`` in the last bit.
+    """
     prefs, tech = config.prefs, config.tech
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
+    pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
-    g = config.g
+    stationary = np.ndim(lam) == 0
+    k_now, ai_now = (k, ai) if stationary else (k[:-1], ai[:-1])
+    ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
+    ev = ch.ev
+
+    rows = [
+        u_prime(prefs, c_c) * (pi_c + mu_c - mu_m) - lam * pi_c,
+        u_prime(prefs, c_m) * (pi_m + mu_m - mu_c) - lam * pi_m,
+        -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c,
+        -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m,
+    ]
+    if stationary:
+        rows += [
+            1.0 - beta * ev.mp.fw_k - beta * ch.x_k / lam,
+            1.0 - beta * ev.mp.fw_ai - beta * ch.x_ai / lam,
+            ev.y - pi_c * c_c - pi_m * c_m - tech.delta_k * k - tech.delta_ai * ai - config.g,
+        ]
+    else:
+        rows += [
+            lam[:-1] - beta * lam[1:] * ev.mp.fw_k[1:] - beta * ch.x_k[1:],
+            lam[:-1] - beta * lam[1:] * ev.mp.fw_ai[1:] - beta * ch.x_ai[1:],
+            ev.y
+            + (1.0 - tech.delta_k) * k_now
+            + (1.0 - tech.delta_ai) * ai_now
+            - pi_c * c_c
+            - pi_m * c_m
+            - k[1:]
+            - ai[1:]
+            - config.g,
+        ]
+    slack_c, slack_m = _flow_slacks(prefs, c_c, c_m, l_c, l_m, ch.lt_c, ch.lt_m)
+    return rows, slack_c, slack_m, ch
+
+
+def _lifetime(beta: float, flow) -> float:
+    """Discounted value of a per-period flow: flow / (1 - beta) for a steady
+    state (a scalar), sum_t beta**t * flow_t for a path."""
+    if np.ndim(flow) == 0:
+        return float(flow) * (1.0 / (1.0 - beta))
+    return float(np.dot(beta ** np.arange(len(flow)), flow))
+
+
+def _periods(*arrays):
+    """Stored per-period arrays as the kernel takes them: scalars for a steady state."""
+    if len(arrays[0]) == 1:
+        return tuple(float(v[0]) for v in arrays)
+    return arrays
+
+
+def _objective(config: EconomyConfig, alloc: Allocation) -> float:
+    """Population-weighted lifetime utility of an allocation."""
+    prefs = config.prefs
+    c_c, c_m, l_c, l_m = _periods(alloc.c_c, alloc.c_m, alloc.l_c, alloc.l_m)
+    flows = config.cognitive.pi * (u_eval(prefs, c_c) - nu_eval(prefs, l_c)) + config.manual.pi * (
+        u_eval(prefs, c_m) - nu_eval(prefs, l_m)
+    )
+    return _lifetime(prefs.beta, flows)
+
+
+def _label(active: tuple) -> str:
+    return "+".join(k.value for k in active) or "none"
+
+
+class _Layout:
+    """Where each unknown of one regime's Newton system sits in the vector x.
+
+    A steady state (``ends`` is None) has seven scalars, (c_c, c_m, l_c,
+    l_m, k, ai, lam), with consumption stored net of the uniform transfer
+    ``ubi``.  An n-period path with boundary stocks ``ends = (k_0, ai_0,
+    k_n, ai_n)`` has per-period consumptions, labors and lam, and the
+    interior stocks K_1 .. K_{n-1} and AI_1 .. AI_{n-1}.  One multiplier
+    per active constraint, cognitive first, closes the vector.
+    """
+
+    def __init__(self, active: tuple, *, ubi: float = 0.0, n: int = 1, ends=None):
+        self.active = active
+        self.ubi = ubi
+        self.n = n
+        self.ends = ends
+        self.stationary = ends is None
+        self.sizes = (1,) * 7 if self.stationary else (n, n, n, n, n - 1, n - 1, n)
+        head = sum(self.sizes)
+        self.mu_at = tuple(
+            head + active.index(kind) if kind in active else None
+            for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL)
+        )
+
+    def unpack(self, x: np.ndarray) -> tuple:
+        """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m)."""
+        mu_c, mu_m = (0.0 if i is None else x[i] for i in self.mu_at)
+        if self.stationary:
+            c_c, c_m, l_c, l_m, k, ai, lam = x[:7]
+            return c_c + self.ubi, c_m + self.ubi, l_c, l_m, k, ai, lam, mu_c, mu_m
+        n = self.n
+        k_0, ai_0, k_n, ai_n = self.ends
+        k = np.concatenate(([k_0], x[4 * n : 5 * n - 1], [k_n]))
+        ai = np.concatenate(([ai_0], x[5 * n - 1 : 6 * n - 2], [ai_n]))
+        return (x[:n], x[n : 2 * n], x[2 * n : 3 * n], x[3 * n : 4 * n], k, ai,
+                x[6 * n - 2 : 7 * n - 2], mu_c, mu_m)
+
+    def lower(self) -> np.ndarray:
+        return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
+
+    def start(self, sol: PlannerSolution) -> np.ndarray:
+        """Start vector repeating a solved steady state.
+
+        An active constraint's multiplier is carried over when positive and
+        otherwise seeded with a small positive guess.
+        """
+        a, m = sol.allocation, sol.multipliers
+        head = (
+            max(float(a.c_c[0]) - self.ubi, EPS_C), max(float(a.c_m[0]) - self.ubi, EPS_C),
+            float(a.l_c[0]), float(a.l_m[0]), float(a.k[0]), float(a.ai[0]), float(m.lam[0]),
+        )
+        stored = {AgentKind.COGNITIVE: m.mu_c, AgentKind.MANUAL: m.mu_m}
+        mus = [stored[kind] if stored[kind] > 0.0 else _MU_INIT_FRACTION * 0.5
+               for kind in self.active]
+        return np.concatenate([np.repeat(head, self.sizes), np.asarray(mus, dtype=float)])
+
+
+def _residual_fn(config: EconomyConfig, layout: _Layout):
+    """Newton residual: the seven KKT rows, then each active incentive slack.
+
+    Stationary slack rows stay in flow units; the path's are lifetime sums.
+    """
+    beta = config.prefs.beta
+    imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
 
     def f(x: np.ndarray) -> np.ndarray:
-        cb_c, cb_m, l_c, l_m, k, ai, lam = x[:7]
-        mu_c, mu_m = _active_mus(x, active)
-        ct_c = cb_c + ubi
-        ct_m = cb_m + ubi
-        el_c = pi_c * l_c * z_c
-        el_m = pi_m * l_m * z_m
-        ch = _chain_terms(config, l_c, l_m, el_c, el_m, k, ai, mu_c, mu_m)
-        ev = ch.ev
-
-        r = np.empty(7 + len(active))
-        r[0] = u_prime(prefs, ct_c) * (pi_c + mu_c - mu_m) - lam * pi_c
-        r[1] = u_prime(prefs, ct_m) * (pi_m + mu_m - mu_c) - lam * pi_m
-        r[2] = -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c
-        r[3] = -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m
-        r[4] = 1.0 - beta * ev.mp.fw_k - beta * ch.x_k / lam
-        r[5] = 1.0 - beta * ev.mp.fw_ai - beta * ch.x_ai / lam
-        r[6] = ev.y - pi_c * ct_c - pi_m * ct_m - tech.delta_k * k - tech.delta_ai * ai - g
-        idx = 7
-        slack_c, slack_m = _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, ch.lt_c, ch.lt_m)
-        if AgentKind.COGNITIVE in active:
-            r[idx] = slack_c
-            idx += 1
-        if AgentKind.MANUAL in active:
-            r[idx] = slack_m
-        return r
+        rows, slack_c, slack_m, _ = _kkt(config, *layout.unpack(x))
+        slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
+        if layout.stationary:
+            return np.array(rows + slacks)
+        return np.concatenate(rows + [[_lifetime(beta, s) for s in slacks]])
 
     return f
 
 
-def _stationary_bounds(active: tuple) -> np.ndarray:
-    lo = np.array([EPS_C, EPS_C, 1e-10, 1e-10, 1e-10, 1e-10, 1e-12])
-    return np.concatenate([lo, np.full(len(active), -np.inf)])
+def _newton(config: EconomyConfig, layout: _Layout, starts: list) -> np.ndarray:
+    """Newton from each start in turn; returns the first converged vector."""
+    f = _residual_fn(config, layout)
+    lower = layout.lower()
+    for x0 in starts:
+        # the fraction-to-boundary rule needs every start strictly inside the bounds
+        res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower)
+        if res.converged:
+            return res.x
+    raise NoInteriorSolutionError(
+        f"{_label(layout.active)}: Newton did not converge from {len(starts)} start(s) "
+        f"(last residual {res.residual_norm:.3e})"
+    )
 
 
 def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
@@ -275,32 +409,6 @@ def _scaled_start(base: np.ndarray, s: float, config: EconomyConfig, active: tup
     return np.concatenate([x, np.full(len(active), mu0)])
 
 
-def _solve_active(
-    config: EconomyConfig,
-    active: tuple,
-    ubi: float,
-    warm_x: np.ndarray | None,
-    base: np.ndarray | None,
-) -> np.ndarray:
-    f = _stationary_residual_fn(config, active, ubi)
-    lower = _stationary_bounds(active)
-    starts = []
-    if warm_x is not None:
-        starts.append(np.maximum(warm_x, lower + 1e-12))
-    if base is None:
-        base = _cold_start(config, ubi)
-    for s in RESTART_SCALINGS:
-        starts.append(_scaled_start(base[:7], s, config, active, ubi))
-    for x0 in starts:
-        res = newton_solve(f, x0, tol=TOL_NEWTON, lower=lower)
-        if res.converged:
-            return res.x
-    label = "+".join(k.value for k in active) or "none"
-    raise NoInteriorSolutionError(
-        f"stationary Newton failed from all restarts (active: {label})"
-    )
-
-
 def _classify(mu_c: float, mu_m: float, slack_c: float, slack_m: float, strict: bool = False) -> Regime:
     binds = []
     for kind, mu, slack in (
@@ -338,58 +446,80 @@ def detect_regime(solution: PlannerSolution) -> Regime:
     )
 
 
-def _build_stationary(config: EconomyConfig, active: tuple, x: np.ndarray, ubi: float) -> PlannerSolution:
-    prefs = config.prefs
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
-    cb_c, cb_m, l_c, l_m, k, ai, lam = (float(v) for v in x[:7])
-    mu_c, mu_m = (float(v) for v in _active_mus(x, active))
-    ct_c = cb_c + ubi
-    ct_m = cb_m + ubi
-    el_c = pi_c * l_c * z_c
-    el_m = pi_m * l_m * z_m
-    ch = _chain_terms(config, l_c, l_m, el_c, el_m, k, ai, mu_c, mu_m)
-    flow_c, flow_m = _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, ch.lt_c, ch.lt_m)
-    scale = 1.0 / (1.0 - prefs.beta)
-    slack_c = float(flow_c) * scale
-    slack_m = float(flow_m) * scale
-
-    arr = lambda v: np.array([float(v)])
+def _build(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> PlannerSolution:
+    """Solution for a converged Newton vector."""
+    c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = candidate = layout.unpack(x)
+    mu_c, mu_m = float(mu_c), float(mu_m)
+    _, flow_c, flow_m, ch = _kkt(config, *candidate)
+    n = layout.n
+    per_period = lambda v, size=n: np.full(size, v, dtype=float)
     alloc = Allocation(
-        c_c=arr(ct_c), c_m=arr(ct_m), l_c=arr(l_c), l_m=arr(l_m),
-        eff_l_c=arr(el_c), eff_l_m=arr(el_m),
-        k=np.array([k, k]), ai=np.array([ai, ai]),
+        c_c=per_period(c_c), c_m=per_period(c_m), l_c=per_period(l_c), l_m=per_period(l_m),
+        eff_l_c=per_period(ch.el_c), eff_l_m=per_period(ch.el_m),
+        k=per_period(k, n + 1), ai=per_period(ai, n + 1),
     )
-    y_term = ch.y_c if mu_c > 0.0 else ch.y_m
     mults = Multipliers(
-        lam=arr(lam), mu_c=mu_c, mu_m=mu_m,
-        x_k=arr(ch.x_k), x_ai=arr(ch.x_ai), y_term=arr(y_term),
+        lam=per_period(lam), mu_c=mu_c, mu_m=mu_m,
+        x_k=per_period(ch.x_k), x_ai=per_period(ch.x_ai),
+        y_term=per_period(ch.y_c if mu_c > 0.0 else ch.y_m),
     )
     res = foc_residuals(config, alloc, mults)
-    foc_norm = max(float(np.max(np.abs(np.atleast_1d(v)))) for v in res.values())
-    flows = pi_c * (u_eval(prefs, ct_c) - nu_eval(prefs, l_c)) + pi_m * (
-        u_eval(prefs, ct_m) - nu_eval(prefs, l_m)
-    )
+    beta = config.prefs.beta
+    slack_c, slack_m = _lifetime(beta, flow_c), _lifetime(beta, flow_m)
+    if layout.stationary:
+        center = (ch.el_c, ch.el_m, k, ai)
+    else:
+        center = tuple(float(np.exp(np.mean(np.log(v)))) for v in (ch.el_c, ch.el_m, k[:n], ai[:n]))
+    pi_c, pi_m = config.cognitive.pi, config.manual.pi
     warnings = []
     if mu_c > pi_m - 1e-9:
         warnings.append(f"mu_c = {mu_c:.6g} is not below pi_m = {pi_m:.6g}")
     if mu_m > pi_c - 1e-9:
         warnings.append(f"mu_m = {mu_m:.6g} is not below pi_c = {pi_c:.6g}")
-    report = check_assumptions(config.tech, Grid4.log_around((el_c, el_m, k, ai)))
     return PlannerSolution(
         config=config,
         regime=_classify(mu_c, mu_m, slack_c, slack_m),
         allocation=alloc,
         multipliers=mults,
-        wages_c=arr(ch.ev.w_c),
-        wages_m=arr(ch.ev.w_m),
+        wages_c=per_period(ch.ev.w_c),
+        wages_m=per_period(ch.ev.w_m),
         slack_c=slack_c,
         slack_m=slack_m,
-        objective=float(flows) * scale,
-        foc_residual=foc_norm,
-        assumptions=report,
+        objective=_objective(config, alloc),
+        foc_residual=max(float(np.max(np.abs(v))) for v in res.values()),
+        assumptions=check_assumptions(config.tech, Grid4.log_around(center)),
         warnings=tuple(warnings),
     )
+
+
+def _rejection(sol: PlannerSolution, active: tuple) -> str | None:
+    """Why a converged regime is inadmissible, or None when it is admissible.
+
+    Each imposed constraint needs a nonnegative multiplier and each other
+    constraint a slack of at least -TOL_ICC.
+    """
+    m = sol.multipliers
+    mu = {AgentKind.COGNITIVE: m.mu_c, AgentKind.MANUAL: m.mu_m}
+    slack = {AgentKind.COGNITIVE: sol.slack_c, AgentKind.MANUAL: sol.slack_m}
+    if all(mu[kind] >= 0.0 if kind in active else slack[kind] >= -TOL_ICC for kind in AgentKind):
+        return None
+    return (f"{_label(active)}: converged but inadmissible "
+            f"(mu=({m.mu_c:.3e}, {m.mu_m:.3e}), slacks=({sol.slack_c:.3e}, {sol.slack_m:.3e}))")
+
+
+def _first_admissible(ladder: list, solve, failures: list) -> PlannerSolution:
+    """Solve each active set of ``ladder`` in turn; return the first admissible solution."""
+    for active in ladder:
+        try:
+            sol = solve(active)
+        except SolverError as exc:
+            failures.append(str(exc))
+            continue
+        reason = _rejection(sol, active)
+        if reason is None:
+            return sol
+        failures.append(reason)
+    raise NoRegimeFoundError("; ".join(failures))
 
 
 def _require_valid(config: EconomyConfig) -> None:
@@ -398,23 +528,20 @@ def _require_valid(config: EconomyConfig) -> None:
         raise ConfigError("; ".join(report.messages()))
 
 
-def _warm_vector(warm: PlannerSolution | None, active: tuple, ubi: float) -> np.ndarray | None:
-    if warm is None or warm.allocation.n_periods != 1:
-        return None
-    a = warm.allocation
-    head = np.array([
-        max(float(a.c_c[0]) - ubi, EPS_C),
-        max(float(a.c_m[0]) - ubi, EPS_C),
-        float(a.l_c[0]), float(a.l_m[0]), float(a.k[0]), float(a.ai[0]),
-        float(warm.multipliers.lam[0]),
-    ])
-    mus = []
-    stored = {AgentKind.COGNITIVE: warm.multipliers.mu_c, AgentKind.MANUAL: warm.multipliers.mu_m}
-    mu0 = _MU_INIT_FRACTION * 0.5
-    for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL):
-        if kind in active:
-            mus.append(stored[kind] if stored[kind] > 0.0 else mu0)
-    return np.concatenate([head, np.asarray(mus)])
+def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
+                  warm: PlannerSolution | None, base: np.ndarray | None):
+    """Steady state with ``active`` imposed: its Newton vector and solution.
+
+    Starts are the warm solution (when stationary), then the restart
+    schedule applied to ``base``, or to a cold start when there is none.
+    """
+    layout = _Layout(active, ubi=ubi)
+    starts = [layout.start(warm)] if warm is not None and warm.stationary else []
+    if base is None:
+        base = _cold_start(config, ubi)
+    starts += [_scaled_start(base, s, config, active, ubi) for s in RESTART_SCALINGS]
+    x = _newton(config, layout, starts)
+    return x, _build(config, layout, x)
 
 
 def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution | None = None) -> PlannerSolution:
@@ -424,8 +551,7 @@ def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution
     negative slack means the corresponding constraint would bind.
     """
     _require_valid(config)
-    x = _solve_active(config, (), ubi, _warm_vector(warm, (), ubi), None)
-    return _build_stationary(config, (), x, ubi)
+    return _solve_steady(config, (), ubi, warm, None)[1]
 
 
 def solve_steady_state(
@@ -436,43 +562,16 @@ def solve_steady_state(
 ) -> PlannerSolution:
     """Stationary constrained-efficient allocation via active-set Newton."""
     _require_valid(config)
-    fb_x = _solve_active(config, (), ubi, _warm_vector(warm, (), ubi), None)
-    fb = _build_stationary(config, (), fb_x, ubi)
-    if fb.slack_c >= -TOL_ICC and fb.slack_m >= -TOL_ICC:
+    fb_x, fb = _solve_steady(config, (), ubi, warm, None)
+    reason = _rejection(fb, ())
+    if reason is None:
         return fb
 
     first = AgentKind.COGNITIVE if fb.slack_c <= fb.slack_m else AgentKind.MANUAL
-    ladder = [
-        (first,),
-        (first.other,),
-        (AgentKind.COGNITIVE, AgentKind.MANUAL),
-    ]
-    failures = [f"first_best slacks ({fb.slack_c:.3e}, {fb.slack_m:.3e})"]
-    for active in ladder:
-        try:
-            x = _solve_active(config, active, ubi, _warm_vector(warm, active, ubi), fb_x)
-        except SolverError as exc:
-            failures.append(str(exc))
-            continue
-        sol = _build_stationary(config, active, x, ubi)
-        mu_ok = all(
-            (sol.multipliers.mu_c if kind is AgentKind.COGNITIVE else sol.multipliers.mu_m) >= 0.0
-            for kind in active
-        )
-        slack_ok = all(
-            (sol.slack_c if kind is AgentKind.COGNITIVE else sol.slack_m) >= -TOL_ICC
-            for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL)
-            if kind not in active
-        )
-        if mu_ok and slack_ok:
-            return sol
-        label = "+".join(k.value for k in active)
-        failures.append(
-            f"{label}: converged but inadmissible "
-            f"(mu=({sol.multipliers.mu_c:.3e}, {sol.multipliers.mu_m:.3e}), "
-            f"slacks=({sol.slack_c:.3e}, {sol.slack_m:.3e}))"
-        )
-    raise NoRegimeFoundError("; ".join(failures))
+    ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
+    return _first_admissible(
+        ladder, lambda active: _solve_steady(config, active, ubi, warm, fb_x)[1], [reason]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,246 +587,23 @@ def foc_residuals(config: EconomyConfig, alloc: Allocation, mults: Multipliers) 
     return scalar components; finite-horizon candidates return per-period
     arrays for the sequential rows.
     """
-    if alloc.n_periods == 1:
-        return _foc_residuals_stationary(config, alloc, mults)
-    return _foc_residuals_finite(config, alloc, mults)
-
-
-def _foc_residuals_stationary(config: EconomyConfig, alloc: Allocation, mults: Multipliers) -> dict:
-    prefs, tech = config.prefs, config.tech
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
-    beta = prefs.beta
-    ct_c, ct_m = float(alloc.c_c[0]), float(alloc.c_m[0])
-    l_c, l_m = float(alloc.l_c[0]), float(alloc.l_m[0])
-    k, ai = float(alloc.k[0]), float(alloc.ai[0])
-    lam = float(mults.lam[0])
-    mu_c, mu_m = mults.mu_c, mults.mu_m
-    el_c = pi_c * l_c * z_c
-    el_m = pi_m * l_m * z_m
-    ch = _chain_terms(config, l_c, l_m, el_c, el_m, k, ai, mu_c, mu_m)
-    ev = ch.ev
-    slack_c, slack_m = _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, ch.lt_c, ch.lt_m)
-    scale = 1.0 / (1.0 - beta)
+    a = alloc
+    rows, slack_c, slack_m, _ = _kkt(
+        config, *_periods(a.c_c, a.c_m, a.l_c, a.l_m, a.k, a.ai, mults.lam), mults.mu_c, mults.mu_m
+    )
+    if a.n_periods == 1:
+        rows = [float(r) for r in rows]
+    beta = config.prefs.beta
     return {
-        "c_c": float(u_prime(prefs, ct_c) * (pi_c + mu_c - mu_m) - lam * pi_c),
-        "c_m": float(u_prime(prefs, ct_m) * (pi_m + mu_m - mu_c) - lam * pi_m),
-        "l_c": float(-(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c),
-        "l_m": float(-(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m),
-        "k": float(1.0 - beta * ev.mp.fw_k - beta * ch.x_k / lam),
-        "ai": float(1.0 - beta * ev.mp.fw_ai - beta * ch.x_ai / lam),
-        "feasibility": float(
-            ev.y - pi_c * ct_c - pi_m * ct_m - tech.delta_k * k - tech.delta_ai * ai - config.g
-        ),
-        "comp_slack_c": float(mu_c * slack_c * scale),
-        "comp_slack_m": float(mu_m * slack_m * scale),
-    }
-
-
-def _foc_residuals_finite(config: EconomyConfig, alloc: Allocation, mults: Multipliers) -> dict:
-    prefs, tech = config.prefs, config.tech
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
-    beta = prefs.beta
-    n = alloc.n_periods
-    ct_c, ct_m = alloc.c_c, alloc.c_m
-    l_c, l_m = alloc.l_c, alloc.l_m
-    el_c, el_m = alloc.eff_l_c, alloc.eff_l_m
-    k_now, ai_now = alloc.k[:n], alloc.ai[:n]
-    k_next, ai_next = alloc.k[1 : n + 1], alloc.ai[1 : n + 1]
-    lam = mults.lam
-    mu_c, mu_m = mults.mu_c, mults.mu_m
-
-    ch = _chain_terms(config, l_c, l_m, el_c, el_m, k_now, ai_now, mu_c, mu_m)
-    ev = ch.ev
-    slack_c, slack_m = _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, ch.lt_c, ch.lt_m)
-    betas = beta ** np.arange(n)
-    return {
-        "c_c": u_prime(prefs, ct_c) * (pi_c + mu_c - mu_m) - lam * pi_c,
-        "c_m": u_prime(prefs, ct_m) * (pi_m + mu_m - mu_c) - lam * pi_m,
-        "l_c": -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c,
-        "l_m": -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m,
-        "k": lam[:-1] - beta * lam[1:] * ev.mp.fw_k[1:] - beta * ch.x_k[1:],
-        "ai": lam[:-1] - beta * lam[1:] * ev.mp.fw_ai[1:] - beta * ch.x_ai[1:],
-        "feasibility": (
-            ev.y
-            + (1.0 - tech.delta_k) * k_now
-            + (1.0 - tech.delta_ai) * ai_now
-            - pi_c * ct_c
-            - pi_m * ct_m
-            - k_next
-            - ai_next
-            - config.g
-        ),
-        "comp_slack_c": float(mu_c * np.dot(betas, slack_c)),
-        "comp_slack_m": float(mu_m * np.dot(betas, slack_m)),
+        **dict(zip(_ROWS, rows)),
+        "comp_slack_c": _lifetime(beta, mults.mu_c * slack_c),
+        "comp_slack_m": _lifetime(beta, mults.mu_m * slack_m),
     }
 
 
 # ---------------------------------------------------------------------------
 # Finite horizon
 # ---------------------------------------------------------------------------
-
-def _finite_residual_fn(config: EconomyConfig, active: tuple, k0: float, ai0: float,
-                        k_term: float, ai_term: float, n: int):
-    prefs, tech = config.prefs, config.tech
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
-    beta = prefs.beta
-    g = config.g
-    t_free = n - 1  # interior stock choices K_1 .. K_{T}
-    betas = beta ** np.arange(n)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        cc = x[0:n]
-        cm = x[n : 2 * n]
-        lc = x[2 * n : 3 * n]
-        lm = x[3 * n : 4 * n]
-        k_in = x[4 * n : 4 * n + t_free]
-        ai_in = x[4 * n + t_free : 4 * n + 2 * t_free]
-        lam = x[4 * n + 2 * t_free : 5 * n + 2 * t_free]
-        mu_c = mu_m = 0.0
-        idx = 5 * n + 2 * t_free
-        if AgentKind.COGNITIVE in active:
-            mu_c = x[idx]
-            idx += 1
-        if AgentKind.MANUAL in active:
-            mu_m = x[idx]
-
-        k_full = np.concatenate(([k0], k_in, [k_term]))
-        ai_full = np.concatenate(([ai0], ai_in, [ai_term]))
-        el_c = pi_c * z_c * lc
-        el_m = pi_m * z_m * lm
-        ch = _chain_terms(config, lc, lm, el_c, el_m, k_full[:n], ai_full[:n], mu_c, mu_m)
-        ev = ch.ev
-
-        r_cc = u_prime(prefs, cc) * (pi_c + mu_c - mu_m) - lam * pi_c
-        r_cm = u_prime(prefs, cm) * (pi_m + mu_m - mu_c) - lam * pi_m
-        r_lc = -(pi_c + mu_c) * nu_prime(prefs, lc) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c
-        r_lm = -(pi_m + mu_m) * nu_prime(prefs, lm) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m
-        r_k = lam[:-1] - beta * lam[1:] * ev.mp.fw_k[1:] - beta * ch.x_k[1:]
-        r_ai = lam[:-1] - beta * lam[1:] * ev.mp.fw_ai[1:] - beta * ch.x_ai[1:]
-        r_feas = (
-            ev.y
-            + (1.0 - tech.delta_k) * k_full[:n]
-            + (1.0 - tech.delta_ai) * ai_full[:n]
-            - pi_c * cc
-            - pi_m * cm
-            - k_full[1 : n + 1]
-            - ai_full[1 : n + 1]
-            - g
-        )
-        parts = [r_cc, r_cm, r_lc, r_lm, r_k, r_ai, r_feas]
-        slack_c, slack_m = _flow_slacks(prefs, cc, cm, lc, lm, ch.lt_c, ch.lt_m)
-        if AgentKind.COGNITIVE in active:
-            parts.append(np.array([np.dot(betas, slack_c)]))
-        if AgentKind.MANUAL in active:
-            parts.append(np.array([np.dot(betas, slack_m)]))
-        return np.concatenate(parts)
-
-    return f
-
-
-def _finite_bounds(n: int, active: tuple) -> np.ndarray:
-    t_free = n - 1
-    lo = np.concatenate([
-        np.full(2 * n, EPS_C),          # consumptions
-        np.full(2 * n, 1e-10),          # labors
-        np.full(2 * t_free, 1e-10),     # interior stocks
-        np.full(n, 1e-12),              # lambdas
-        np.full(len(active), -np.inf),  # mus
-    ])
-    return lo
-
-
-def _finite_start(ss: PlannerSolution, n: int, active: tuple) -> np.ndarray:
-    a = ss.allocation
-    t_free = n - 1
-    rep = lambda v: np.full(n, float(v))
-    mus = []
-    stored = {AgentKind.COGNITIVE: ss.multipliers.mu_c, AgentKind.MANUAL: ss.multipliers.mu_m}
-    for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL):
-        if kind in active:
-            mus.append(stored[kind] if stored[kind] > 0.0 else _MU_INIT_FRACTION * 0.5)
-    return np.concatenate([
-        rep(a.c_c[0]), rep(a.c_m[0]), rep(a.l_c[0]), rep(a.l_m[0]),
-        np.full(t_free, float(a.k[0])), np.full(t_free, float(a.ai[0])),
-        rep(ss.multipliers.lam[0]),
-        np.asarray(mus),
-    ])
-
-
-def _build_finite(config: EconomyConfig, active: tuple, x: np.ndarray,
-                  k0: float, ai0: float, k_term: float, ai_term: float, n: int) -> PlannerSolution:
-    prefs = config.prefs
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
-    t_free = n - 1
-    cc = x[0:n].copy()
-    cm = x[n : 2 * n].copy()
-    lc = x[2 * n : 3 * n].copy()
-    lm = x[3 * n : 4 * n].copy()
-    k_full = np.concatenate(([k0], x[4 * n : 4 * n + t_free], [k_term]))
-    ai_full = np.concatenate(([ai0], x[4 * n + t_free : 4 * n + 2 * t_free], [ai_term]))
-    lam = x[4 * n + 2 * t_free : 5 * n + 2 * t_free].copy()
-    mu_c = mu_m = 0.0
-    idx = 5 * n + 2 * t_free
-    if AgentKind.COGNITIVE in active:
-        mu_c = float(x[idx])
-        idx += 1
-    if AgentKind.MANUAL in active:
-        mu_m = float(x[idx])
-
-    el_c = pi_c * z_c * lc
-    el_m = pi_m * z_m * lm
-    ch = _chain_terms(config, lc, lm, el_c, el_m, k_full[:n], ai_full[:n], mu_c, mu_m)
-    slack_c_flow, slack_m_flow = _flow_slacks(prefs, cc, cm, lc, lm, ch.lt_c, ch.lt_m)
-    betas = prefs.beta ** np.arange(n)
-    alloc = Allocation(
-        c_c=cc, c_m=cm, l_c=lc, l_m=lm, eff_l_c=el_c, eff_l_m=el_m,
-        k=k_full, ai=ai_full,
-    )
-    y_term = ch.y_c if mu_c > 0.0 else ch.y_m
-    mults = Multipliers(
-        lam=lam, mu_c=mu_c, mu_m=mu_m,
-        x_k=np.asarray(ch.x_k, dtype=float) * np.ones(n),
-        x_ai=np.asarray(ch.x_ai, dtype=float) * np.ones(n),
-        y_term=np.asarray(y_term, dtype=float) * np.ones(n),
-    )
-    res = foc_residuals(config, alloc, mults)
-    foc_norm = max(float(np.max(np.abs(np.atleast_1d(v)))) for v in res.values())
-    slack_c = float(np.dot(betas, slack_c_flow))
-    slack_m = float(np.dot(betas, slack_m_flow))
-    flows = pi_c * (u_eval(prefs, cc) - nu_eval(prefs, lc)) + pi_m * (
-        u_eval(prefs, cm) - nu_eval(prefs, lm)
-    )
-    mid = (
-        float(np.exp(np.mean(np.log(el_c)))),
-        float(np.exp(np.mean(np.log(el_m)))),
-        float(np.exp(np.mean(np.log(k_full[:n])))),
-        float(np.exp(np.mean(np.log(ai_full[:n])))),
-    )
-    report = check_assumptions(config.tech, Grid4.log_around(mid))
-    warnings = []
-    if mu_c > pi_m - 1e-9:
-        warnings.append(f"mu_c = {mu_c:.6g} is not below pi_m = {pi_m:.6g}")
-    if mu_m > pi_c - 1e-9:
-        warnings.append(f"mu_m = {mu_m:.6g} is not below pi_c = {pi_c:.6g}")
-    return PlannerSolution(
-        config=config,
-        regime=_classify(mu_c, mu_m, slack_c, slack_m),
-        allocation=alloc,
-        multipliers=mults,
-        wages_c=np.asarray(ch.ev.w_c, dtype=float) * np.ones(n),
-        wages_m=np.asarray(ch.ev.w_m, dtype=float) * np.ones(n),
-        slack_c=slack_c,
-        slack_m=slack_m,
-        objective=float(np.dot(betas, flows)),
-        foc_residual=foc_norm,
-        assumptions=report,
-        warnings=tuple(warnings),
-    )
-
 
 def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
     """Direct transcription of the T-period problem, terminal stocks pinned
@@ -739,44 +615,14 @@ def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
         raise ConfigError("finite horizon requires strictly positive initial stocks k0, ai0")
     n = config.horizon + 1
 
-    ss_config = replace(config, mode=SolveMode.STEADY_STATE, horizon=None)
-    ss = solve_steady_state(ss_config)
-    k_term = float(ss.allocation.k[0])
-    ai_term = float(ss.allocation.ai[0])
-    k0, ai0 = config.k0, config.ai0
+    ss = solve_steady_state(replace(config, mode=SolveMode.STEADY_STATE, horizon=None))
+    ends = (config.k0, config.ai0, float(ss.allocation.k[0]), float(ss.allocation.ai[0]))
+    # the steady state's regime first, then the others in a fixed order
+    ss_active = _BINDING[ss.regime]
+    ladder = sorted(_BINDING.values(), key=lambda active: active != ss_active)
 
-    ss_active = {
-        Regime.NONE_BIND: (),
-        Regime.COGNITIVE_BINDS: (AgentKind.COGNITIVE,),
-        Regime.MANUAL_BINDS: (AgentKind.MANUAL,),
-        Regime.BOTH_BIND: (AgentKind.COGNITIVE, AgentKind.MANUAL),
-    }[ss.regime]
-    ladder = [ss_active]
-    for cand in ((), (AgentKind.COGNITIVE,), (AgentKind.MANUAL,),
-                 (AgentKind.COGNITIVE, AgentKind.MANUAL)):
-        if cand not in ladder:
-            ladder.append(cand)
+    def solve(active: tuple) -> PlannerSolution:
+        layout = _Layout(active, n=n, ends=ends)
+        return _build(config, layout, _newton(config, layout, [layout.start(ss)]))
 
-    failures = []
-    for active in ladder:
-        f = _finite_residual_fn(config, active, k0, ai0, k_term, ai_term, n)
-        x0 = _finite_start(ss, n, active)
-        res = newton_solve(f, x0, tol=TOL_NEWTON, lower=_finite_bounds(n, active))
-        if not res.converged:
-            failures.append(f"{'+'.join(k.value for k in active) or 'none'}: no convergence "
-                            f"(residual {res.residual_norm:.3e})")
-            continue
-        sol = _build_finite(config, active, res.x, k0, ai0, k_term, ai_term, n)
-        mu_ok = all(
-            (sol.multipliers.mu_c if kind is AgentKind.COGNITIVE else sol.multipliers.mu_m) >= 0.0
-            for kind in active
-        )
-        slack_ok = all(
-            (sol.slack_c if kind is AgentKind.COGNITIVE else sol.slack_m) >= -TOL_ICC
-            for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL)
-            if kind not in active
-        )
-        if mu_ok and slack_ok:
-            return sol
-        failures.append(f"{'+'.join(k.value for k in active) or 'none'}: inadmissible")
-    raise NoRegimeFoundError("; ".join(failures))
+    return _first_admissible(ladder, solve, [])

@@ -35,16 +35,6 @@ def u_prime(prefs: PreferenceParams, c):
     return c ** (-prefs.gamma)
 
 
-def u_second(prefs: PreferenceParams, c):
-    """Second derivative u''(c)."""
-    if np.any(np.asarray(c) <= 0.0):
-        raise DomainError("consumption must be positive")
-    if prefs.u_form is UtilityForm.LOG:
-        return -1.0 / np.asarray(c, dtype=float) ** 2
-    g = prefs.gamma
-    return -g * c ** (-g - 1.0)
-
-
 def nu_eval(prefs: PreferenceParams, l):
     """Labor disutility nu(l) = psi * l**(1+phi) / (1+phi)."""
     if np.any(np.asarray(l) < 0.0):
@@ -57,13 +47,6 @@ def nu_prime(prefs: PreferenceParams, l):
     if np.any(np.asarray(l) < 0.0):
         raise DomainError("labor must be nonnegative")
     return prefs.psi * l**prefs.phi
-
-
-def nu_second(prefs: PreferenceParams, l):
-    """nu''(l) = psi * phi * l**(phi-1)."""
-    if np.any(np.asarray(l) < 0.0):
-        raise DomainError("labor must be nonnegative")
-    return prefs.psi * prefs.phi * l ** (prefs.phi - 1.0)
 
 
 def mimic_labor(l_other, w_other, w_own):

@@ -180,10 +180,9 @@ def wages(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai):
 
 @dataclass(frozen=True)
 class TechEvaluation:
-    """Output, total wealth, marginal products and wages at one input point."""
+    """Output, marginal products and wages at one input point."""
 
     y: float
-    wealth: float
     mp: MarginalProducts
     w_c: float
     w_m: float
@@ -201,8 +200,7 @@ def evaluate(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai) -> 
         fw_k=f_k + (1.0 - tech.delta_k),
         fw_ai=f_ai + (1.0 - tech.delta_ai),
     )
-    wealth = y + (1.0 - tech.delta_k) * args[2] + (1.0 - tech.delta_ai) * args[3]
-    return TechEvaluation(y=y, wealth=wealth, mp=mp, w_c=f_lc * config.cognitive.z, w_m=f_lm * config.manual.z)
+    return TechEvaluation(y=y, mp=mp, w_c=f_lc * config.cognitive.z, w_m=f_lm * config.manual.z)
 
 
 def mpl_ratio(tech: TechnologyParams, l_c, l_m, k, ai):

@@ -176,3 +176,38 @@ def test_planner_seed_is_recorded_not_used(tmp_path, monkeypatch):
     assert cli.main(["check-assumptions", cfg("regime_a.cfg"), "--out", str(out)]) == 0
     manifest = json.loads(out.read_text())["manifest"]
     assert manifest["parameters"]["planner_seed"] == "1234"
+
+
+def test_oracle_verify_checks_the_solution_against_config(tmp_path):
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    out = tmp_path / "oracle.json"
+    rc = cli.main(["oracle-verify", cfg("symmetric.cfg"), "--solution", str(sol),
+                   "--grid-points", "6", "--out", str(out)])
+    assert rc == 6
+    assert json.loads(out.read_text())["payload"]["kkt_ok"] is False
+
+
+def test_oracle_verify_refuses_finite_horizon_solution(tmp_path, capsys):
+    sol = tmp_path / "path.json"
+    assert cli.main(["solve", cfg("regime_a_t20.cfg"), "--T", "3", "--out", str(sol)]) == 0
+    rc = cli.main(["oracle-verify", cfg("regime_a_t20.cfg"), "--solution", str(sol),
+                   "--grid-points", "6", "--out", str(tmp_path / "oracle.json")])
+    assert rc == 2
+    assert "stationary" in capsys.readouterr().err
+
+
+def test_oracle_verify_recomputes_the_stored_objective(tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["payload"]["objective"] += 5.0
+    sol.write_text(json.dumps(doc))
+    out = tmp_path / "oracle.json"
+    rc = cli.main(["oracle-verify", cfg("regime_a.cfg"), "--solution", str(sol),
+                   "--grid-points", "6", "--out", str(out)])
+    assert rc == 6
+    report = json.loads(out.read_text())["payload"]
+    assert report["kkt_ok"] is True and report["regime_ok"] is True
+    assert report["objective_ok"] is False
+    assert "recomputed" in capsys.readouterr().err

@@ -1,11 +1,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from aitax import symmetric_economy, validate_config
-from aitax.economy import SWEEP_PARAMS, effective_labor, with_param
+from aitax.economy import SWEEP_PARAMS, with_param
 from aitax.errors import DomainError
 
 
@@ -57,33 +55,6 @@ def test_complements_nesting_order_enforced():
     bad = dataclasses.replace(cfg.tech, rho_c=0.9, sigma_top=0.5)
     report = validate_config(dataclasses.replace(cfg, tech=bad))
     assert any("rho_c" in name for name, _ in report.failures)
-
-
-def test_effective_labor_examples():
-    assert effective_labor(0.5, 1.0, 2.0) == 1.0
-    assert effective_labor(0.5, 0.0, 2.0) == 0.0
-    assert effective_labor(0.25, 2.0, 1.0) == 0.5
-
-
-def test_effective_labor_domain():
-    with pytest.raises(DomainError):
-        effective_labor(0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        effective_labor(0.5, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        effective_labor(0.5, 1.0, 0.0)
-
-
-@given(
-    pi=st.floats(1e-6, 1.0 - 1e-6),
-    l=st.floats(0.0, 1e6),
-    z=st.floats(1e-6, 1e6),
-    scale=st.floats(1e-3, 1e3),
-)
-def test_effective_labor_linear_in_l_and_z(pi, l, z, scale):
-    base = effective_labor(pi, l, z)
-    assert effective_labor(pi, scale * l, z) == pytest.approx(scale * base, rel=1e-12)
-    assert effective_labor(pi, l, scale * z) == pytest.approx(scale * base, rel=1e-12)
 
 
 def test_with_param_replaces_only_target():

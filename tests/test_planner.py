@@ -1,8 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aitax import planner
 from aitax import (
     AgentKind,
     Regime,
@@ -17,6 +19,7 @@ from aitax import (
     symmetric_economy,
     threshold_economy,
 )
+from aitax.configio import load_config
 from aitax.economy import TechForm
 from aitax.errors import (
     ConfigError,
@@ -26,6 +29,9 @@ from aitax.errors import (
 from aitax.planner import TOL_ICC
 from aitax.preferences import icc_slack, nu_eval, u_eval
 from aitax.production import total_wealth, wages
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def max_residual(residuals):
@@ -369,3 +375,69 @@ def test_residuals_vanish_at_solutions(symmetric_solution, regime_a_solution, re
     for s in (symmetric_solution, regime_a_solution, regime_b_solution):
         rows = foc_residuals(s.config, s.allocation, s.multipliers)
         assert max_residual(rows) <= 1e-10
+
+
+def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
+    """The kernel's one branch: a steady state repeated over n periods.
+
+    The path form must give the stationary rows, except that its stock
+    Euler rows are not divided through by lam and its complementary-
+    slackness rows sum n discounted periods instead of a perpetuity.  The
+    candidate is moved off the optimum so that the rows are far from zero.
+    """
+    s = regime_a_solution
+    cfg, beta, n = s.config, s.config.prefs.beta, 6
+    a, m = s.allocation, s.multipliers
+    l_m = a.l_m * 0.98
+    one = dataclasses.replace(a, c_c=a.c_c * 1.01, l_m=l_m, eff_l_m=cfg.manual.pi * l_m * cfg.manual.z,
+                              k=a.k * 0.95, ai=a.ai * 1.03)
+    mults = dataclasses.replace(m, lam=m.lam * 1.02)
+    rep = lambda v, size=n: np.full(size, float(v[0]))
+    path = dataclasses.replace(
+        one, **{f: rep(getattr(one, f)) for f in ("c_c", "c_m", "l_c", "l_m", "eff_l_c", "eff_l_m")},
+        k=rep(one.k, n + 1), ai=rep(one.ai, n + 1),
+    )
+    path_mults = dataclasses.replace(
+        mults, **{f: rep(getattr(mults, f)) for f in ("lam", "x_k", "x_ai", "y_term")})
+
+    stationary = foc_residuals(cfg, one, mults)
+    rows = foc_residuals(cfg, path, path_mults)
+    lam = float(mults.lam[0])
+    assert max(abs(stationary[r]) for r in ("c_c", "l_m", "k", "ai", "feasibility")) > 1e-3
+    for row in ("c_c", "c_m", "l_c", "l_m", "feasibility"):
+        np.testing.assert_allclose(rows[row], np.full(n, stationary[row]), rtol=1e-12, atol=1e-12)
+    for row in ("k", "ai"):
+        np.testing.assert_allclose(rows[row], np.full(n - 1, lam * stationary[row]),
+                                   rtol=1e-12, atol=1e-12)
+    for row in ("comp_slack_c", "comp_slack_m"):
+        assert rows[row] == pytest.approx(stationary[row] * (1.0 - beta**n), rel=1e-12, abs=1e-12)
+
+
+# exact KKT residual evaluations per solve of each bundled config
+EVALS_PER_SOLVE = {
+    "symmetric": 51, "regime_a": 91, "regime_b": 91, "threshold": 95, "cobb_douglas": 54,
+    "regime_a_t20": 827,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALS_PER_SOLVE))
+def test_residual_evaluations_per_solve(name, monkeypatch):
+    """Solver work, counted exactly: a change to the residuals or the start
+    schedule that moves the Newton path shows up here."""
+    evals = 0
+    newton_solve = planner.newton_solve
+
+    def counted(f, x0, **kw):
+        def residual(x):
+            nonlocal evals
+            evals += 1
+            return f(x)
+        return newton_solve(residual, x0, **kw)
+
+    monkeypatch.setattr(planner, "newton_solve", counted)
+    config, _ = load_config(CONFIGS / f"{name}.cfg")
+    if config.mode is SolveMode.FINITE_HORIZON:
+        solve_finite_horizon(config)
+    else:
+        solve_steady_state(config)
+    assert evals == EVALS_PER_SOLVE[name]

@@ -12,10 +12,8 @@ from aitax.preferences import (
     mimic_labor,
     nu_eval,
     nu_prime,
-    nu_second,
     u_eval,
     u_prime,
-    u_second,
 )
 
 LOG = PreferenceParams(beta=0.96)
@@ -25,29 +23,26 @@ CRRA2 = PreferenceParams(beta=0.96, u_form=UtilityForm.CRRA, gamma=2.0)
 def test_log_values():
     assert u_eval(LOG, 1.0) == 0.0
     assert u_prime(LOG, 0.5) == 2.0
-    assert u_second(LOG, 0.5) == -4.0
 
 
 def test_crra_values():
     assert u_eval(CRRA2, 2.0) == pytest.approx(-0.5)
     assert u_prime(CRRA2, 2.0) == pytest.approx(0.25)
-    assert u_second(CRRA2, 2.0) == pytest.approx(-0.25)
 
 
 def test_nu_values():
     prefs = PreferenceParams(beta=0.9, psi=2.0, phi=3.0)
     assert nu_eval(prefs, 1.0) == pytest.approx(0.5)
     assert nu_prime(prefs, 2.0) == pytest.approx(16.0)
-    assert nu_second(prefs, 2.0) == pytest.approx(24.0)
 
 
 def test_domain_errors():
-    for fn in (u_eval, u_prime, u_second):
+    for fn in (u_eval, u_prime):
         with pytest.raises(DomainError):
             fn(LOG, 0.0)
         with pytest.raises(DomainError):
             fn(LOG, np.array([1.0, -1.0]))
-    for fn in (nu_eval, nu_prime, nu_second):
+    for fn in (nu_eval, nu_prime):
         with pytest.raises(DomainError):
             fn(LOG, -0.1)
     with pytest.raises(DomainError):
