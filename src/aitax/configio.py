@@ -20,6 +20,7 @@ enums accept their string values.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from pathlib import Path
 
 from .economy import (
@@ -34,69 +35,40 @@ from .economy import (
 )
 from .errors import ConfigError
 
-# key -> (constructor group, field name, parser); groups are assembled into
-# the nested dataclasses at the end of parsing
-_SCHEMA: dict[str, tuple[str, str, object]] = {}
+# dotted key -> (EconomyConfig section, None for a top-level field; field
+# name; value type).  Registration order is the order every writer uses.
+_SCHEMA: dict[str, tuple[str | None, str, type]] = {}
 
 
-def _register(group: str, prefix: str, fields: dict[str, object]) -> None:
-    for name, parser in fields.items():
-        _SCHEMA[f"{prefix}{name}"] = (group, name, parser)
+def _register(section: str | None, prefix: str, fields: dict[str, type]) -> None:
+    for name, kind in fields.items():
+        _SCHEMA[f"{prefix}{name}"] = (section, name, kind)
 
 
-def _enum_parser(enum_cls: type[enum.Enum]):
-    def parse(text: str):
-        try:
-            return enum_cls(text)
-        except ValueError:
-            allowed = ", ".join(m.value for m in enum_cls)
-            raise ConfigError(f"expected one of [{allowed}], got {text!r}") from None
-    return parse
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
-
-
-_register("cognitive", "agents.cognitive.", {"pi": _float, "z": _float})
-_register("manual", "agents.manual.", {"pi": _float, "z": _float})
+_register("cognitive", "agents.cognitive.", {"pi": float, "z": float})
+_register("manual", "agents.manual.", {"pi": float, "z": float})
 _register("prefs", "prefs.", {
-    "beta": _float,
-    "u_form": _enum_parser(UtilityForm),
-    "gamma": _float,
-    "psi": _float,
-    "phi": _float,
+    "beta": float,
+    "u_form": UtilityForm,
+    "gamma": float,
+    "psi": float,
+    "phi": float,
 })
 _register("tech", "tech.", {
-    "form": _enum_parser(TechForm),
-    "a": _float,
-    "mu_top": _float,
-    "lambda_c": _float,
-    "theta_m": _float,
-    "sigma_top": _float,
-    "rho_c": _float,
-    "rho_m": _float,
-    "a_ai": _float,
-    "delta_k": _float,
-    "delta_ai": _float,
+    "form": TechForm,
+    "a": float,
+    "mu_top": float,
+    "lambda_c": float,
+    "theta_m": float,
+    "sigma_top": float,
+    "rho_c": float,
+    "rho_m": float,
+    "a_ai": float,
+    "delta_k": float,
+    "delta_ai": float,
 })
-_register("top", "", {
-    "g": _float,
-    "k0": _float,
-    "ai0": _float,
-    "mode": _enum_parser(SolveMode),
-    "T": _int,
-})
+_register(None, "", {"g": float, "k0": float, "ai0": float, "mode": SolveMode})
+_SCHEMA["T"] = (None, "horizon", int)
 
 _REQUIRED = (
     "agents.cognitive.pi", "agents.cognitive.z",
@@ -104,13 +76,51 @@ _REQUIRED = (
     "prefs.beta", "tech.form",
 )
 
+_SECTIONS = {
+    "cognitive": partial(AgentTypeParams, kind=AgentKind.COGNITIVE),
+    "manual": partial(AgentTypeParams, kind=AgentKind.MANUAL),
+    "prefs": PreferenceParams,
+    "tech": TechnologyParams,
+}
+
+
+def _parse(key: str, text: str):
+    """The text of a value of ``key`` as its declared type; enums accept their string values."""
+    kind = _SCHEMA[key][2]
+    try:
+        return kind(text)
+    except ValueError:
+        if kind is float:
+            expected = "a number"
+        elif kind is int:
+            expected = "an integer"
+        else:
+            expected = f"one of [{', '.join(m.value for m in kind)}]"
+        raise ConfigError(f"expected {expected}, got {text!r}") from None
+
+
+def _assemble(values: dict[str, object]) -> EconomyConfig:
+    """The config from parsed values by dotted key; absent keys keep their defaults."""
+    sections: dict[str | None, dict[str, object]] = {name: {} for name in (*_SECTIONS, None)}
+    for key, value in values.items():
+        section, field, _ = _SCHEMA[key]
+        sections[section][field] = value
+    top = sections.pop(None)
+    return EconomyConfig(
+        **{name: make(**sections[name]) for name, make in _SECTIONS.items()}, **top
+    )
+
+
+def _value(config: EconomyConfig, key: str):
+    """The config's value at ``key``, an enum as its string value."""
+    section, field, _ = _SCHEMA[key]
+    value = getattr(getattr(config, section) if section else config, field)
+    return value.value if isinstance(value, enum.Enum) else value
+
 
 def parse_config(text: str, source: str = "<string>") -> EconomyConfig:
     """Parse config text; see the module docstring for the format."""
-    groups: dict[str, dict[str, object]] = {
-        "cognitive": {}, "manual": {}, "prefs": {}, "tech": {}, "top": {},
-    }
-    seen: set[str] = set()
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,32 +131,17 @@ def parse_config(text: str, source: str = "<string>") -> EconomyConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        seen.add(key)
-        group, field, parser = _SCHEMA[key]
         try:
-            groups[group][field] = parser(value)
+            values[key] = _parse(key, value)
         except ConfigError as exc:
             raise ConfigError(f"{where}: {key}: {exc}") from None
 
-    missing = [k for k in _REQUIRED if k not in seen]
+    missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
-
-    top = groups["top"]
-    if "T" in top:
-        top["horizon"] = top.pop("T")
-    try:
-        return EconomyConfig(
-            cognitive=AgentTypeParams(kind=AgentKind.COGNITIVE, **groups["cognitive"]),
-            manual=AgentTypeParams(kind=AgentKind.MANUAL, **groups["manual"]),
-            prefs=PreferenceParams(**groups["prefs"]),
-            tech=TechnologyParams(**groups["tech"]),
-            **top,
-        )
-    except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    return _assemble(values)
 
 
 def load_config(path: str | Path) -> tuple[EconomyConfig, bytes]:
@@ -169,74 +164,47 @@ def load_config(path: str | Path) -> tuple[EconomyConfig, bytes]:
 
 def config_to_dict(config: EconomyConfig) -> dict:
     """Nested plain-dict form of a config, enums as their string values."""
-    p, t = config.prefs, config.tech
-    return {
-        "agents": {
-            slot: {"pi": getattr(config, slot).pi, "z": getattr(config, slot).z}
-            for slot in ("cognitive", "manual")
-        },
-        "prefs": {
-            "beta": p.beta, "u_form": p.u_form.value, "gamma": p.gamma,
-            "psi": p.psi, "phi": p.phi,
-        },
-        "tech": {
-            "form": t.form.value, "a": t.a, "mu_top": t.mu_top,
-            "lambda_c": t.lambda_c, "theta_m": t.theta_m,
-            "sigma_top": t.sigma_top, "rho_c": t.rho_c, "rho_m": t.rho_m,
-            "a_ai": t.a_ai, "delta_k": t.delta_k, "delta_ai": t.delta_ai,
-        },
-        "g": config.g, "k0": config.k0, "ai0": config.ai0,
-        "mode": config.mode.value, "T": config.horizon,
-    }
+    out: dict = {}
+    for key in _SCHEMA:
+        *path, name = key.split(".")
+        node = out
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = _value(config, key)
+    return out
+
+
+def _leaves(data: dict, prefix: str = ""):
+    for name, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", value
 
 
 def config_from_dict(data: dict) -> EconomyConfig:
-    """Inverse of config_to_dict; raises ConfigError on malformed input."""
+    """Inverse of config_to_dict; raises ConfigError on malformed input.
+
+    Every key of the schema must be present, since the dict form is always
+    written in full, and each value is checked as its text would be.
+    """
     try:
-        prefs = dict(data["prefs"])
-        prefs["u_form"] = UtilityForm(prefs["u_form"])
-        tech = dict(data["tech"])
-        tech["form"] = TechForm(tech["form"])
-        return EconomyConfig(
-            cognitive=AgentTypeParams(kind=AgentKind.COGNITIVE, **data["agents"]["cognitive"]),
-            manual=AgentTypeParams(kind=AgentKind.MANUAL, **data["agents"]["manual"]),
-            prefs=PreferenceParams(**prefs),
-            tech=TechnologyParams(**tech),
-            g=data["g"], k0=data["k0"], ai0=data["ai0"],
-            mode=SolveMode(data["mode"]), horizon=data["T"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        leaves = dict(_leaves(data))
+        if leaves.keys() != _SCHEMA.keys():
+            raise KeyError(sorted(leaves.keys() ^ _SCHEMA.keys()))
+        return _assemble({
+            key: None if value is None else _parse(key, str(value))
+            for key, value in leaves.items()
+        })
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config dict: {exc!r}") from None
 
 
 def dump_config(config: EconomyConfig) -> str:
     """Render a config in the canonical file format (round-trips exactly)."""
-    def fmt(v: object) -> str:
-        if isinstance(v, enum.Enum):
-            return v.value
-        return repr(v)
-
     lines = []
-    for slot in ("cognitive", "manual"):
-        agent = getattr(config, slot)
-        lines.append(f"agents.{slot}.pi = {fmt(agent.pi)}")
-        lines.append(f"agents.{slot}.z = {fmt(agent.z)}")
-    p = config.prefs
-    lines.append(f"prefs.beta = {fmt(p.beta)}")
-    lines.append(f"prefs.u_form = {fmt(p.u_form)}")
-    if p.gamma is not None:
-        lines.append(f"prefs.gamma = {fmt(p.gamma)}")
-    lines.append(f"prefs.psi = {fmt(p.psi)}")
-    lines.append(f"prefs.phi = {fmt(p.phi)}")
-    t = config.tech
-    lines.append(f"tech.form = {fmt(t.form)}")
-    for name in ("a", "mu_top", "lambda_c", "theta_m", "sigma_top",
-                 "rho_c", "rho_m", "a_ai", "delta_k", "delta_ai"):
-        lines.append(f"tech.{name} = {fmt(getattr(t, name))}")
-    lines.append(f"g = {fmt(config.g)}")
-    lines.append(f"k0 = {fmt(config.k0)}")
-    lines.append(f"ai0 = {fmt(config.ai0)}")
-    lines.append(f"mode = {fmt(config.mode)}")
-    if config.horizon is not None:
-        lines.append(f"T = {fmt(config.horizon)}")
+    for key in _SCHEMA:
+        value = _value(config, key)
+        if value is not None:
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"

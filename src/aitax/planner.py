@@ -584,20 +584,25 @@ def foc_residuals(config: EconomyConfig, alloc: Allocation, mults: Multipliers) 
     Incentive constraints enter as complementary-slackness rows
     mu_h * slack_h, so the map is defined for any candidate regardless of
     which constraints were imposed.  Stationary candidates (one period)
-    return scalar components; finite-horizon candidates return per-period
-    arrays for the sequential rows.
+    return scalar components, with the flow slack the Newton rows solve and
+    the stationary c and l rows derive from; finite-horizon candidates
+    return per-period arrays for the sequential rows and discounted sums
+    for the complementary-slackness rows.
     """
     a = alloc
     rows, slack_c, slack_m, _ = _kkt(
         config, *_periods(a.c_c, a.c_m, a.l_c, a.l_m, a.k, a.ai, mults.lam), mults.mu_c, mults.mu_m
     )
+    beta = config.prefs.beta
     if a.n_periods == 1:
         rows = [float(r) for r in rows]
-    beta = config.prefs.beta
+        total = float
+    else:
+        total = lambda flow: _lifetime(beta, flow)
     return {
         **dict(zip(_ROWS, rows)),
-        "comp_slack_c": _lifetime(beta, mults.mu_c * slack_c),
-        "comp_slack_m": _lifetime(beta, mults.mu_m * slack_m),
+        "comp_slack_c": total(mults.mu_c * slack_c),
+        "comp_slack_m": total(mults.mu_m * slack_m),
     }
 
 

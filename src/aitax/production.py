@@ -62,17 +62,13 @@ def _ces(share, x, y, rho):
 
 
 def _ces_dx(share, x, y, rho, value):
-    """Partial of the CES aggregate with respect to its first input."""
+    """Partial of the CES aggregate with respect to its first input.
+
+    The partial with respect to the second input is _ces_dx(1 - share, y, x, rho, value).
+    """
     if abs(rho) < LOG_LIMIT:
         return share * value / x
     return share * x ** (rho - 1.0) * value ** (1.0 - rho)
-
-
-def _ces_dy(share, x, y, rho, value):
-    """Partial of the CES aggregate with respect to its second input."""
-    if abs(rho) < LOG_LIMIT:
-        return (1.0 - share) * value / y
-    return (1.0 - share) * y ** (rho - 1.0) * value ** (1.0 - rho)
 
 
 def _exponents(tech: TechnologyParams) -> tuple[float, float, float]:
@@ -94,8 +90,8 @@ def _core(tech: TechnologyParams, l_c, l_m, k, ai):
         x_m = l_m
         v = _ces(tech.mu_top, x_c, x_m, sigma)
         f_xc = tech.a * _ces_dx(tech.mu_top, x_c, x_m, sigma, v)
-        f_xm = tech.a * _ces_dy(tech.mu_top, x_c, x_m, sigma, v)
-        x_c_n = _ces_dy(tech.lambda_c, k, n, rho_c, x_c)
+        f_xm = tech.a * _ces_dx(1.0 - tech.mu_top, x_m, x_c, sigma, v)
+        x_c_n = _ces_dx(1.0 - tech.lambda_c, n, k, rho_c, x_c)
         f_lc = f_xc * x_c_n
         f_ai = f_xc * x_c_n * tech.a_ai
         f_k = f_xc * _ces_dx(tech.lambda_c, k, n, rho_c, x_c)
@@ -106,10 +102,10 @@ def _core(tech: TechnologyParams, l_c, l_m, k, ai):
     x_m = _ces(tech.theta_m, ai_eff, l_m, rho_m)
     v = _ces(tech.mu_top, x_c, x_m, sigma)
     f_xc = tech.a * _ces_dx(tech.mu_top, x_c, x_m, sigma, v)
-    f_xm = tech.a * _ces_dy(tech.mu_top, x_c, x_m, sigma, v)
-    f_lc = f_xc * _ces_dy(tech.lambda_c, k, l_c, rho_c, x_c)
+    f_xm = tech.a * _ces_dx(1.0 - tech.mu_top, x_m, x_c, sigma, v)
+    f_lc = f_xc * _ces_dx(1.0 - tech.lambda_c, l_c, k, rho_c, x_c)
     f_k = f_xc * _ces_dx(tech.lambda_c, k, l_c, rho_c, x_c)
-    f_lm = f_xm * _ces_dy(tech.theta_m, ai_eff, l_m, rho_m, x_m)
+    f_lm = f_xm * _ces_dx(1.0 - tech.theta_m, l_m, ai_eff, rho_m, x_m)
     f_ai = f_xm * _ces_dx(tech.theta_m, ai_eff, l_m, rho_m, x_m) * tech.a_ai
     return tech.a * v, f_lc, f_lm, f_k, f_ai
 
@@ -158,11 +154,11 @@ class MarginalProducts:
     fw_ai: float
 
 
-def marginal_products(tech: TechnologyParams, l_c, l_m, k, ai) -> MarginalProducts:
-    """Analytic first derivatives of output.  Inputs must be strictly positive."""
+def _evaluate(tech: TechnologyParams, l_c, l_m, k, ai):
+    """Output and marginal products from one core pass, strictly positive inputs."""
     args = _coerce_all(l_c, l_m, k, ai, strict=True)
-    _, f_lc, f_lm, f_k, f_ai = _core(tech, *args)
-    return MarginalProducts(
+    y, f_lc, f_lm, f_k, f_ai = _core(tech, *args)
+    return y, MarginalProducts(
         f_lc=f_lc,
         f_lm=f_lm,
         f_k=f_k,
@@ -170,6 +166,11 @@ def marginal_products(tech: TechnologyParams, l_c, l_m, k, ai) -> MarginalProduc
         fw_k=f_k + (1.0 - tech.delta_k),
         fw_ai=f_ai + (1.0 - tech.delta_ai),
     )
+
+
+def marginal_products(tech: TechnologyParams, l_c, l_m, k, ai) -> MarginalProducts:
+    """Analytic first derivatives of output.  Inputs must be strictly positive."""
+    return _evaluate(tech, l_c, l_m, k, ai)[1]
 
 
 def wages(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai):
@@ -190,17 +191,8 @@ class TechEvaluation:
 
 def evaluate(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai) -> TechEvaluation:
     """Everything the planner FOCs need at one point, in a single core pass."""
-    args = _coerce_all(l_c, l_m, k, ai, strict=True)
-    y, f_lc, f_lm, f_k, f_ai = _core(tech, *args)
-    mp = MarginalProducts(
-        f_lc=f_lc,
-        f_lm=f_lm,
-        f_k=f_k,
-        f_ai=f_ai,
-        fw_k=f_k + (1.0 - tech.delta_k),
-        fw_ai=f_ai + (1.0 - tech.delta_ai),
-    )
-    return TechEvaluation(y=y, mp=mp, w_c=f_lc * config.cognitive.z, w_m=f_lm * config.manual.z)
+    y, mp = _evaluate(tech, l_c, l_m, k, ai)
+    return TechEvaluation(y=y, mp=mp, w_c=mp.f_lc * config.cognitive.z, w_m=mp.f_lm * config.manual.z)
 
 
 def mpl_ratio(tech: TechnologyParams, l_c, l_m, k, ai):
@@ -271,9 +263,6 @@ class Grid4:
             if np.any(arr <= 0.0):
                 raise DomainError(f"grid axis {name} must be strictly positive")
             object.__setattr__(self, name, arr)
-
-    def axes(self) -> dict[str, np.ndarray]:
-        return {"L_c": self.l_c, "L_m": self.l_m, "K": self.k, "AI": self.ai}
 
     @classmethod
     def log_around(cls, center=(1.0, 1.0, 1.0, 1.0), factor: float = 2.0, points: int = 5) -> "Grid4":

@@ -19,7 +19,7 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .economy import Allocation, EconomyConfig
 from .errors import ConfigError
 from .planner import Multipliers, PlannerSolution, Regime
 from .production import AssumptionReport
-from .sweep import SweepResult, ThresholdResult
+from .sweep import SweepPoint, SweepResult, ThresholdResult
 from .wedges import WedgeReport
 
 
@@ -98,6 +98,11 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _record(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def dumps(obj) -> str:
     """Serialize to JSON text with the shared float rendering."""
     out: list[str] = []
@@ -118,31 +123,7 @@ class RunManifest:
     outcome: str
 
     def to_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "version": self.version,
-            "duration_s": self.duration_s,
-            "outcome": self.outcome,
-        }
-
-
-def allocation_payload(a: Allocation) -> dict:
-    return {
-        "n_periods": a.n_periods,
-        "c_c": a.c_c, "c_m": a.c_m,
-        "l_c": a.l_c, "l_m": a.l_m,
-        "eff_l_c": a.eff_l_c, "eff_l_m": a.eff_l_m,
-        "k": a.k, "ai": a.ai,
-    }
-
-
-def multipliers_payload(m: Multipliers) -> dict:
-    return {
-        "lam": m.lam, "mu_c": m.mu_c, "mu_m": m.mu_m,
-        "x_k": m.x_k, "x_ai": m.x_ai, "y_term": m.y_term,
-    }
+        return _record(self)
 
 
 def wedge_payload(report: WedgeReport) -> dict:
@@ -187,8 +168,8 @@ def solution_payload(solution: PlannerSolution, wedges: WedgeReport) -> dict:
         "foc_residual": solution.foc_residual,
         "slack_c": solution.slack_c,
         "slack_m": solution.slack_m,
-        "allocation": allocation_payload(solution.allocation),
-        "multipliers": multipliers_payload(solution.multipliers),
+        "allocation": {"n_periods": solution.allocation.n_periods, **_record(solution.allocation)},
+        "multipliers": _record(solution.multipliers),
         "wages_c": solution.wages_c,
         "wages_m": solution.wages_m,
         "wedges": wedge_payload(wedges),
@@ -202,16 +183,7 @@ def sweep_payload(result: SweepResult) -> dict:
         "param": result.param,
         "n_failures": result.n_failures,
         "threshold_bracket": list(result.threshold_bracket) if result.threshold_bracket else None,
-        "points": [
-            {
-                "value": p.value, "regime": p.regime,
-                "tau_k": p.tau_k, "tau_ai": p.tau_ai,
-                "tau_y_c": p.tau_y_c, "tau_y_m": p.tau_y_m,
-                "wage_ratio": p.wage_ratio, "objective": p.objective,
-                "error": p.error,
-            }
-            for p in result.points
-        ],
+        "points": [_record(p) for p in result.points],
     }
 
 
@@ -255,18 +227,13 @@ def write_solution_csv(path: str | Path, solution: PlannerSolution) -> None:
             writer.writerow([render_value(v) for v in row])
 
 
-_SWEEP_COLUMNS = ("value", "regime", "tau_k", "tau_ai", "tau_y_c", "tau_y_m",
-                  "wage_ratio", "objective", "error")
-
-
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
+    """One row per grid point, one column per SweepPoint field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
+        writer.writerow([f.name for f in fields(SweepPoint)])
         for p in result.points:
-            row = (p.value, p.regime, p.tau_k, p.tau_ai, p.tau_y_c,
-                   p.tau_y_m, p.wage_ratio, p.objective, p.error)
-            writer.writerow([render_value(v) for v in row])
+            writer.writerow([render_value(v) for v in _record(p).values()])
 
 
 @dataclass(frozen=True)
@@ -281,31 +248,22 @@ class LoadedSolution:
     manifest: dict
 
 
+def _load_record(cls, data: dict):
+    """Rebuild a record of float arrays and float scalars from its payload."""
+    values = {f.name: np.asarray(data[f.name], dtype=float) for f in fields(cls)}
+    return cls(**{name: v if v.ndim else float(v) for name, v in values.items()})
+
+
 def load_solution(path: str | Path) -> LoadedSolution:
     """Re-ingest a solution JSON document written by write_json."""
     try:
         doc = json.loads(Path(path).read_text())
         payload = doc["payload"]
-        ap = payload["allocation"]
-        arr = lambda key: np.asarray(ap[key], dtype=float)
-        allocation = Allocation(
-            c_c=arr("c_c"), c_m=arr("c_m"), l_c=arr("l_c"), l_m=arr("l_m"),
-            eff_l_c=arr("eff_l_c"), eff_l_m=arr("eff_l_m"),
-            k=arr("k"), ai=arr("ai"),
-        )
-        mp = payload["multipliers"]
-        multipliers = Multipliers(
-            lam=np.asarray(mp["lam"], dtype=float),
-            mu_c=float(mp["mu_c"]), mu_m=float(mp["mu_m"]),
-            x_k=np.asarray(mp["x_k"], dtype=float),
-            x_ai=np.asarray(mp["x_ai"], dtype=float),
-            y_term=np.asarray(mp["y_term"], dtype=float),
-        )
         return LoadedSolution(
             config=config_from_dict(payload["config"]),
             regime=Regime(payload["regime"]),
-            allocation=allocation,
-            multipliers=multipliers,
+            allocation=_load_record(Allocation, payload["allocation"]),
+            multipliers=_load_record(Multipliers, payload["multipliers"]),
             payload=payload,
             manifest=doc.get("manifest", {}),
         )

@@ -26,7 +26,7 @@ import numpy as np
 from .economy import SWEEP_PARAMS, AgentKind, EconomyConfig, validate_config, with_param
 from .errors import ConfigError, DomainError, SolverError, ThresholdRangeError, UbiInfeasibleError
 from .planner import EPS_C, PlannerSolution, Regime, solve_steady_state
-from .wedges import intertemporal_wedge, intratemporal_wedge
+from .wedges import compute_wedge_report
 
 _FLIP_REGIMES = (Regime.COGNITIVE_BINDS, Regime.MANUAL_BINDS)
 
@@ -36,13 +36,13 @@ class SweepPoint:
     """Outcome at one grid value; metrics are nan when the solve failed."""
 
     value: float
-    regime: str | None
-    tau_k: float
-    tau_ai: float
-    tau_y_c: float
-    tau_y_m: float
-    wage_ratio: float
-    objective: float
+    regime: str | None = None
+    tau_k: float = math.nan
+    tau_ai: float = math.nan
+    tau_y_c: float = math.nan
+    tau_y_m: float = math.nan
+    wage_ratio: float = math.nan
+    objective: float = math.nan
     error: str | None = None
 
     @property
@@ -51,22 +51,21 @@ class SweepPoint:
 
 
 def _metrics(value: float, solution: PlannerSolution) -> SweepPoint:
+    report = compute_wedge_report(solution)
     return SweepPoint(
         value=value,
         regime=solution.regime.value,
-        tau_k=intertemporal_wedge(solution, AgentKind.COGNITIVE, "k"),
-        tau_ai=intertemporal_wedge(solution, AgentKind.COGNITIVE, "ai"),
-        tau_y_c=intratemporal_wedge(solution, AgentKind.COGNITIVE),
-        tau_y_m=intratemporal_wedge(solution, AgentKind.MANUAL),
+        tau_k=report.tau_k[AgentKind.COGNITIVE],
+        tau_ai=report.tau_ai[AgentKind.COGNITIVE],
+        tau_y_c=report.tau_y[AgentKind.COGNITIVE],
+        tau_y_m=report.tau_y[AgentKind.MANUAL],
         wage_ratio=float(solution.wages_c[0] / solution.wages_m[0]),
         objective=solution.objective,
     )
 
 
 def _failure(value: float, exc: Exception) -> SweepPoint:
-    nan = math.nan
-    return SweepPoint(value, None, nan, nan, nan, nan, nan, nan,
-                      error=f"{type(exc).__name__}: {exc}")
+    return SweepPoint(value, error=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True)

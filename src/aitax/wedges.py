@@ -33,7 +33,7 @@ import numpy as np
 
 from .economy import AgentKind
 from .errors import DomainError, OutOfHorizonError
-from .planner import PlannerSolution, Regime
+from .planner import PlannerSolution, Regime, _periods
 from .preferences import nu_prime, u_prime
 from .production import marginal_products
 
@@ -58,30 +58,82 @@ def intratemporal_wedge_formula(nu_p, wage, up):
     return 1.0 - nu_p / (wage * up)
 
 
-def _wealth_returns(solution: PlannerSolution) -> tuple[np.ndarray, np.ndarray]:
-    a = solution.allocation
-    n = a.n_periods
-    mp = marginal_products(
-        solution.config.tech, a.eff_l_c[:n], a.eff_l_m[:n], a.k[:n], a.ai[:n]
-    )
-    return np.atleast_1d(mp.fw_k), np.atleast_1d(mp.fw_ai)
-
-
 def _check_stock(stock: str) -> None:
     if stock not in _STOCKS:
         raise DomainError(f"stock must be one of {_STOCKS}, got {stock!r}")
 
 
-def _transition(solution: PlannerSolution, t: int) -> tuple[int, int]:
-    """Map a transition index onto (now, next) periods; stationary accepts any t."""
+@dataclass(frozen=True)
+class _WedgeTable:
+    """Every wedge of one solution, from one pass over its periods.
+
+    Transition t runs from period t to period t + 1; a steady state is the
+    single transition from its one period to itself.
+    """
+
+    tau: dict[tuple[AgentKind, str], np.ndarray]  # per transition, by (type, stock)
+    tau_mult: dict[str, np.ndarray]  # per transition, by stock
+    fw: dict[str, np.ndarray]  # wealth return of each transition's arrival period
+    lam: np.ndarray  # resource multiplier of each transition's arrival period
+    tau_y: dict[AgentKind, np.ndarray]  # per period; nan where the type supplies no labor
+
+
+def _wedge_table(solution: PlannerSolution) -> _WedgeTable:
+    a, m = solution.allocation, solution.multipliers
+    prefs = solution.config.prefs
+    n = a.n_periods
+    now = np.arange(max(n - 1, 1))
+    nxt = now + (n > 1)
+    mp = marginal_products(
+        solution.config.tech, a.eff_l_c[:n], a.eff_l_m[:n], a.k[:n], a.ai[:n]
+    )
+    fw = {"k": mp.fw_k[nxt], "ai": mp.fw_ai[nxt]}
+    x = {"k": m.x_k[nxt], "ai": m.x_ai[nxt]}
+    lam = m.lam[nxt]
+    # a steady state stays on scalars: ** on arrays can differ in the last bit
+    c = dict(zip(AgentKind, _periods(a.c_c, a.c_m)))
+    l = dict(zip(AgentKind, _periods(a.l_c, a.l_m)))
+    w = {AgentKind.COGNITIVE: solution.wages_c, AgentKind.MANUAL: solution.wages_m}
+    up = {h: np.atleast_1d(u_prime(prefs, c[h])) for h in AgentKind}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_mult = {s: -x[s] / (lam * fw[s]) for s in _STOCKS}
+    return _WedgeTable(
+        tau={
+            (h, s): intertemporal_wedge_formula(up[h][now], up[h][nxt], prefs.beta, fw[s])
+            for h in AgentKind
+            for s in _STOCKS
+        },
+        tau_mult=tau_mult,
+        fw=fw,
+        lam=lam,
+        tau_y={
+            h: np.where(
+                np.asarray(l[h]) > 0.0,
+                intratemporal_wedge_formula(nu_prime(prefs, l[h]), w[h], up[h]),
+                math.nan,
+            )
+            for h in AgentKind
+        },
+    )
+
+
+def _transition(solution: PlannerSolution, t: int) -> int:
+    """Index of transition t; a steady state's one transition answers any t."""
     n = solution.allocation.n_periods
     if n == 1:
-        return 0, 0
+        return 0
     if not 0 <= t < n - 1:
         raise OutOfHorizonError(
             f"transition {t} out of range for horizon with {n} periods"
         )
-    return t, t + 1
+    return t
+
+
+def _via_multipliers(table: _WedgeTable, stock: str, i: int) -> float:
+    lam = float(table.lam[i])
+    if lam <= 0.0:
+        raise DomainError(f"resource multiplier must be positive, got {lam}")
+    return float(table.tau_mult[stock][i])
 
 
 def intertemporal_wedge(
@@ -89,46 +141,23 @@ def intertemporal_wedge(
 ) -> float:
     """Wedge on the t -> t+1 savings margin of type h into the given stock."""
     _check_stock(stock)
-    now, nxt = _transition(solution, t)
-    prefs = solution.config.prefs
-    c = solution.allocation.c_c if h is AgentKind.COGNITIVE else solution.allocation.c_m
-    fw_k, fw_ai = _wealth_returns(solution)
-    fw = (fw_k if stock == "k" else fw_ai)[nxt]
-    return float(
-        intertemporal_wedge_formula(
-            u_prime(prefs, c[now]), u_prime(prefs, c[nxt]), prefs.beta, fw
-        )
-    )
+    i = _transition(solution, t)
+    return float(_wedge_table(solution).tau[h, stock][i])
 
 
 def intratemporal_wedge(solution: PlannerSolution, h: AgentKind, t: int = 0) -> float:
     """Labor wedge of type h in period t; nan when the type supplies no labor."""
-    a = solution.allocation
-    n = a.n_periods
+    n = solution.allocation.n_periods
     if n > 1 and not 0 <= t < n:
         raise OutOfHorizonError(f"period {t} out of range for {n} periods")
-    idx = 0 if n == 1 else t
-    prefs = solution.config.prefs
-    if h is AgentKind.COGNITIVE:
-        l, c, w = a.l_c[idx], a.c_c[idx], solution.wages_c[idx]
-    else:
-        l, c, w = a.l_m[idx], a.c_m[idx], solution.wages_m[idx]
-    if l <= 0.0:
-        return math.nan
-    return float(intratemporal_wedge_formula(nu_prime(prefs, l), w, u_prime(prefs, c)))
+    return float(_wedge_table(solution).tau_y[h][0 if n == 1 else t])
 
 
 def wedge_via_multipliers(solution: PlannerSolution, stock: str, t: int = 0) -> float:
     """The same wedge computed as -X^i / (lambda * dFw/di) at the arrival period."""
     _check_stock(stock)
-    _, nxt = _transition(solution, t)
-    lam = float(solution.multipliers.lam[nxt])
-    if lam <= 0.0:
-        raise DomainError(f"resource multiplier must be positive, got {lam}")
-    x = solution.multipliers.x_k if stock == "k" else solution.multipliers.x_ai
-    fw_k, fw_ai = _wealth_returns(solution)
-    fw = (fw_k if stock == "k" else fw_ai)[nxt]
-    return float(-x[nxt] / (lam * fw))
+    i = _transition(solution, t)
+    return _via_multipliers(_wedge_table(solution), stock, i)
 
 
 @dataclass(frozen=True)
@@ -176,6 +205,49 @@ _DESCRIPTIONS = {
 }
 
 
+def _judge(regime: Regime, table: _WedgeTable, tol_sign: float) -> dict[str, PropositionCheck]:
+    verdicts = {key: _na(key, desc) for key, desc in _DESCRIPTIONS.items()}
+    if regime is Regime.COGNITIVE_BINDS:
+        taxed, subsidized, labor_kind = "k", "ai", AgentKind.COGNITIVE
+        k1, k2, k3 = "P1", "P2", "P3"
+    elif regime is Regime.MANUAL_BINDS:
+        taxed, subsidized, labor_kind = "ai", "k", AgentKind.MANUAL
+        k1, k2, k3 = "P1p", "P2p", "P3p"
+    else:
+        return verdicts
+
+    fw = table.fw
+    fw_margin = float(np.min(fw[taxed] - fw[subsidized]))
+    verdicts[k1] = PropositionCheck(
+        k1, _DESCRIPTIONS[k1], _sign_verdict(fw_margin, tol_sign),
+        {"fw_k": float(fw["k"][-1]), "fw_ai": float(fw["ai"][-1])}, fw_margin,
+    )
+
+    tau = {s: table.tau[AgentKind.COGNITIVE, s] for s in _STOCKS}
+    type_gap = max(
+        float(np.max(np.abs(tau[s] - table.tau[AgentKind.MANUAL, s]))) for s in _STOCKS
+    )
+    sign_margin = min(float(np.min(tau[taxed])), -float(np.max(tau[subsidized])))
+    verdict2 = _sign_verdict(sign_margin, tol_sign)
+    if verdict2 == VERDICT_PASS and type_gap > tol_sign:
+        verdict2 = VERDICT_FAIL
+    verdicts[k2] = PropositionCheck(
+        k2, _DESCRIPTIONS[k2], verdict2,
+        {
+            "tau_k": float(np.min(tau["k"])),
+            "tau_ai": float(np.min(tau["ai"])),
+            "type_gap": type_gap,
+        },
+        sign_margin,
+    )
+
+    tau_y = float(np.max(table.tau_y[labor_kind]))
+    verdicts[k3] = PropositionCheck(
+        k3, _DESCRIPTIONS[k3], _sign_verdict(-tau_y, tol_sign), {"tau_y": tau_y}, -tau_y,
+    )
+    return verdicts
+
+
 def verify_propositions(
     solution: PlannerSolution, tol_sign: float = TOL_SIGN
 ) -> dict[str, PropositionCheck]:
@@ -183,85 +255,17 @@ def verify_propositions(
 
     Finite-horizon solutions are judged on the worst period/transition.
     """
-    verdicts = {key: _na(key, desc) for key, desc in _DESCRIPTIONS.items()}
-    regime = solution.regime
-    if regime not in (Regime.COGNITIVE_BINDS, Regime.MANUAL_BINDS):
-        return verdicts
-
-    n = solution.allocation.n_periods
-    transitions = range(max(n - 1, 1))
-    fw_k, fw_ai = _wealth_returns(solution)
-
-    tau = {
-        (h, s): min(intertemporal_wedge(solution, h, s, t) for t in transitions)
-        for h in AgentKind
-        for s in _STOCKS
-    }
-    tau_max = {
-        (h, s): max(intertemporal_wedge(solution, h, s, t) for t in transitions)
-        for h in AgentKind
-        for s in _STOCKS
-    }
-    type_gap = max(
-        max(
-            abs(
-                intertemporal_wedge(solution, AgentKind.COGNITIVE, s, t)
-                - intertemporal_wedge(solution, AgentKind.MANUAL, s, t)
-            )
-            for t in transitions
-        )
-        for s in _STOCKS
-    )
-
-    if regime is Regime.COGNITIVE_BINDS:
-        taxed, subsidized, labor_kind = "k", "ai", AgentKind.COGNITIVE
-        fw_margin = float(np.min(fw_k[1:] - fw_ai[1:])) if n > 1 else float(fw_k[0] - fw_ai[0])
-        keys = ("P1", "P2", "P3")
-    else:
-        taxed, subsidized, labor_kind = "ai", "k", AgentKind.MANUAL
-        fw_margin = float(np.min(fw_ai[1:] - fw_k[1:])) if n > 1 else float(fw_ai[0] - fw_k[0])
-        keys = ("P1p", "P2p", "P3p")
-
-    k1, k2, k3 = keys
-    verdicts[k1] = PropositionCheck(
-        k1, _DESCRIPTIONS[k1], _sign_verdict(fw_margin, tol_sign),
-        {"fw_k": float(fw_k[-1]), "fw_ai": float(fw_ai[-1])}, fw_margin,
-    )
-
-    sign_margin = min(
-        tau[(AgentKind.COGNITIVE, taxed)],
-        -tau_max[(AgentKind.COGNITIVE, subsidized)],
-    )
-    verdict2 = _sign_verdict(sign_margin, tol_sign)
-    if verdict2 == VERDICT_PASS and type_gap > tol_sign:
-        verdict2 = VERDICT_FAIL
-    verdicts[k2] = PropositionCheck(
-        k2, _DESCRIPTIONS[k2], verdict2,
-        {
-            "tau_k": tau[(AgentKind.COGNITIVE, "k")],
-            "tau_ai": tau[(AgentKind.COGNITIVE, "ai")],
-            "type_gap": type_gap,
-        },
-        sign_margin,
-    )
-
-    periods = range(n)
-    tau_y_vals = [intratemporal_wedge(solution, labor_kind, t) for t in periods]
-    labor_margin = -max(tau_y_vals)
-    verdicts[k3] = PropositionCheck(
-        k3, _DESCRIPTIONS[k3], _sign_verdict(labor_margin, tol_sign),
-        {"tau_y": max(tau_y_vals)}, labor_margin,
-    )
-    return verdicts
+    return _judge(solution.regime, _wedge_table(solution), tol_sign)
 
 
 def compute_wedge_report(solution: PlannerSolution) -> WedgeReport:
     """Wedges at the first transition/period plus all claim verdicts."""
+    table = _wedge_table(solution)
     return WedgeReport(
-        tau_k={h: intertemporal_wedge(solution, h, "k") for h in AgentKind},
-        tau_ai={h: intertemporal_wedge(solution, h, "ai") for h in AgentKind},
-        tau_y={h: intratemporal_wedge(solution, h) for h in AgentKind},
-        tau_k_mult=wedge_via_multipliers(solution, "k"),
-        tau_ai_mult=wedge_via_multipliers(solution, "ai"),
-        verdicts=verify_propositions(solution),
+        tau_k={h: float(table.tau[h, "k"][0]) for h in AgentKind},
+        tau_ai={h: float(table.tau[h, "ai"][0]) for h in AgentKind},
+        tau_y={h: float(table.tau_y[h][0]) for h in AgentKind},
+        tau_k_mult=_via_multipliers(table, "k", 0),
+        tau_ai_mult=_via_multipliers(table, "ai", 0),
+        verdicts=_judge(solution.regime, table, TOL_SIGN),
     )

@@ -114,6 +114,26 @@ def test_config_from_dict_rejects_garbage():
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("key", ["tech.a", "prefs.gamma", "T"])
+def test_config_from_dict_requires_every_leaf(key):
+    """The dict form is written in full, so no leaf falls back to a default."""
+    d = config_to_dict(symmetric_economy())
+    *sections, leaf = key.split(".")
+    node = d
+    for section in sections:
+        node = node[section]
+    del node[leaf]
+    with pytest.raises(ConfigError, match=f"malformed config dict: .*{key}"):
+        config_from_dict(d)
+
+
+def test_config_from_dict_rejects_unknown_leaf():
+    d = config_to_dict(symmetric_economy())
+    d["tech"]["alpha"] = 0.3
+    with pytest.raises(ConfigError, match="malformed config dict: .*tech.alpha"):
+        config_from_dict(d)
+
+
 @given(
     pi=st.floats(0.05, 0.95),
     z=st.floats(0.1, 10.0),

@@ -19,7 +19,7 @@ from aitax import (
     symmetric_economy,
     threshold_economy,
 )
-from aitax.configio import load_config
+from aitax.configio import load_config, parse_config
 from aitax.economy import TechForm
 from aitax.errors import (
     ConfigError,
@@ -365,7 +365,7 @@ def test_complementary_slackness_rows_match_icc(regime_a_solution):
     rows = foc_residuals(s.config, s.allocation, s.multipliers)
     beta = s.config.prefs.beta
     ev = icc_slack(s.config.prefs, s.allocation, s.wages_c, s.wages_m, AgentKind.COGNITIVE)
-    # stationary lifetime slack carries the 1/(1-beta) scale already
+    # both vanish at the optimum: the row holds the flow slack, ev.slack the lifetime one
     assert rows["comp_slack_c"] == pytest.approx(s.multipliers.mu_c * ev.slack, abs=1e-10)
     assert rows["comp_slack_m"] == 0.0
     assert beta < 1.0
@@ -377,13 +377,49 @@ def test_residuals_vanish_at_solutions(symmetric_solution, regime_a_solution, re
         assert max_residual(rows) <= 1e-10
 
 
+# a seeded economy whose stationary complementary-slackness row, scaled to
+# lifetime units, once reported a KKT residual above the Newton tolerance
+FUZZ21_REGIME_A = """
+agents.cognitive.pi = 0.38545466171429527
+agents.cognitive.z = 2.4954881689500015
+agents.manual.pi = 0.6145453382857047
+agents.manual.z = 0.758547011633573
+prefs.beta = 0.9688234772309193
+prefs.u_form = log
+prefs.psi = 0.8479398241511225
+prefs.phi = 0.7591007393234936
+tech.form = nest_complements
+tech.a = 0.7476435769171857
+tech.mu_top = 0.6146056913091646
+tech.lambda_c = 0.36134065912532126
+tech.theta_m = 0.3263200287998008
+tech.sigma_top = 0.502999815563407
+tech.rho_c = -0.7593457138695971
+tech.rho_m = -0.9985428406285435
+tech.a_ai = 0.08100103077116738
+tech.delta_k = 0.08785404269551243
+tech.delta_ai = 0.10597313278472385
+g = 0.0
+k0 = 0.0
+ai0 = 0.0
+mode = steady_state
+"""
+
+
+def test_stored_residual_is_within_the_newton_tolerance():
+    solution = solve_steady_state(parse_config(FUZZ21_REGIME_A))
+    assert solution.regime is Regime.COGNITIVE_BINDS
+    assert solution.foc_residual <= 1e-10
+
+
 def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
     """The kernel's one branch: a steady state repeated over n periods.
 
     The path form must give the stationary rows, except that its stock
     Euler rows are not divided through by lam and its complementary-
-    slackness rows sum n discounted periods instead of a perpetuity.  The
-    candidate is moved off the optimum so that the rows are far from zero.
+    slackness rows sum n discounted periods of the stationary flow row.
+    The candidate is moved off the optimum so that the rows are far from
+    zero.
     """
     s = regime_a_solution
     cfg, beta, n = s.config, s.config.prefs.beta, 6
@@ -410,7 +446,8 @@ def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
         np.testing.assert_allclose(rows[row], np.full(n - 1, lam * stationary[row]),
                                    rtol=1e-12, atol=1e-12)
     for row in ("comp_slack_c", "comp_slack_m"):
-        assert rows[row] == pytest.approx(stationary[row] * (1.0 - beta**n), rel=1e-12, abs=1e-12)
+        assert rows[row] == pytest.approx(stationary[row] * (1.0 - beta**n) / (1.0 - beta),
+                                          rel=1e-12, abs=1e-12)
 
 
 # exact KKT residual evaluations per solve of each bundled config

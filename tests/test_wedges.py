@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from aitax import (
     verify_propositions,
     wedge_via_multipliers,
 )
+from aitax import wedges
+from aitax.configio import load_config
 from aitax.errors import DomainError, OutOfHorizonError
+from aitax.preferences import u_prime
+from aitax.production import marginal_products
 from aitax.wedges import (
     VERDICT_NOT_APPLICABLE,
     VERDICT_PASS,
@@ -28,6 +33,7 @@ from aitax.wedges import (
 
 C = AgentKind.COGNITIVE
 M = AgentKind.MANUAL
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_symmetric_wedges_vanish(symmetric_solution):
@@ -171,3 +177,30 @@ def test_finite_horizon_wedges_and_bounds():
 def test_stationary_accepts_any_transition_index(regime_a_solution):
     assert intertemporal_wedge(regime_a_solution, C, "k", 0) == \
         intertemporal_wedge(regime_a_solution, C, "k", 17)
+
+
+def test_one_wedge_table_per_report(monkeypatch):
+    """The report evaluates the technology once for the whole path, and its
+    per-transition wedges match a loop over the transitions."""
+    config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
+    path = solve_finite_horizon(config)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return marginal_products(*args)
+
+    monkeypatch.setattr(wedges, "marginal_products", counted)
+    report = compute_wedge_report(path)
+    assert calls == 1
+
+    a, prefs = path.allocation, config.prefs
+    taus = []
+    for t in range(a.n_periods - 1):
+        mp = marginal_products(config.tech, a.eff_l_c[t + 1], a.eff_l_m[t + 1], a.k[t + 1], a.ai[t + 1])
+        tau = 1.0 - u_prime(prefs, a.c_c[t]) / (prefs.beta * u_prime(prefs, a.c_c[t + 1]) * mp.fw_k)
+        assert intertemporal_wedge(path, C, "k", t) == pytest.approx(tau, rel=1e-12, abs=1e-15)
+        taus.append(tau)
+    assert report.tau_k[C] == pytest.approx(taus[0], rel=1e-12)
+    assert report.verdicts["P2"].observed["tau_k"] == pytest.approx(min(taus), rel=1e-12)
