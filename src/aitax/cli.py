@@ -163,9 +163,12 @@ def _cmd_sweep(args) -> int:
     config, raw = load_config(args.config)
     if args.points < 2:
         raise DomainError(f"grid needs >= 2 points, got {args.points}")
+    if args.threshold and not args.tol > 0.0:
+        raise DomainError(f"--tol must be positive, got {args.tol}")
     if args.log:
-        if args.lo <= 0.0:
-            raise DomainError("--log needs a positive --lo")
+        for flag, end in (("--lo", args.lo), ("--hi", args.hi)):
+            if not end > 0.0:
+                raise DomainError(f"--log needs a positive {flag}, got {end}")
         values = np.geomspace(args.lo, args.hi, args.points)
     else:
         values = np.linspace(args.lo, args.hi, args.points)

@@ -1,8 +1,16 @@
 """Damped Newton iteration for square nonlinear systems.
 
-Forward-difference Jacobian, step halving on the residual max-norm, and a
-fraction-to-boundary rule that keeps selected components above hard lower
-bounds.  Everything is deterministic: no randomness, fixed iteration order.
+The Jacobian is a forward difference whose columns are grouped
+(Curtis, Powell & Reid 1974): given which residual rows each unknown may
+touch, unknowns that share no row are perturbed together, so one residual
+evaluation fills a whole group.  The residual may be *expanded*: it returns
+more rows than there are unknowns, and an index array folds them, by
+summing, into the Newton rows, both for the residual and for the Jacobian.
+That lets a dense row that is a sum of local terms keep a sparse pattern.
+
+Steps are halved on the residual max-norm, and a fraction-to-boundary rule
+keeps selected components above hard lower bounds.  Everything is
+deterministic: no randomness, fixed iteration order.
 """
 
 from __future__ import annotations
@@ -25,14 +33,45 @@ class NewtonResult:
     iterations: int
 
 
-def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    n = len(x)
-    jac = np.empty((len(r0), n))
-    for j in range(n):
-        h = JAC_STEP * max(1.0, abs(x[j]))
+def _groups(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Column groups of a boolean Jacobian pattern (rows x unknowns).
+
+    Columns are taken in order, and each joins the first group none of
+    whose columns touches one of its rows.  Each group is (columns, rows,
+    owners): the columns perturbed together and, for every entry the
+    group's evaluation fills, its row and its column.  A dense pattern puts
+    every column in a group of its own.
+    """
+    members, taken = [], []  # each group's columns and the rows they touch
+    for j, col in enumerate(pattern.T):
+        touch = np.flatnonzero(col).tolist()
+        for cols, used in zip(members, taken):
+            if used.isdisjoint(touch):
+                cols.append(j)
+                used.update(touch)
+                break
+        else:
+            members.append([j])
+            taken.append(set(touch))
+    out = []
+    for cols in map(np.array, members):
+        rows, k = np.nonzero(pattern[:, cols])
+        out.append((cols, rows, cols[k]))
+    return out
+
+
+def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray, groups: list) -> np.ndarray:
+    """Forward-difference Jacobian of ``f`` at x, one evaluation per group.
+
+    Each column has its own step and reads its entries from its own rows;
+    entries outside the pattern stay zero.
+    """
+    steps = JAC_STEP * np.maximum(1.0, np.abs(x))
+    jac = np.zeros((len(r0), len(x)))
+    for cols, rows, owners in groups:
         xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (f(xp) - r0) / h
+        xp[cols] += steps[cols]
+        jac[rows, owners] = (np.asarray(f(xp), dtype=float)[rows] - r0[rows]) / steps[owners]
     return jac
 
 
@@ -43,16 +82,34 @@ def newton_solve(
     tol: float = 1e-10,
     max_iter: int = MAX_ITER,
     lower: np.ndarray | None = None,
+    pattern: np.ndarray | None = None,
+    fold: np.ndarray | None = None,
 ) -> NewtonResult:
     """Solve f(x) = 0 by damped Newton from x0.
 
     ``lower`` gives hard lower bounds per component (-inf where free); steps
     are shortened so iterates keep a 0.5% distance-to-bound margin.
+    ``fold`` maps each row ``f`` returns to the Newton row it is summed
+    into (default: one row per unknown), and ``pattern`` says which of
+    those rows each unknown may touch (default: all of them).
     """
     x = np.asarray(x0, dtype=float).copy()
+    m = len(x)
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    fold = np.arange(m) if fold is None else np.asarray(fold)
+    if pattern is None:
+        pattern = np.ones((len(fold), m), dtype=bool)
+    groups = _groups(pattern)
+    # flat index of each expanded Jacobian entry in the folded m x m one
+    cells = (fold[:, None] * m + np.arange(m)).ravel()
+
+    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The expanded rows and the folded Newton rows at x."""
+        expanded = np.asarray(f(x), dtype=float)
+        return expanded, np.bincount(fold, weights=expanded, minlength=m)
+
     try:
-        r = np.asarray(f(x), dtype=float)
+        r_exp, r = residual(x)
     except (FloatingPointError, ZeroDivisionError, OverflowError, ValueError):
         return NewtonResult(x, np.inf, False, 0)
     if not np.all(np.isfinite(r)):
@@ -62,7 +119,8 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return NewtonResult(x, norm, True, it - 1)
-        jac = _jacobian(f, x, r)
+        jac_exp = _jacobian(f, x, r_exp, groups)
+        jac = np.bincount(cells, weights=jac_exp.ravel(), minlength=m * m).reshape(m, m)
         if not np.all(np.isfinite(jac)):
             return NewtonResult(x, norm, False, it)
         try:
@@ -84,13 +142,13 @@ def newton_solve(
             x_try = x + alpha * dx
             with np.errstate(all="ignore"):
                 try:
-                    r_try = np.asarray(f(x_try), dtype=float)
+                    r_exp_try, r_try = residual(x_try)
                 except (FloatingPointError, ZeroDivisionError, OverflowError, ValueError):
                     r_try = np.array([np.inf])
             if np.all(np.isfinite(r_try)):
                 norm_try = float(np.max(np.abs(r_try)))
                 if norm_try < norm:
-                    x, r, norm = x_try, r_try, norm_try
+                    x, r_exp, r, norm = x_try, r_exp_try, r_try, norm_try
                     improved = True
                     break
             alpha *= 0.5

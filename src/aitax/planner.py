@@ -301,6 +301,28 @@ class _Layout:
         return (x[:n], x[n : 2 * n], x[2 * n : 3 * n], x[3 * n : 4 * n], k, ai,
                 x[6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
+    def sparsity(self) -> tuple:
+        """Jacobian pattern and row fold of the path's expanded residual.
+
+        Every unknown and every expanded row has a period: a stock K_t's is
+        t, and the Euler row linking t to t + 1 has period t.  A row can
+        depend on an unknown of its own period or of the next one; the
+        multipliers touch every row.  The fold sums each active slack's n
+        per-period rows into its one Newton row.  A steady state has
+        neither (None, None): its rows are dense and not expanded.
+        """
+        if self.stationary:
+            return None, None
+        n, active = self.n, len(self.active)
+        per, inner = np.arange(n), np.arange(1, n)
+        col = np.concatenate([per] * 4 + [inner] * 2 + [per, np.full(active, -1)])
+        row = np.concatenate([per] * 4 + [per[:-1]] * 2 + [per] * (1 + active))
+        lag = col - row[:, None]
+        pattern = (lag == 0) | (lag == 1) | (col < 0)
+        head = 7 * n - 2
+        fold = np.concatenate([np.arange(head), np.repeat(head + np.arange(active), n)])
+        return pattern, fold
+
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
 
@@ -324,17 +346,19 @@ class _Layout:
 def _residual_fn(config: EconomyConfig, layout: _Layout):
     """Newton residual: the seven KKT rows, then each active incentive slack.
 
-    Stationary slack rows stay in flow units; the path's are lifetime sums.
+    Stationary slack rows stay in flow units.  A path's slack rows are
+    expanded: n per-period rows beta**t * slack_t, which the layout's fold
+    sums into the lifetime slack.
     """
-    beta = config.prefs.beta
     imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
+    discount = config.prefs.beta ** np.arange(layout.n)
 
     def f(x: np.ndarray) -> np.ndarray:
         rows, slack_c, slack_m, _ = _kkt(config, *layout.unpack(x))
         slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
         if layout.stationary:
             return np.array(rows + slacks)
-        return np.concatenate(rows + [[_lifetime(beta, s) for s in slacks]])
+        return np.concatenate(rows + [discount * s for s in slacks])
 
     return f
 
@@ -343,9 +367,11 @@ def _newton(config: EconomyConfig, layout: _Layout, starts: list) -> np.ndarray:
     """Newton from each start in turn; returns the first converged vector."""
     f = _residual_fn(config, layout)
     lower = layout.lower()
+    pattern, fold = layout.sparsity()
     for x0 in starts:
         # the fraction-to-boundary rule needs every start strictly inside the bounds
-        res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower)
+        res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
+                           pattern=pattern, fold=fold)
         if res.converged:
             return res.x
     raise NoInteriorSolutionError(

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,29 @@ def test_sweep_rejects_single_point(capsys):
                    "--lo", "0.1", "--hi", "1.0", "--points", "1"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hi", ["0", "-1"])
+def test_sweep_log_rejects_nonpositive_hi(tmp_path, capsys, hi):
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak before the error
+        rc = cli.main(["sweep", cfg("threshold.cfg"), "--param", "a_AI",
+                       "--lo", "0.1", "--hi", hi, "--points", "3", "--log",
+                       "--out", str(out)])
+    assert rc == 2
+    assert "--log needs a positive --hi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_nonpositive_tol_before_solving(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", cfg("threshold.cfg"), "--param", "a_AI",
+                   "--lo", "0.1", "--hi", "10", "--points", "25", "--log",
+                   "--threshold", "--tol", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "--tol must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_threshold_without_flip(tmp_path, capsys):

@@ -453,14 +453,12 @@ def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
 # exact KKT residual evaluations per solve of each bundled config
 EVALS_PER_SOLVE = {
     "symmetric": 51, "regime_a": 91, "regime_b": 91, "threshold": 95, "cobb_douglas": 54,
-    "regime_a_t20": 827,
+    "regime_a_t20": 172,
 }
 
 
-@pytest.mark.parametrize("name", sorted(EVALS_PER_SOLVE))
-def test_residual_evaluations_per_solve(name, monkeypatch):
-    """Solver work, counted exactly: a change to the residuals or the start
-    schedule that moves the Newton path shows up here."""
+def count_evals(monkeypatch, config) -> int:
+    """Residual evaluations of one solve, counted through ``newton_solve``."""
     evals = 0
     newton_solve = planner.newton_solve
 
@@ -472,9 +470,24 @@ def test_residual_evaluations_per_solve(name, monkeypatch):
         return newton_solve(residual, x0, **kw)
 
     monkeypatch.setattr(planner, "newton_solve", counted)
-    config, _ = load_config(CONFIGS / f"{name}.cfg")
     if config.mode is SolveMode.FINITE_HORIZON:
         solve_finite_horizon(config)
     else:
         solve_steady_state(config)
-    assert evals == EVALS_PER_SOLVE[name]
+    return evals
+
+
+@pytest.mark.parametrize("name", sorted(EVALS_PER_SOLVE))
+def test_residual_evaluations_per_solve(name, monkeypatch):
+    """Solver work, counted exactly: a change to the residuals or the start
+    schedule that moves the Newton path shows up here."""
+    config, _ = load_config(CONFIGS / f"{name}.cfg")
+    assert count_evals(monkeypatch, config) == EVALS_PER_SOLVE[name]
+
+
+def test_residual_evaluations_do_not_grow_with_the_horizon(monkeypatch):
+    """The grouped Jacobian costs the same number of evaluations at any T
+    (T = 160 took 5727 with one evaluation per unknown)."""
+    config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
+    evals = count_evals(monkeypatch, dataclasses.replace(config, horizon=160))
+    assert evals == EVALS_PER_SOLVE["regime_a_t20"]
