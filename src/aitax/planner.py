@@ -363,19 +363,23 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
     return f
 
 
-def _newton(config: EconomyConfig, layout: _Layout, starts: list) -> np.ndarray:
-    """Newton from each start in turn; returns the first converged vector."""
+def _newton(config: EconomyConfig, layout: _Layout, starts) -> np.ndarray:
+    """Newton from each start in turn; returns the first converged vector.
+
+    ``starts`` may be a generator: a start is then only built when every
+    earlier one failed.
+    """
     f = _residual_fn(config, layout)
     lower = layout.lower()
     pattern, fold = layout.sparsity()
-    for x0 in starts:
+    for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
                            pattern=pattern, fold=fold)
         if res.converged:
             return res.x
     raise NoInteriorSolutionError(
-        f"{_label(layout.active)}: Newton did not converge from {len(starts)} start(s) "
+        f"{_label(layout.active)}: Newton did not converge from {tried} start(s) "
         f"(last residual {res.residual_norm:.3e})"
     )
 
@@ -560,13 +564,19 @@ def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
 
     Starts are the warm solution (when stationary), then the restart
     schedule applied to ``base``, or to a cold start when there is none.
+    The cold start (a capital presolve) is only built when the warm start
+    fails.
     """
     layout = _Layout(active, ubi=ubi)
-    starts = [layout.start(warm)] if warm is not None and warm.stationary else []
-    if base is None:
-        base = _cold_start(config, ubi)
-    starts += [_scaled_start(base, s, config, active, ubi) for s in RESTART_SCALINGS]
-    x = _newton(config, layout, starts)
+
+    def starts():
+        if warm is not None and warm.stationary:
+            yield layout.start(warm)
+        scaled = _cold_start(config, ubi) if base is None else base
+        for s in RESTART_SCALINGS:
+            yield _scaled_start(scaled, s, config, active, ubi)
+
+    x = _newton(config, layout, starts())
     return x, _build(config, layout, x)
 
 
@@ -578,6 +588,18 @@ def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution
     """
     _require_valid(config)
     return _solve_steady(config, (), ubi, warm, None)[1]
+
+
+def violated_side(fb: PlannerSolution) -> AgentKind:
+    """The type whose incentive constraint a first best violates more.
+
+    At a first best consumption is equal across types, so the sign of
+    slack_c - slack_m is the sign of the earnings gap w_m l_m - w_c l_c:
+    the cognitive side holds while cognitive workers out-earn manual ones.
+    The steady-state ladder tries this side first, and ``find_threshold``
+    bisects on it.
+    """
+    return AgentKind.COGNITIVE if fb.slack_c <= fb.slack_m else AgentKind.MANUAL
 
 
 def solve_steady_state(
@@ -593,7 +615,7 @@ def solve_steady_state(
     if reason is None:
         return fb
 
-    first = AgentKind.COGNITIVE if fb.slack_c <= fb.slack_m else AgentKind.MANUAL
+    first = violated_side(fb)
     ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
     return _first_admissible(
         ladder, lambda active: _solve_steady(config, active, ubi, warm, fb_x)[1], [reason]

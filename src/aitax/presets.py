@@ -1,4 +1,4 @@
-"""Documented desk economies used by the test suite, scripts and docs.
+"""Documented desk economies used by the test suite and docs.
 
 Three calibrations, all with log consumption utility:
 

@@ -5,8 +5,9 @@ technology or productivity parameter, warm-starting each solve from its
 neighbor.  Individual failures are recorded on the affected grid point
 rather than aborting the sweep.  ``find_threshold`` then brackets the
 parameter value where the binding incentive constraint flips from the
-cognitive type to the manual type (or back) by bisection on the solved
-regime.
+cognitive type to the manual type (or back).  It bisects on which
+constraint the first best violates, a sign change at equal first-best
+earnings, and solves the constrained problem only at the bracket's ends.
 
 ``apply_ubi`` decomposes consumption as c-tilde = c-bar + ubi with the
 uniform component entering feasibility through total consumption.  A
@@ -25,10 +26,12 @@ import numpy as np
 
 from .economy import SWEEP_PARAMS, AgentKind, EconomyConfig, validate_config, with_param
 from .errors import ConfigError, DomainError, SolverError, ThresholdRangeError, UbiInfeasibleError
-from .planner import EPS_C, PlannerSolution, Regime, solve_steady_state
+from .planner import (EPS_C, PlannerSolution, Regime, _rejection, first_best,
+                      solve_steady_state, violated_side)
 from .wedges import compute_wedge_report
 
 _FLIP_REGIMES = (Regime.COGNITIVE_BINDS, Regime.MANUAL_BINDS)
+_SIDE = {AgentKind.COGNITIVE: Regime.COGNITIVE_BINDS, AgentKind.MANUAL: Regime.MANUAL_BINDS}
 
 
 @dataclass(frozen=True)
@@ -162,30 +165,23 @@ class ThresholdResult:
         return 0.5 * (self.lo + self.hi)
 
 
-def _solve_point(config: EconomyConfig, param: str, value: float,
-                 warms: tuple[PlannerSolution | None, ...]) -> PlannerSolution:
-    cfg = with_param(config, param, value)
-    last: Exception | None = None
-    for warm in (*warms, None):
-        try:
-            return solve_steady_state(cfg, warm=warm)
-        except SolverError as exc:
-            last = exc
-    raise last  # type: ignore[misc]
-
-
 def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
                    tol_param: float = 1e-3) -> ThresholdResult:
-    """Bisect the parameter interval [lo, hi] down to a regime-flip bracket.
+    """Bisect [lo, hi] down to the regime flip, in either endpoint order.
 
-    Endpoint order does not matter: flipped arguments give the identical
-    bracket.  Both endpoints must solve to single-binding regimes and the
-    binding side must differ, otherwise ThresholdRangeError.  A midpoint
-    whose regime matches neither endpoint (possible in a vanishing window
-    around the flip, where neither constraint binds beyond the solver
-    tolerance) is recorded as an anomaly and retried at a deterministic
-    off-center point; if that also fails to take a side, bisection stops
-    early with converged=False and the current bracket.
+    The flip is the sign change of ``violated_side`` at the first best,
+    that is of the first-best earnings gap w_c l_c - w_m l_m.  Each probe
+    is one first-best solve warm-started from the bracket's lower end, and
+    the trace records the regime of the side it takes.  Both endpoints'
+    first bests must violate a constraint, on different sides, otherwise
+    ThresholdRangeError.  The final ends are then solved with their
+    constraints, which gives the reported solutions and regimes; an end
+    so close to the flip that its multiplier is below TOL_ICC reports
+    none_bind.
+
+    ``converged`` is False, with the bracket reached so far, when a probe's
+    first best raises SolverError (recorded in ``anomalies``) or when the
+    bracket cannot narrow further in floating point.
     """
     if param not in SWEEP_PARAMS:
         raise DomainError(
@@ -197,50 +193,44 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
     if lo == hi:
         raise DomainError("bisection endpoints must differ")
 
-    sol_lo = _solve_point(config, param, lo, ())
-    sol_hi = _solve_point(config, param, hi, (sol_lo,))
-    trace = [(lo, sol_lo.regime.value), (hi, sol_hi.regime.value)]
-    if sol_lo.regime not in _FLIP_REGIMES or sol_hi.regime not in _FLIP_REGIMES \
-            or sol_lo.regime == sol_hi.regime:
+    fb_lo = first_best(with_param(config, param, lo))
+    fb_hi = first_best(with_param(config, param, hi), warm=fb_lo)
+    side_lo, side_hi = (
+        _SIDE[violated_side(fb)] if _rejection(fb, ()) is not None else Regime.NONE_BIND
+        for fb in (fb_lo, fb_hi)
+    )
+    trace = [(lo, side_lo.value), (hi, side_hi.value)]
+    if Regime.NONE_BIND in (side_lo, side_hi) or side_lo == side_hi:
         raise ThresholdRangeError(
             f"endpoints must bind on different single types; got "
-            f"{param}={lo} -> {sol_lo.regime.value}, {param}={hi} -> {sol_hi.regime.value}"
+            f"{param}={lo} -> {side_lo.value}, {param}={hi} -> {side_hi.value}"
         )
 
     anomalies: list[tuple[float, str]] = []
     iterations = 0
-    converged = True
-    max_iter = int(math.ceil(math.log2(max((hi - lo) / tol_param, 1.0)))) + 4
-    while hi - lo > tol_param and iterations < max_iter:
-        iterations += 1
-        took_side = False
-        # off-center retry keeps the second probe deterministic
-        for frac in (0.5, 0.45):
-            mid = lo + frac * (hi - lo)
-            try:
-                sol_mid = _solve_point(config, param, mid, (sol_lo, sol_hi))
-            except SolverError as exc:
-                anomalies.append((mid, f"{type(exc).__name__}: {exc}"))
-                continue
-            trace.append((mid, sol_mid.regime.value))
-            if sol_mid.regime == sol_lo.regime:
-                lo, sol_lo = mid, sol_mid
-                took_side = True
-            elif sol_mid.regime == sol_hi.regime:
-                hi, sol_hi = mid, sol_mid
-                took_side = True
-            else:
-                anomalies.append((mid, sol_mid.regime.value))
-            if took_side:
-                break
-        if not took_side:
-            converged = False
+    while hi - lo > tol_param:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot narrow any further
             break
+        iterations += 1
+        try:
+            fb_mid = first_best(with_param(config, param, mid), warm=fb_lo)
+        except SolverError as exc:
+            anomalies.append((mid, f"{type(exc).__name__}: {exc}"))
+            break
+        side = _SIDE[violated_side(fb_mid)]
+        trace.append((mid, side.value))
+        if side == side_lo:
+            lo, fb_lo = mid, fb_mid
+        else:
+            hi, fb_hi = mid, fb_mid
 
+    sol_lo = solve_steady_state(with_param(config, param, lo), warm=fb_lo)
+    sol_hi = solve_steady_state(with_param(config, param, hi), warm=fb_hi)
     return ThresholdResult(
         param=param, lo=lo, hi=hi,
         lo_regime=sol_lo.regime, hi_regime=sol_hi.regime,
-        tol=tol_param, converged=converged, iterations=iterations,
+        tol=tol_param, converged=hi - lo <= tol_param, iterations=iterations,
         trace=tuple(trace), anomalies=tuple(anomalies),
         lo_solution=sol_lo, hi_solution=sol_hi,
     )

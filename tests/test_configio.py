@@ -1,10 +1,17 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aitax import regime_a_economy, symmetric_economy, threshold_economy
+from aitax import (
+    cobb_douglas_economy,
+    regime_a_economy,
+    regime_b_economy,
+    symmetric_economy,
+    threshold_economy,
+)
 from aitax.configio import (
     config_from_dict,
     config_to_dict,
@@ -14,6 +21,15 @@ from aitax.configio import (
 )
 from aitax.economy import SolveMode
 from aitax.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# the preset each bundled config writes out; regime_a_t20 is regime_a on a path
+PRESETS = {
+    "symmetric": symmetric_economy, "regime_a": regime_a_economy,
+    "regime_b": regime_b_economy, "threshold": threshold_economy,
+    "cobb_douglas": cobb_douglas_economy, "regime_a_t20": regime_a_economy,
+}
 
 MINIMAL = """
 # two identical types, default technology
@@ -156,3 +172,14 @@ def test_numeric_fields_survive_the_text_format(pi, z, beta, a_ai):
     assert again.prefs.beta == cfg.prefs.beta
     roundtrip = config_from_dict(config_to_dict(cfg))
     assert roundtrip == cfg
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_bundled_config_is_its_preset(path):
+    """Each economy is written twice, as a preset and as a config file."""
+    preset = PRESETS[path.stem]()
+    config, _ = load_config(path)
+    if path.stem == "regime_a_t20":
+        config = replace(config, mode=preset.mode, horizon=preset.horizon,
+                         k0=preset.k0, ai0=preset.ai0)
+    assert config == preset

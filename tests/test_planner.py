@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aitax import planner
 from aitax import (
     AgentKind,
     Regime,
     SolveMode,
+    cobb_douglas_economy,
     detect_regime,
     first_best,
     foc_residuals,
@@ -26,7 +26,7 @@ from aitax.errors import (
     InconsistentMultipliersError,
     SolverError,
 )
-from aitax.planner import TOL_ICC
+from aitax.planner import TOL_ICC, violated_side
 from aitax.preferences import icc_slack, nu_eval, u_eval
 from aitax.production import total_wealth, wages
 
@@ -59,6 +59,31 @@ def test_first_best_of_skewed_economy_violates_cognitive_icc():
     fb = first_best(regime_a_economy())
     assert fb.slack_c < 0.0
     assert fb.slack_m > 0.0
+
+
+@pytest.mark.parametrize("preset", [symmetric_economy, regime_a_economy, regime_b_economy,
+                                    threshold_economy, cobb_douglas_economy])
+@pytest.mark.parametrize("z_c", [0.7, 2.0])
+def test_first_best_earnings_gap_decides_the_violated_constraint(preset, z_c):
+    """At a first best consumption is equal across types, so both slacks
+    vanish exactly at equal earnings, and the sign of w_c l_c - w_m l_m says
+    which constraint is violated (the side ``violated_side`` reports)."""
+    base = preset()
+    fb = first_best(dataclasses.replace(base, cognitive=dataclasses.replace(base.cognitive, z=z_c)))
+    a = fb.allocation
+    assert float(a.c_c[0]) == pytest.approx(float(a.c_m[0]), rel=1e-12)
+    gap = float(fb.wages_c[0] * a.l_c[0] - fb.wages_m[0] * a.l_m[0])
+    if base.tech.form is TechForm.COBB_DOUGLAS:
+        # fixed, equal labor shares and equal populations: equal earnings at any z_c
+        assert gap == pytest.approx(0.0, abs=1e-12)
+    if abs(gap) <= 1e-12:
+        assert abs(fb.slack_c) <= 1e-12 and abs(fb.slack_m) <= 1e-12
+    elif gap > 0.0:
+        assert fb.slack_c < 0.0 < fb.slack_m
+        assert violated_side(fb) is AgentKind.COGNITIVE
+    else:
+        assert fb.slack_m < 0.0 < fb.slack_c
+        assert violated_side(fb) is AgentKind.MANUAL
 
 
 def test_regime_a_structure(regime_a_solution):
@@ -457,37 +482,23 @@ EVALS_PER_SOLVE = {
 }
 
 
-def count_evals(monkeypatch, config) -> int:
-    """Residual evaluations of one solve, counted through ``newton_solve``."""
-    evals = 0
-    newton_solve = planner.newton_solve
-
-    def counted(f, x0, **kw):
-        def residual(x):
-            nonlocal evals
-            evals += 1
-            return f(x)
-        return newton_solve(residual, x0, **kw)
-
-    monkeypatch.setattr(planner, "newton_solve", counted)
+def solve(config):
     if config.mode is SolveMode.FINITE_HORIZON:
-        solve_finite_horizon(config)
-    else:
-        solve_steady_state(config)
-    return evals
+        return solve_finite_horizon(config)
+    return solve_steady_state(config)
 
 
 @pytest.mark.parametrize("name", sorted(EVALS_PER_SOLVE))
-def test_residual_evaluations_per_solve(name, monkeypatch):
+def test_residual_evaluations_per_solve(name, count_evals):
     """Solver work, counted exactly: a change to the residuals or the start
     schedule that moves the Newton path shows up here."""
     config, _ = load_config(CONFIGS / f"{name}.cfg")
-    assert count_evals(monkeypatch, config) == EVALS_PER_SOLVE[name]
+    assert count_evals(lambda: solve(config)) == EVALS_PER_SOLVE[name]
 
 
-def test_residual_evaluations_do_not_grow_with_the_horizon(monkeypatch):
+def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
     """The grouped Jacobian costs the same number of evaluations at any T
     (T = 160 took 5727 with one evaluation per unknown)."""
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
-    evals = count_evals(monkeypatch, dataclasses.replace(config, horizon=160))
+    evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=160)))
     assert evals == EVALS_PER_SOLVE["regime_a_t20"]

@@ -84,6 +84,38 @@ def test_find_threshold_brackets_the_flip():
     assert res.hi_solution.regime is Regime.MANUAL_BINDS
 
 
+def test_find_threshold_converges_at_a_tight_tolerance():
+    """The first best's side has no window around the flip in which
+    neither constraint binds, so bisection reaches any tolerance."""
+    res = find_threshold(threshold_economy(), "a_AI", 0.1, 10.0, tol_param=1e-9)
+    assert res.converged
+    assert res.width <= 1e-9
+    assert res.anomalies == ()
+    assert len(res.trace) == 2 + res.iterations
+
+
+def test_find_threshold_stops_at_adjacent_floats():
+    res = find_threshold(threshold_economy(), "a_AI", 0.1, 10.0, tol_param=1e-30)
+    assert not res.converged
+    assert res.anomalies == ()
+    assert res.hi == np.nextafter(res.lo, np.inf)
+
+
+# exact residual evaluations of the bundled threshold run's two stages
+SWEEP_EVALS = 1808
+THRESHOLD_EVALS = 1086
+
+
+def test_residual_evaluations_of_the_threshold_run(count_evals):
+    """``aitax sweep configs/threshold.cfg --param a_AI --lo 0.1 --hi 10
+    --points 25 --log --threshold``, counted exactly.  Warm solves build no
+    cold start, and bisection probes solve only the first best."""
+    grid = np.geomspace(0.1, 10.0, 25)
+    assert count_evals(lambda: sweep(threshold_economy(), "a_AI", grid)) == SWEEP_EVALS
+    evals = count_evals(lambda: find_threshold(threshold_economy(), "a_AI", 0.1, 10.0))
+    assert evals == THRESHOLD_EVALS
+
+
 def test_find_threshold_endpoint_order_is_irrelevant():
     a = find_threshold(threshold_economy(), "a_AI", 0.1, 1.0, tol_param=5e-3)
     b = find_threshold(threshold_economy(), "a_AI", 1.0, 0.1, tol_param=5e-3)
