@@ -24,7 +24,7 @@ from .economy import (
     UtilityForm,
     validate_config,
 )
-from .oracle import AxisSpec, GridSpec, brute_force_steady, oracle_regime
+from .oracle import AxisSpec, GridSpec, brute_force_steady
 from .planner import (
     PlannerSolution,
     Regime,
@@ -73,7 +73,6 @@ __all__ = [
     "foc_residuals",
     "intertemporal_wedge",
     "intratemporal_wedge",
-    "oracle_regime",
     "regime_a_economy",
     "regime_b_economy",
     "solve_finite_horizon",

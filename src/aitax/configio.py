@@ -28,6 +28,7 @@ from .economy import (
     AgentTypeParams,
     EconomyConfig,
     PreferenceParams,
+    SECTION_PREFIXES,
     SolveMode,
     TechForm,
     TechnologyParams,
@@ -40,21 +41,21 @@ from .errors import ConfigError
 _SCHEMA: dict[str, tuple[str | None, str, type]] = {}
 
 
-def _register(section: str | None, prefix: str, fields: dict[str, type]) -> None:
+def _register(section: str | None, fields: dict[str, type]) -> None:
     for name, kind in fields.items():
-        _SCHEMA[f"{prefix}{name}"] = (section, name, kind)
+        _SCHEMA[f"{SECTION_PREFIXES[section]}{name}"] = (section, name, kind)
 
 
-_register("cognitive", "agents.cognitive.", {"pi": float, "z": float})
-_register("manual", "agents.manual.", {"pi": float, "z": float})
-_register("prefs", "prefs.", {
+_register("cognitive", {"pi": float, "z": float})
+_register("manual", {"pi": float, "z": float})
+_register("prefs", {
     "beta": float,
     "u_form": UtilityForm,
     "gamma": float,
     "psi": float,
     "phi": float,
 })
-_register("tech", "tech.", {
+_register("tech", {
     "form": TechForm,
     "a": float,
     "mu_top": float,
@@ -67,7 +68,7 @@ _register("tech", "tech.", {
     "delta_k": float,
     "delta_ai": float,
 })
-_register(None, "", {"g": float, "k0": float, "ai0": float, "mode": SolveMode})
+_register(None, {"g": float, "k0": float, "ai0": float, "mode": SolveMode})
 _SCHEMA["T"] = (None, "horizon", int)
 
 _REQUIRED = (

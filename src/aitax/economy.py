@@ -8,7 +8,8 @@ configuration objects are frozen dataclasses; solver code never mutates them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -140,6 +141,10 @@ class Allocation:
         return len(self.c_c)
 
 
+# EconomyConfig section (None for a top-level field) -> the dotted-key prefix
+# of its fields in config files and validation messages
+SECTION_PREFIXES = {"cognitive": "agents.cognitive.", "manual": "agents.manual.",
+                    "prefs": "prefs.", "tech": "tech.", None: ""}
 _SHARE_FIELDS = ("mu_top", "lambda_c", "theta_m")
 _EXPONENT_FIELDS = ("sigma_top", "rho_c", "rho_m")
 
@@ -147,6 +152,14 @@ _EXPONENT_FIELDS = ("sigma_top", "rho_c", "rho_m")
 def validate_config(config: EconomyConfig) -> ValidationReport:
     """Check every config invariant; returns all failures, not just the first."""
     bad: list[tuple[str, str]] = []
+
+    # NaN passes every comparison below, so non-finite values are caught first
+    for section, prefix in SECTION_PREFIXES.items():
+        params = getattr(config, section) if section else config
+        for fld in fields(params):
+            v = getattr(params, fld.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                bad.append((f"{prefix}{fld.name}", f"must be finite, got {v}"))
 
     for slot, agent in (("cognitive", config.cognitive), ("manual", config.manual)):
         if agent.kind.value != slot:

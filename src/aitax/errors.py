@@ -18,7 +18,7 @@ class SolverError(AitaxError, RuntimeError):
 
 
 class NoInteriorSolutionError(SolverError):
-    """Newton failed from every restart; no interior stationary point found."""
+    """Newton failed from each of its one or two starts; no interior point found."""
 
 
 class NoRegimeFoundError(SolverError):

@@ -228,11 +228,6 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec,
     )
 
 
-def oracle_regime(config: EconomyConfig, grid: GridSpec) -> Regime:
-    """Regime call from the grid search alone; see brute_force_steady."""
-    return brute_force_steady(config, grid).regime
-
-
 def agreement(solution: PlannerSolution, result: OracleResult) -> dict:
     """Compare a solver solution against an oracle run on the same economy.
 

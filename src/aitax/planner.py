@@ -20,7 +20,10 @@ One KKT kernel (``_kkt``) writes the first-order conditions for both the
 steady state and the finite-horizon path; the Newton residuals and the
 public ``foc_residuals`` both evaluate it.
 
-All solves are deterministic: fixed restart schedule, no randomness.
+A regime's steady state gets at most two Newton starts, a warm solution
+and then one base start (the first best's vector, or a cold start from a
+capital presolve), and fails fast when neither converges.  All solves are
+deterministic: no randomness.
 """
 
 from __future__ import annotations
@@ -60,9 +63,6 @@ from .production import (
 TOL_NEWTON = 1e-10
 TOL_ICC = 1e-8
 EPS_C = 1e-10
-
-# restart schedule: log-spaced scalings applied to the cold-start point
-RESTART_SCALINGS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125, 8.0, 0.0625)
 
 _MU_INIT_FRACTION = 0.05
 
@@ -181,10 +181,9 @@ def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTe
 
 
 def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
-    base_c = u_eval(prefs, ct_c) - nu_eval(prefs, l_c)
-    base_m = u_eval(prefs, ct_m) - nu_eval(prefs, l_m)
-    slack_c = base_c - (u_eval(prefs, ct_m) - nu_eval(prefs, lt_c))
-    slack_m = base_m - (u_eval(prefs, ct_c) - nu_eval(prefs, lt_m))
+    u_c, u_m = u_eval(prefs, ct_c), u_eval(prefs, ct_m)
+    slack_c = (u_c - nu_eval(prefs, l_c)) - (u_m - nu_eval(prefs, lt_c))
+    slack_m = (u_m - nu_eval(prefs, l_m)) - (u_c - nu_eval(prefs, lt_m))
     return slack_c, slack_m
 
 
@@ -387,9 +386,10 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> np.ndarray:
 def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
     """Stocks consistent with the no-ICC stationary stock FOCs, labor held fixed.
 
-    A coarse log-grid presolve picks Newton starts; marginal products can
-    vary by orders of magnitude across technologies, so fixed starts are
-    not reliable.  Returns None when no interior stock pair is found.
+    A coarse log-grid presolve picks the Newton start, its best-scoring
+    point; marginal products can vary by orders of magnitude across
+    technologies, so a fixed start is not reliable.  Returns None when
+    Newton finds no interior stock pair from there.
     """
     beta, tech = config.prefs.beta, config.tech
 
@@ -404,14 +404,12 @@ def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
         mp = marginal_products(tech, el_c, el_m, np.exp(kk), np.exp(aa))
         score = np.abs(beta * mp.fw_k - 1.0) + np.abs(beta * mp.fw_ai - 1.0)
     score = np.where(np.isfinite(score), score, np.inf)
-    order = np.argsort(score, axis=None)
-    for flat in order[:5]:
-        i, j = np.unravel_index(flat, score.shape)
-        res = newton_solve(f, np.array([kk[i, j], aa[i, j]]), tol=1e-9, max_iter=80)
-        if res.converged:
-            k, ai = np.exp(res.x)
-            if k < 1e9 and ai < 1e9:
-                return float(k), float(ai)
+    i, j = np.unravel_index(np.argmin(score), score.shape)
+    res = newton_solve(f, np.array([kk[i, j], aa[i, j]]), tol=1e-9, max_iter=80)
+    if res.converged:
+        k, ai = np.exp(res.x)
+        if k < 1e9 and ai < 1e9:
+            return float(k), float(ai)
     return None
 
 
@@ -431,9 +429,10 @@ def _cold_start(config: EconomyConfig, ubi: float) -> np.ndarray:
     return np.array([cb, cb, l0, l0, k0, ai0, lam0])
 
 
-def _scaled_start(base: np.ndarray, s: float, config: EconomyConfig, active: tuple, ubi: float) -> np.ndarray:
+def _base_start(base: np.ndarray, config: EconomyConfig, active: tuple, ubi: float) -> np.ndarray:
+    """Start from a first-best or cold vector: its allocation, lam reset to
+    u'(c_c), and each active multiplier seeded with a small positive guess."""
     x = base.copy()
-    x[:6] *= s
     x[6] = float(u_prime(config.prefs, max(x[0] + ubi, EPS_C)))
     mu0 = _MU_INIT_FRACTION * min(config.cognitive.pi, config.manual.pi)
     return np.concatenate([x, np.full(len(active), mu0)])
@@ -562,19 +561,16 @@ def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
                   warm: PlannerSolution | None, base: np.ndarray | None):
     """Steady state with ``active`` imposed: its Newton vector and solution.
 
-    Starts are the warm solution (when stationary), then the restart
-    schedule applied to ``base``, or to a cold start when there is none.
-    The cold start (a capital presolve) is only built when the warm start
-    fails.
+    At most two starts: the warm solution (when stationary), then one
+    start from ``base``, or from a cold start when there is none.  The cold
+    start (a capital presolve) is only built when the warm start fails.
     """
     layout = _Layout(active, ubi=ubi)
 
     def starts():
         if warm is not None and warm.stationary:
             yield layout.start(warm)
-        scaled = _cold_start(config, ubi) if base is None else base
-        for s in RESTART_SCALINGS:
-            yield _scaled_start(scaled, s, config, active, ubi)
+        yield _base_start(_cold_start(config, ubi) if base is None else base, config, active, ubi)
 
     x = _newton(config, layout, starts())
     return x, _build(config, layout, x)

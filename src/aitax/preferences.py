@@ -88,10 +88,6 @@ class IccEvaluation:
     def slack(self) -> float:
         return self.own_utility - self.mimic_utility
 
-    @property
-    def binding(self) -> bool:
-        return abs(self.slack) <= 1e-8
-
 
 def icc_slack(
     prefs: PreferenceParams,

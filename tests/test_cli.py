@@ -51,6 +51,19 @@ def test_missing_config_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("agents.cognitive.z", "nan"), ("prefs.psi", "nan"), ("g", "nan"), ("tech.a", "inf"),
+])
+def test_solve_rejects_a_non_finite_value(tmp_path, capsys, key, value):
+    lines = [line for line in Path(cfg("symmetric.cfg")).read_text().splitlines()
+             if not line.startswith(f"{key} ")]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    rc = cli.main(["solve", str(path), "--out", str(tmp_path / "sol.json")])
+    assert rc == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
+
+
 def test_solve_symmetric(tmp_path, capsys):
     out = tmp_path / "sol.json"
     rc = cli.main(["solve", cfg("symmetric.cfg"), "--out", str(out)])

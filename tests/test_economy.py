@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from aitax import symmetric_economy, validate_config
+from aitax.configio import _SCHEMA, dump_config, parse_config
 from aitax.economy import SWEEP_PARAMS, with_param
 from aitax.errors import DomainError
 
@@ -47,6 +48,18 @@ def test_tech_field_violations(field, value, fragment):
     report = validate_config(cfg)
     assert not report.ok
     assert any(fragment in msg for msg in report.messages())
+
+
+FLOAT_KEYS = [key for key, (_, _, kind) in _SCHEMA.items() if kind is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_values_are_rejected(key, value):
+    lines = [line for line in dump_config(symmetric_economy()).splitlines()
+             if not line.startswith(f"{key} ")]
+    report = validate_config(parse_config("\n".join([*lines, f"{key} = {value}"])))
+    assert (key, f"must be finite, got {float(value)}") in report.failures
 
 
 def test_complements_nesting_order_enforced():

@@ -6,7 +6,6 @@ import pytest
 
 from aitax import (
     brute_force_steady,
-    oracle_regime,
     regime_a_economy,
     solve_steady_state,
     symmetric_economy,
@@ -52,7 +51,7 @@ def test_symmetric_regime_and_agreement(symmetric_solution):
 
 def test_regime_a_oracle_regime(regime_a_solution):
     grid = small_grid(regime_a_solution, points=6)
-    assert oracle_regime(regime_a_economy(), grid) is Regime.COGNITIVE_BINDS
+    assert brute_force_steady(regime_a_economy(), grid).regime is Regime.COGNITIVE_BINDS
 
 
 def test_pure_python_rescanner_agrees(regime_a_solution):

@@ -24,6 +24,7 @@ from aitax.economy import TechForm
 from aitax.errors import (
     ConfigError,
     InconsistentMultipliersError,
+    NoInteriorSolutionError,
     SolverError,
 )
 from aitax.planner import TOL_ICC, violated_side
@@ -502,3 +503,41 @@ def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
     evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=160)))
     assert evals == EVALS_PER_SOLVE["regime_a_t20"]
+
+
+# a drawn threshold-preset economy (bench/fuzz.py, seed 0, draw 7) whose
+# first best has no interior steady state: AI is not worth holding there
+REFUSED_ECONOMY = """
+agents.cognitive.pi = 0.19949676417354628
+agents.cognitive.z = 2.395507563638893
+agents.manual.pi = 0.8005032358264537
+agents.manual.z = 1.2997624216467083
+prefs.beta = 0.9663764955353238
+prefs.u_form = log
+prefs.psi = 0.7510143987750478
+prefs.phi = 1.9127050176416178
+tech.form = nest_substitute_cognitive
+tech.a = 1.574672496908257
+tech.mu_top = 0.6926769033530505
+tech.lambda_c = 0.4228872779779747
+tech.theta_m = 0.5460789325047403
+tech.sigma_top = -0.7763727757491845
+tech.rho_c = -2.23944725528662
+tech.rho_m = -0.7070589107664993
+tech.a_ai = 0.09140923990709769
+tech.delta_k = 0.06603714426363262
+tech.delta_ai = 0.10021842852087343
+"""
+
+
+def test_a_refusal_costs_one_start(count_evals):
+    """A cold solve with no interior solution fails fast: one capital
+    presolve and one Newton start, counted exactly (eight rescaled restarts
+    took 860 evaluations)."""
+    config = parse_config(REFUSED_ECONOMY)
+
+    def refused():
+        with pytest.raises(NoInteriorSolutionError, match=r"from 1 start\(s\)"):
+            solve_steady_state(config)
+
+    assert count_evals(refused) == 132
