@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .configio import load_config
-from .economy import AgentKind, SolveMode
+from .economy import AgentKind, SolveMode, require_valid
 from .errors import (
     AitaxError,
     ConfigError,
@@ -95,9 +95,16 @@ def _manifest(subcommand: str, digest: str, params: dict, started: float,
     )
 
 
+def _load(path: str):
+    """The config at ``path`` and its raw bytes, validated before any use."""
+    config, raw = load_config(path)
+    require_valid(config)
+    return config, raw
+
+
 def _cmd_check_assumptions(args) -> int:
     started = time.perf_counter()
-    config, raw = load_config(args.config)
+    config, raw = _load(args.config)
     grid = Grid4.log_around(factor=args.grid_factor, points=args.grid_points)
     report = check_assumptions(config.tech, grid)
     outcome = "ok" if report.all_pass else "assumption_failure"
@@ -117,6 +124,7 @@ def _cmd_check_assumptions(args) -> int:
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
+    # the solvers validate the config, after the --mode and --T overrides
     config, raw = load_config(args.config)
     if args.mode is not None:
         mode = SolveMode.STEADY_STATE if args.mode == "steady" else SolveMode.FINITE_HORIZON
@@ -160,15 +168,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     started = time.perf_counter()
-    config, raw = load_config(args.config)
+    config, raw = _load(args.config)
     if args.points < 2:
         raise DomainError(f"grid needs >= 2 points, got {args.points}")
     if args.threshold and not args.tol > 0.0:
         raise DomainError(f"--tol must be positive, got {args.tol}")
+    for flag, end in (("--lo", args.lo), ("--hi", args.hi)):
+        if not np.isfinite(end):
+            raise DomainError(f"{flag} must be finite, got {end}")
+        if args.log and not end > 0.0:
+            raise DomainError(f"--log needs a positive {flag}, got {end}")
     if args.log:
-        for flag, end in (("--lo", args.lo), ("--hi", args.hi)):
-            if not end > 0.0:
-                raise DomainError(f"--log needs a positive {flag}, got {end}")
         values = np.geomspace(args.lo, args.hi, args.points)
     else:
         values = np.linspace(args.lo, args.hi, args.points)
@@ -201,11 +211,13 @@ def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
 
     Checks the KKT residuals, that the stored objective is the one the
     stored allocation gives, and that the grid oracle finds nothing better
-    and the same regime.  Finite-horizon files raise DomainError: the
+    and the same regime.  ``foc_residuals`` goes first, so a stored value
+    outside the kernels' domain raises DomainError naming it before
+    anything else uses it.  Finite-horizon files raise DomainError: the
     oracle grid is built around stationary solutions only.
     """
-    grid = grid_bracketing(loaded, frac=args.frac, points=args.grid_points)
     residuals = foc_residuals(config, loaded.allocation, loaded.multipliers)
+    grid = grid_bracketing(loaded, frac=args.frac, points=args.grid_points)
     worst = max(float(np.max(np.abs(np.atleast_1d(v)))) for v in residuals.values())
     stored = float(loaded.payload["objective"])
     objective = _objective(config, loaded.allocation)
@@ -236,7 +248,7 @@ def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
 
 def _cmd_oracle_verify(args) -> int:
     started = time.perf_counter()
-    config, raw = load_config(args.config)
+    config, raw = _load(args.config)
     if args.solution is not None:
         loaded = load_solution(args.solution)
         report, ok = _verify_loaded(args, config, loaded)

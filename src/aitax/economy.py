@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 class AgentKind(str, enum.Enum):
@@ -102,9 +102,6 @@ class EconomyConfig:
     ai0: float = 0.0
     mode: SolveMode = SolveMode.STEADY_STATE
     horizon: int | None = None
-
-    def agent(self, kind: AgentKind) -> AgentTypeParams:
-        return self.cognitive if kind is AgentKind.COGNITIVE else self.manual
 
 
 @dataclass(frozen=True)
@@ -220,6 +217,13 @@ def validate_config(config: EconomyConfig) -> ValidationReport:
             bad.append(("T", f"finite_horizon mode needs T >= 1, got {config.horizon}"))
 
     return ValidationReport(ok=not bad, failures=tuple(bad))
+
+
+def require_valid(config: EconomyConfig) -> None:
+    """Raise ConfigError naming every field ``validate_config`` rejects."""
+    report = validate_config(config)
+    if not report.ok:
+        raise ConfigError("; ".join(report.messages()))
 
 
 # Sweepable parameter names, mapped to their location in the config tree.

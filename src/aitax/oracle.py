@@ -126,8 +126,7 @@ def _best(masked_objective: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(masked_objective[idx]), idx
 
 
-def brute_force_steady(config: EconomyConfig, grid: GridSpec,
-                       lipschitz: float = LIPSCHITZ_ALLOWANCE) -> OracleResult:
+def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
     """Exhaustive stationary search; see module docstring for the method."""
     prefs, tech = config.prefs, config.tech
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
@@ -193,7 +192,7 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec,
         regime = Regime.BOTH_BIND
 
     h = grid.diagonal_step
-    gap = lipschitz * h
+    gap = LIPSCHITZ_ALLOWANCE * h
     flow_c = float(slack_c[idx])
     flow_m = float(slack_m[idx])
     s_c, s_m = flow_c * scale, flow_m * scale

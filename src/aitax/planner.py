@@ -38,10 +38,11 @@ from .economy import (
     Allocation,
     EconomyConfig,
     SolveMode,
-    validate_config,
+    require_valid,
 )
 from .errors import (
     ConfigError,
+    DomainError,
     InconsistentMultipliersError,
     NoInteriorSolutionError,
     NoRegimeFoundError,
@@ -243,9 +244,10 @@ def _lifetime(beta: float, flow) -> float:
 
 
 def _periods(*arrays):
-    """Stored per-period arrays as the kernel takes them: scalars for a steady state."""
+    """Stored per-period arrays as the kernel takes them: numpy scalars for a steady
+    state (on Python floats the ratio gradient's complex step rounds differently)."""
     if len(arrays[0]) == 1:
-        return tuple(float(v[0]) for v in arrays)
+        return tuple(v[0] for v in arrays)
     return arrays
 
 
@@ -390,11 +392,19 @@ def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
     point; marginal products can vary by orders of magnitude across
     technologies, so a fixed start is not reliable.  Returns None when
     Newton finds no interior stock pair from there.
+
+    This is the one solve whose iterates can leave the kernels' domain:
+    its log stocks are unbounded, so ``exp`` can underflow a stock to 0 or
+    overflow it to inf.  The residual is then infinite, which Newton's line
+    search rejects like any other non-finite trial.  The KKT solves need no
+    such barrier: their lower bounds keep every unknown strictly positive.
     """
     beta, tech = config.prefs.beta, config.tech
 
     def f(u):
         k, ai = np.exp(u)
+        if not (0.0 < k < np.inf and 0.0 < ai < np.inf):
+            return np.full(2, np.inf)
         mp = marginal_products(tech, el_c, el_m, k, ai)
         return np.array([beta * mp.fw_k - 1.0, beta * mp.fw_ai - 1.0])
 
@@ -551,12 +561,6 @@ def _first_admissible(ladder: list, solve, failures: list) -> PlannerSolution:
     raise NoRegimeFoundError("; ".join(failures))
 
 
-def _require_valid(config: EconomyConfig) -> None:
-    report = validate_config(config)
-    if not report.ok:
-        raise ConfigError("; ".join(report.messages()))
-
-
 def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
                   warm: PlannerSolution | None, base: np.ndarray | None):
     """Steady state with ``active`` imposed: its Newton vector and solution.
@@ -582,7 +586,7 @@ def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution
     The returned slacks report whether that optimum is incentive-compatible;
     negative slack means the corresponding constraint would bind.
     """
-    _require_valid(config)
+    require_valid(config)
     return _solve_steady(config, (), ubi, warm, None)[1]
 
 
@@ -605,7 +609,7 @@ def solve_steady_state(
     ubi: float = 0.0,
 ) -> PlannerSolution:
     """Stationary constrained-efficient allocation via active-set Newton."""
-    _require_valid(config)
+    require_valid(config)
     fb_x, fb = _solve_steady(config, (), ubi, warm, None)
     reason = _rejection(fb, ())
     if reason is None:
@@ -632,11 +636,18 @@ def foc_residuals(config: EconomyConfig, alloc: Allocation, mults: Multipliers) 
     the stationary c and l rows derive from; finite-horizon candidates
     return per-period arrays for the sequential rows and discounted sums
     for the complementary-slackness rows.
+
+    The kernels check no domain, so the candidate is checked here: an
+    allocation entry or ``lam`` that is not finite and strictly positive
+    raises DomainError naming it.
     """
     a = alloc
-    rows, slack_c, slack_m, _ = _kkt(
-        config, *_periods(a.c_c, a.c_m, a.l_c, a.l_m, a.k, a.ai, mults.lam), mults.mu_c, mults.mu_m
-    )
+    inputs = {"c_c": a.c_c, "c_m": a.c_m, "l_c": a.l_c, "l_m": a.l_m,
+              "k": a.k, "ai": a.ai, "lam": mults.lam}
+    for name, v in inputs.items():
+        if not (np.all(np.isfinite(v)) and np.all(v > 0.0)):
+            raise DomainError(f"{name} must be finite and strictly positive, got {v}")
+    rows, slack_c, slack_m, _ = _kkt(config, *_periods(*inputs.values()), mults.mu_c, mults.mu_m)
     beta = config.prefs.beta
     if a.n_periods == 1:
         rows = [float(r) for r in rows]
@@ -657,7 +668,7 @@ def foc_residuals(config: EconomyConfig, alloc: Allocation, mults: Multipliers) 
 def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
     """Direct transcription of the T-period problem, terminal stocks pinned
     to the steady state of the same economy."""
-    _require_valid(config)
+    require_valid(config)
     if config.mode is not SolveMode.FINITE_HORIZON or config.horizon is None:
         raise ConfigError("solve_finite_horizon needs mode = finite_horizon with T set")
     if config.k0 <= 0.0 or config.ai0 <= 0.0:

@@ -4,6 +4,10 @@ The incentive-compatibility constraint compares a type's own lifetime
 utility with what it would get by reporting as the other type: receiving
 the other's consumption while supplying l_other * w_other / w_own so that
 its labor income matches the other's.
+
+u, u', nu and nu' are plain formulas with no domain check: consumption
+must be strictly positive and labor nonnegative, which their callers
+ensure.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from .errors import DomainError
 
 def u_eval(prefs: PreferenceParams, c):
     """Consumption utility u(c)."""
-    if np.any(np.asarray(c) <= 0.0):
-        raise DomainError("consumption must be positive for utility evaluation")
     if prefs.u_form is UtilityForm.LOG:
         return np.log(c)
     g = prefs.gamma
@@ -28,8 +30,6 @@ def u_eval(prefs: PreferenceParams, c):
 
 def u_prime(prefs: PreferenceParams, c):
     """Marginal utility u'(c)."""
-    if np.any(np.asarray(c) <= 0.0):
-        raise DomainError("consumption must be positive for marginal utility")
     if prefs.u_form is UtilityForm.LOG:
         return 1.0 / np.asarray(c, dtype=float)
     return c ** (-prefs.gamma)
@@ -37,15 +37,11 @@ def u_prime(prefs: PreferenceParams, c):
 
 def nu_eval(prefs: PreferenceParams, l):
     """Labor disutility nu(l) = psi * l**(1+phi) / (1+phi)."""
-    if np.any(np.asarray(l) < 0.0):
-        raise DomainError("labor must be nonnegative")
     return prefs.psi * l ** (1.0 + prefs.phi) / (1.0 + prefs.phi)
 
 
 def nu_prime(prefs: PreferenceParams, l):
     """Marginal disutility nu'(l) = psi * l**phi."""
-    if np.any(np.asarray(l) < 0.0):
-        raise DomainError("labor must be nonnegative")
     return prefs.psi * l**prefs.phi
 
 

@@ -24,6 +24,9 @@ the ratio of marginal products of labor r = F_Lc / F_Lm:
 Core evaluation is written with plain arithmetic so the same code path
 accepts floats, numpy arrays, and complex inputs; the complex path powers
 machine-precision ratio derivatives via complex-step differentiation.
+Nothing here checks its inputs' domain (nonnegative for output, strictly
+positive otherwise): callers keep them there, and values from outside the
+program are checked where they enter (``planner.foc_residuals``).
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ _CS_STEP = 1e-20
 VERDICT_PASS = "pass"
 VERDICT_NON_STRICT = "non_strict"
 VERDICT_FAIL = "fail"
-
-_INPUT_NAMES = ("L_c", "L_m", "K", "AI")
 
 
 def _ces(share, x, y, rho):
@@ -80,8 +81,7 @@ def _exponents(tech: TechnologyParams) -> tuple[float, float, float]:
 def _core(tech: TechnologyParams, l_c, l_m, k, ai):
     """Output and the four marginal products, shared across input dtypes.
 
-    Returns (y, f_lc, f_lm, f_k, f_ai).  No domain checks here; the public
-    wrappers validate.
+    Returns (y, f_lc, f_lm, f_k, f_ai).
     """
     sigma, rho_c, rho_m = _exponents(tech)
     if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
@@ -110,36 +110,17 @@ def _core(tech: TechnologyParams, l_c, l_m, k, ai):
     return tech.a * v, f_lc, f_lm, f_k, f_ai
 
 
-def _coerce(name: str, v, strict: bool):
-    arr = np.asarray(v, dtype=float)
-    if strict:
-        if np.any(arr <= 0.0):
-            raise DomainError(f"{name} must be strictly positive, got {v!r}")
-    elif np.any(arr < 0.0):
-        raise DomainError(f"{name} must be nonnegative, got {v!r}")
-    return arr if arr.ndim else arr[()]
-
-
-def _coerce_all(l_c, l_m, k, ai, strict: bool):
-    return tuple(
-        _coerce(name, v, strict)
-        for name, v in zip(_INPUT_NAMES, (l_c, l_m, k, ai))
-    )
-
-
 def output(tech: TechnologyParams, l_c, l_m, k, ai):
     """Final-good output F(L_c, L_m, K, AI).  Inputs must be nonnegative."""
-    args = _coerce_all(l_c, l_m, k, ai, strict=False)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = _core(tech, *args)[0]
+        y = _core(tech, l_c, l_m, k, ai)[0]
     return float(y) if np.ndim(y) == 0 else y
 
 
 def total_wealth(tech: TechnologyParams, l_c, l_m, k, ai):
     """Output plus undepreciated stocks: F + (1-delta_k)K + (1-delta_ai)AI."""
-    args = _coerce_all(l_c, l_m, k, ai, strict=False)
-    y = output(tech, *args)
-    return y + (1.0 - tech.delta_k) * args[2] + (1.0 - tech.delta_ai) * args[3]
+    y = output(tech, l_c, l_m, k, ai)
+    return y + (1.0 - tech.delta_k) * k + (1.0 - tech.delta_ai) * ai
 
 
 @dataclass(frozen=True)
@@ -156,8 +137,7 @@ class MarginalProducts:
 
 def _evaluate(tech: TechnologyParams, l_c, l_m, k, ai):
     """Output and marginal products from one core pass, strictly positive inputs."""
-    args = _coerce_all(l_c, l_m, k, ai, strict=True)
-    y, f_lc, f_lm, f_k, f_ai = _core(tech, *args)
+    y, f_lc, f_lm, f_k, f_ai = _core(tech, l_c, l_m, k, ai)
     return y, MarginalProducts(
         f_lc=f_lc,
         f_lm=f_lm,
@@ -197,8 +177,7 @@ def evaluate(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai) -> 
 
 def mpl_ratio(tech: TechnologyParams, l_c, l_m, k, ai):
     """Ratio of labor marginal products F_Lc / F_Lm."""
-    args = _coerce_all(l_c, l_m, k, ai, strict=True)
-    _, f_lc, f_lm, _, _ = _core(tech, *args)
+    _, f_lc, f_lm, _, _ = _core(tech, l_c, l_m, k, ai)
     return f_lc / f_lm
 
 
@@ -208,7 +187,7 @@ def mpl_ratio_gradient(tech: TechnologyParams, l_c, l_m, k, ai):
     Uses complex-step differentiation of the analytic marginal products,
     which is exact to machine precision for these smooth positive forms.
     """
-    base = list(_coerce_all(l_c, l_m, k, ai, strict=True))
+    base = [l_c, l_m, k, ai]
     grad = []
     for i in range(4):
         step = _CS_STEP * base[i]

@@ -183,10 +183,10 @@ class WedgeReport:
     verdicts: dict[str, PropositionCheck]
 
 
-def _sign_verdict(margin: float, tol: float) -> str:
-    if margin > tol:
+def _sign_verdict(margin: float) -> str:
+    if margin > TOL_SIGN:
         return VERDICT_PASS
-    if margin < -tol:
+    if margin < -TOL_SIGN:
         return VERDICT_FAIL
     return VERDICT_INDETERMINATE
 
@@ -205,7 +205,7 @@ _DESCRIPTIONS = {
 }
 
 
-def _judge(regime: Regime, table: _WedgeTable, tol_sign: float) -> dict[str, PropositionCheck]:
+def _judge(regime: Regime, table: _WedgeTable) -> dict[str, PropositionCheck]:
     verdicts = {key: _na(key, desc) for key, desc in _DESCRIPTIONS.items()}
     if regime is Regime.COGNITIVE_BINDS:
         taxed, subsidized, labor_kind = "k", "ai", AgentKind.COGNITIVE
@@ -219,7 +219,7 @@ def _judge(regime: Regime, table: _WedgeTable, tol_sign: float) -> dict[str, Pro
     fw = table.fw
     fw_margin = float(np.min(fw[taxed] - fw[subsidized]))
     verdicts[k1] = PropositionCheck(
-        k1, _DESCRIPTIONS[k1], _sign_verdict(fw_margin, tol_sign),
+        k1, _DESCRIPTIONS[k1], _sign_verdict(fw_margin),
         {"fw_k": float(fw["k"][-1]), "fw_ai": float(fw["ai"][-1])}, fw_margin,
     )
 
@@ -228,8 +228,8 @@ def _judge(regime: Regime, table: _WedgeTable, tol_sign: float) -> dict[str, Pro
         float(np.max(np.abs(tau[s] - table.tau[AgentKind.MANUAL, s]))) for s in _STOCKS
     )
     sign_margin = min(float(np.min(tau[taxed])), -float(np.max(tau[subsidized])))
-    verdict2 = _sign_verdict(sign_margin, tol_sign)
-    if verdict2 == VERDICT_PASS and type_gap > tol_sign:
+    verdict2 = _sign_verdict(sign_margin)
+    if verdict2 == VERDICT_PASS and type_gap > TOL_SIGN:
         verdict2 = VERDICT_FAIL
     verdicts[k2] = PropositionCheck(
         k2, _DESCRIPTIONS[k2], verdict2,
@@ -243,19 +243,17 @@ def _judge(regime: Regime, table: _WedgeTable, tol_sign: float) -> dict[str, Pro
 
     tau_y = float(np.max(table.tau_y[labor_kind]))
     verdicts[k3] = PropositionCheck(
-        k3, _DESCRIPTIONS[k3], _sign_verdict(-tau_y, tol_sign), {"tau_y": tau_y}, -tau_y,
+        k3, _DESCRIPTIONS[k3], _sign_verdict(-tau_y), {"tau_y": tau_y}, -tau_y,
     )
     return verdicts
 
 
-def verify_propositions(
-    solution: PlannerSolution, tol_sign: float = TOL_SIGN
-) -> dict[str, PropositionCheck]:
+def verify_propositions(solution: PlannerSolution) -> dict[str, PropositionCheck]:
     """Judge the six sign claims; only the binding regime's side is applicable.
 
     Finite-horizon solutions are judged on the worst period/transition.
     """
-    return _judge(solution.regime, _wedge_table(solution), tol_sign)
+    return _judge(solution.regime, _wedge_table(solution))
 
 
 def compute_wedge_report(solution: PlannerSolution) -> WedgeReport:
@@ -267,5 +265,5 @@ def compute_wedge_report(solution: PlannerSolution) -> WedgeReport:
         tau_y={h: float(table.tau_y[h][0]) for h in AgentKind},
         tau_k_mult=_via_multipliers(table, "k", 0),
         tau_ai_mult=_via_multipliers(table, "ai", 0),
-        verdicts=_judge(solution.regime, table, TOL_SIGN),
+        verdicts=_judge(solution.regime, table),
     )

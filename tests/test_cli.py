@@ -51,17 +51,41 @@ def test_missing_config_is_a_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def edited_cfg(tmp_path, name: str, key: str, value: str) -> str:
+    """A copy of the bundled config ``name`` with ``key`` set to ``value``."""
+    lines = [line for line in Path(cfg(name)).read_text().splitlines()
+             if not line.startswith(f"{key} ")]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("key,value", [
     ("agents.cognitive.z", "nan"), ("prefs.psi", "nan"), ("g", "nan"), ("tech.a", "inf"),
 ])
 def test_solve_rejects_a_non_finite_value(tmp_path, capsys, key, value):
-    lines = [line for line in Path(cfg("symmetric.cfg")).read_text().splitlines()
-             if not line.startswith(f"{key} ")]
-    path = tmp_path / "bad.cfg"
-    path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
-    rc = cli.main(["solve", str(path), "--out", str(tmp_path / "sol.json")])
+    path = edited_cfg(tmp_path, "symmetric.cfg", key, value)
+    rc = cli.main(["solve", path, "--out", str(tmp_path / "sol.json")])
     assert rc == 2
     assert f"{key}: must be finite" in capsys.readouterr().err
+
+
+def test_check_assumptions_validates_the_config(tmp_path, capsys):
+    out = tmp_path / "checks.json"
+    path = edited_cfg(tmp_path, "regime_a.cfg", "tech.rho_c", "nan")
+    assert cli.main(["check-assumptions", path, "--out", str(out)]) == 2
+    assert "tech.rho_c: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_verify_validates_the_config(tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    out = tmp_path / "oracle.json"
+    path = edited_cfg(tmp_path, "regime_a.cfg", "tech.rho_c", "nan")
+    assert cli.main(["oracle-verify", path, "--solution", str(sol), "--out", str(out)]) == 2
+    assert "tech.rho_c: must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_symmetric(tmp_path, capsys):
@@ -114,6 +138,12 @@ def test_solve_finite_horizon_override(tmp_path):
     assert [r[0] for r in rows[1:]] == [str(t) for t in range(7)]
 
 
+def test_solve_takes_the_horizon_from_the_command_line(tmp_path):
+    # the config is judged with the overrides applied, so --T may replace a bad T
+    path = edited_cfg(tmp_path, "regime_a_t20.cfg", "T", "0")
+    assert cli.main(["solve", path, "--T", "3", "--out", str(tmp_path / "path.json")]) == 0
+
+
 def test_sweep_with_threshold(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", cfg("threshold.cfg"), "--param", "a_AI",
@@ -149,6 +179,17 @@ def test_sweep_log_rejects_nonpositive_hi(tmp_path, capsys, hi):
     assert rc == 2
     assert "--log needs a positive --hi" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,lo,hi", [("--lo", "nan", "10"), ("--hi", "0.1", "inf")])
+def test_sweep_rejects_a_non_finite_end(tmp_path, capsys, flag, lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["sweep", cfg("threshold.cfg"), "--param", "a_AI",
+                       "--lo", lo, "--hi", hi, "--points", "3"])
+    assert rc == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_nonpositive_tol_before_solving(tmp_path, capsys):
@@ -205,6 +246,19 @@ def test_oracle_verify_flags_corrupted_solution(tmp_path):
     assert rc == 6
     report = json.loads((tmp_path / "oracle.json").read_text())["payload"]
     assert report["kkt_ok"] is False
+
+
+@pytest.mark.parametrize("value", [-0.5, float("nan")])
+def test_oracle_verify_rejects_a_stored_value_outside_the_domain(tmp_path, capsys, value):
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["payload"]["allocation"]["c_c"] = [value]
+    sol.write_text(json.dumps(doc))
+    rc = cli.main(["oracle-verify", cfg("regime_a.cfg"), "--solution", str(sol),
+                   "--out", str(tmp_path / "oracle.json")])
+    assert rc == 2
+    assert "c_c must be finite and strictly positive" in capsys.readouterr().err
 
 
 def test_planner_seed_is_recorded_not_used(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from aitax import (
     detect_regime,
     first_best,
     foc_residuals,
+    planner,
     regime_a_economy,
     regime_b_economy,
     solve_finite_horizon,
@@ -23,6 +24,7 @@ from aitax.configio import load_config, parse_config
 from aitax.economy import TechForm
 from aitax.errors import (
     ConfigError,
+    DomainError,
     InconsistentMultipliersError,
     NoInteriorSolutionError,
     SolverError,
@@ -171,16 +173,22 @@ def test_detect_regime_rejects_contradictory_multipliers(regime_a_solution):
         detect_regime(bad)
 
 
-def test_unbounded_technology_raises():
-    """A substitute nest whose AI-only return exceeds the discount rate has no
-    interior steady state; the solver must refuse rather than fabricate one."""
+def unbounded_economy():
+    """A substitute nest whose AI-only return exceeds the discount rate: no
+    interior steady state, and the capital presolve's log stocks run off
+    until ``exp`` leaves the kernels' domain."""
     cfg = threshold_economy()
     tech = dataclasses.replace(
         cfg.tech, form=TechForm.NEST_SUBSTITUTE_COGNITIVE,
         sigma_top=0.5, mu_top=0.5, rho_c=-1.0, a_ai=2.0,
     )
+    return dataclasses.replace(cfg, tech=tech)
+
+
+def test_unbounded_technology_raises():
+    """The solver must refuse rather than fabricate an interior steady state."""
     with pytest.raises(SolverError):
-        solve_steady_state(dataclasses.replace(cfg, tech=tech))
+        solve_steady_state(unbounded_economy())
 
 
 def test_invalid_config_rejected():
@@ -541,3 +549,56 @@ def test_a_refusal_costs_one_start(count_evals):
             solve_steady_state(config)
 
     assert count_evals(refused) == 132
+
+
+# kernel -> index of its first numeric argument; every later argument is an input
+KERNEL_INPUTS = {
+    "evaluate": 2, "mpl_ratio_gradient": 1, "marginal_products": 1,
+    "u_prime": 1, "u_eval": 1, "nu_prime": 1, "nu_eval": 1,
+}
+
+
+def test_kernels_only_see_their_domain(monkeypatch):
+    """The kernels check no domain, so the solver must never hand them a
+    value outside it: every input finite and strictly positive, labor
+    (the disutility's argument) nonnegative."""
+    calls = dict.fromkeys(KERNEL_INPUTS, 0)
+    bad = []
+
+    def checked(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            for v in args[KERNEL_INPUTS[name]:]:
+                v = np.asarray(v)
+                low_ok = v >= 0.0 if name.startswith("nu_") else v > 0.0
+                if not (np.all(np.isfinite(v)) and np.all(low_ok)):
+                    bad.append((name, v))
+            return kernel(*args)
+        return call
+
+    for name in KERNEL_INPUTS:
+        monkeypatch.setattr(planner, name, checked(name, getattr(planner, name)))
+    for name in ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas", "regime_a_t20"):
+        solve(load_config(CONFIGS / f"{name}.cfg")[0])
+    for refused in (parse_config(REFUSED_ECONOMY), unbounded_economy()):
+        with pytest.raises(SolverError):
+            solve_steady_state(refused)
+    assert all(calls.values()), calls
+    assert bad == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("c_c", [0.0]), ("c_m", [1.0, -1.0]), ("l_m", [-0.1]), ("l_c", [-1.0]),
+    ("k", [np.inf]), ("lam", [np.nan]),
+])
+def test_foc_residuals_rejects_values_outside_the_domain(regime_a_solution, field, value):
+    """Candidates are checked where they enter: allocation entries and lam
+    must be finite and strictly positive, since the kernels check nothing."""
+    s = regime_a_solution
+    alloc, mults = s.allocation, s.multipliers
+    if field == "lam":
+        mults = dataclasses.replace(mults, lam=np.array(value))
+    else:
+        alloc = dataclasses.replace(alloc, **{field: np.array(value)})
+    with pytest.raises(DomainError, match=f"^{field} must be finite and strictly positive"):
+        foc_residuals(s.config, alloc, mults)
