@@ -197,7 +197,18 @@ def _cmd_sweep(args) -> int:
     print(f"table written to {out}")
 
     if args.threshold:
-        th = find_threshold(config, args.param, args.lo, args.hi, tol_param=args.tol)
+        th = None
+        bracket = result.threshold_bracket
+        if bracket is not None:
+            # bisect the sweep's own flip, its ends warm from the sweep's solutions
+            i = result.values.index(bracket[0])
+            try:
+                th = find_threshold(config, args.param, *bracket, tol_param=args.tol,
+                                    warm=result.solutions[i:i + 2])
+            except ThresholdRangeError:
+                pass  # the ends' first bests violate the same side: search cold below
+        if th is None:
+            th = find_threshold(config, args.param, args.lo, args.hi, tol_param=args.tol)
         bracket_path = out + ".bracket.json"
         manifest = _manifest("sweep", _digest(raw), params, started, "ok")
         write_json(bracket_path, manifest, threshold_payload(th))

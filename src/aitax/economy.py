@@ -148,15 +148,18 @@ _EXPONENT_FIELDS = ("sigma_top", "rho_c", "rho_m")
 
 def validate_config(config: EconomyConfig) -> ValidationReport:
     """Check every config invariant; returns all failures, not just the first."""
-    bad: list[tuple[str, str]] = []
-
-    # NaN passes every comparison below, so non-finite values are caught first
+    # non-finite values are caught first; the checks below would misjudge
+    # them (``not 0 < nan < 1`` is true), so their fields are not judged again
+    nonfinite: list[tuple[str, str]] = []
     for section, prefix in SECTION_PREFIXES.items():
         params = getattr(config, section) if section else config
         for fld in fields(params):
             v = getattr(params, fld.name)
             if isinstance(v, float) and not math.isfinite(v):
-                bad.append((f"{prefix}{fld.name}", f"must be finite, got {v}"))
+                nonfinite.append((f"{prefix}{fld.name}", f"must be finite, got {v}"))
+    skip = {name for name, _ in nonfinite}
+
+    bad: list[tuple[str, str]] = []
 
     for slot, agent in (("cognitive", config.cognitive), ("manual", config.manual)):
         if agent.kind.value != slot:
@@ -195,7 +198,7 @@ def validate_config(config: EconomyConfig) -> ValidationReport:
         v = getattr(t, name)
         if v > 1.0:
             bad.append((f"tech.{name}", f"CES exponent must be <= 1, got {v}"))
-    if t.form is TechForm.NEST_COMPLEMENTS:
+    if t.form is TechForm.NEST_COMPLEMENTS and "tech.sigma_top" not in skip:
         # within-nest complementarity must be stronger than across-nest
         if not t.rho_c < t.sigma_top:
             bad.append(("tech.rho_c", f"need rho_c < sigma_top, got {t.rho_c} >= {t.sigma_top}"))
@@ -216,7 +219,8 @@ def validate_config(config: EconomyConfig) -> ValidationReport:
         if config.horizon is None or config.horizon < 1:
             bad.append(("T", f"finite_horizon mode needs T >= 1, got {config.horizon}"))
 
-    return ValidationReport(ok=not bad, failures=tuple(bad))
+    failures = nonfinite + [(name, why) for name, why in bad if name not in skip]
+    return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
 def require_valid(config: EconomyConfig) -> None:

@@ -22,7 +22,10 @@ public ``foc_residuals`` both evaluate it.
 
 A regime's steady state gets at most two Newton starts, a warm solution
 and then one base start (the first best's vector, or a cold start from a
-capital presolve), and fails fast when neither converges.  All solves are
+capital presolve), and fails fast when neither converges.  A converged
+vector is judged from its multipliers and lifetime slacks (one kernel
+call); only the attempt a solver returns is built into a PlannerSolution
+with its assumption report, KKT residuals and objective.  All solves are
 deterministic: no randomness.
 """
 
@@ -327,21 +330,64 @@ class _Layout:
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
 
-    def start(self, sol: PlannerSolution) -> np.ndarray:
-        """Start vector repeating a solved steady state.
+    def start(self, warm: PlannerSolution | _Attempt) -> np.ndarray:
+        """Start vector repeating a solved steady state, a PlannerSolution
+        or an ``_Attempt``.
 
         An active constraint's multiplier is carried over when positive and
         otherwise seeded with a small positive guess.
         """
-        a, m = sol.allocation, sol.multipliers
+        c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = _steady_point(warm)
         head = (
-            max(float(a.c_c[0]) - self.ubi, EPS_C), max(float(a.c_m[0]) - self.ubi, EPS_C),
-            float(a.l_c[0]), float(a.l_m[0]), float(a.k[0]), float(a.ai[0]), float(m.lam[0]),
+            max(float(c_c) - self.ubi, EPS_C), max(float(c_m) - self.ubi, EPS_C),
+            float(l_c), float(l_m), float(k), float(ai), float(lam),
         )
-        stored = {AgentKind.COGNITIVE: m.mu_c, AgentKind.MANUAL: m.mu_m}
+        stored = {AgentKind.COGNITIVE: mu_c, AgentKind.MANUAL: mu_m}
         mus = [stored[kind] if stored[kind] > 0.0 else _MU_INIT_FRACTION * 0.5
                for kind in self.active]
         return np.concatenate([np.repeat(head, self.sizes), np.asarray(mus, dtype=float)])
+
+
+@dataclass(frozen=True)
+class _Attempt:
+    """A converged Newton vector, judged before anything is built from it.
+
+    ``point`` is the kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam,
+    mu_c, mu_m) and ``chain`` its chain terms; the slacks are lifetime
+    values.  That is all admissibility, ``violated_side`` and a warm start
+    read; ``_build`` turns the one attempt a solver returns into a solution.
+    """
+
+    layout: _Layout
+    x: np.ndarray
+    point: tuple
+    chain: _ChainTerms
+    mu_c: float
+    mu_m: float
+    slack_c: float
+    slack_m: float
+
+    @property
+    def stationary(self) -> bool:
+        return self.layout.stationary
+
+
+def _judge(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> _Attempt:
+    """The attempt at a converged Newton vector: one KKT kernel call."""
+    point = layout.unpack(x)
+    _, flow_c, flow_m, ch = _kkt(config, *point)
+    beta = config.prefs.beta
+    return _Attempt(layout=layout, x=x, point=point, chain=ch,
+                    mu_c=float(point[7]), mu_m=float(point[8]),
+                    slack_c=_lifetime(beta, flow_c), slack_m=_lifetime(beta, flow_m))
+
+
+def _steady_point(warm: PlannerSolution | _Attempt) -> tuple:
+    """The stationary candidate (c_c, ..., lam, mu_c, mu_m) a warm start repeats."""
+    if isinstance(warm, _Attempt):
+        return warm.point
+    a, m = warm.allocation, warm.multipliers
+    return (a.c_c[0], a.c_m[0], a.l_c[0], a.l_m[0], a.k[0], a.ai[0], m.lam[0], m.mu_c, m.mu_m)
 
 
 def _residual_fn(config: EconomyConfig, layout: _Layout):
@@ -364,8 +410,8 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
     return f
 
 
-def _newton(config: EconomyConfig, layout: _Layout, starts) -> np.ndarray:
-    """Newton from each start in turn; returns the first converged vector.
+def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
+    """Newton from each start in turn; returns the first converged vector, judged.
 
     ``starts`` may be a generator: a start is then only built when every
     earlier one failed.
@@ -378,7 +424,7 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> np.ndarray:
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
                            pattern=pattern, fold=fold)
         if res.converged:
-            return res.x
+            return _judge(config, layout, res.x)
     raise NoInteriorSolutionError(
         f"{_label(layout.active)}: Newton did not converge from {tried} start(s) "
         f"(last residual {res.residual_norm:.3e})"
@@ -485,11 +531,11 @@ def detect_regime(solution: PlannerSolution) -> Regime:
     )
 
 
-def _build(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> PlannerSolution:
-    """Solution for a converged Newton vector."""
-    c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = candidate = layout.unpack(x)
-    mu_c, mu_m = float(mu_c), float(mu_m)
-    _, flow_c, flow_m, ch = _kkt(config, *candidate)
+def _build(config: EconomyConfig, att: _Attempt) -> PlannerSolution:
+    """Solution for an admissible attempt: allocation, KKT residuals,
+    objective and assumption report."""
+    c_c, c_m, l_c, l_m, k, ai, lam, _, _ = att.point
+    mu_c, mu_m, ch, layout = att.mu_c, att.mu_m, att.chain, att.layout
     n = layout.n
     per_period = lambda v, size=n: np.full(size, v, dtype=float)
     alloc = Allocation(
@@ -503,8 +549,6 @@ def _build(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> PlannerSolu
         y_term=per_period(ch.y_c if mu_c > 0.0 else ch.y_m),
     )
     res = foc_residuals(config, alloc, mults)
-    beta = config.prefs.beta
-    slack_c, slack_m = _lifetime(beta, flow_c), _lifetime(beta, flow_m)
     if layout.stationary:
         center = (ch.el_c, ch.el_m, k, ai)
     else:
@@ -517,13 +561,13 @@ def _build(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> PlannerSolu
         warnings.append(f"mu_m = {mu_m:.6g} is not below pi_c = {pi_c:.6g}")
     return PlannerSolution(
         config=config,
-        regime=_classify(mu_c, mu_m, slack_c, slack_m),
+        regime=_classify(mu_c, mu_m, att.slack_c, att.slack_m),
         allocation=alloc,
         multipliers=mults,
         wages_c=per_period(ch.ev.w_c),
         wages_m=per_period(ch.ev.w_m),
-        slack_c=slack_c,
-        slack_m=slack_m,
+        slack_c=att.slack_c,
+        slack_m=att.slack_m,
         objective=_objective(config, alloc),
         foc_residual=max(float(np.max(np.abs(v))) for v in res.values()),
         assumptions=check_assumptions(config.tech, Grid4.log_around(center)),
@@ -531,43 +575,43 @@ def _build(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> PlannerSolu
     )
 
 
-def _rejection(sol: PlannerSolution, active: tuple) -> str | None:
+def _rejection(att: _Attempt, active: tuple) -> str | None:
     """Why a converged regime is inadmissible, or None when it is admissible.
 
     Each imposed constraint needs a nonnegative multiplier and each other
     constraint a slack of at least -TOL_ICC.
     """
-    m = sol.multipliers
-    mu = {AgentKind.COGNITIVE: m.mu_c, AgentKind.MANUAL: m.mu_m}
-    slack = {AgentKind.COGNITIVE: sol.slack_c, AgentKind.MANUAL: sol.slack_m}
+    mu = {AgentKind.COGNITIVE: att.mu_c, AgentKind.MANUAL: att.mu_m}
+    slack = {AgentKind.COGNITIVE: att.slack_c, AgentKind.MANUAL: att.slack_m}
     if all(mu[kind] >= 0.0 if kind in active else slack[kind] >= -TOL_ICC for kind in AgentKind):
         return None
     return (f"{_label(active)}: converged but inadmissible "
-            f"(mu=({m.mu_c:.3e}, {m.mu_m:.3e}), slacks=({sol.slack_c:.3e}, {sol.slack_m:.3e}))")
+            f"(mu=({att.mu_c:.3e}, {att.mu_m:.3e}), slacks=({att.slack_c:.3e}, {att.slack_m:.3e}))")
 
 
-def _first_admissible(ladder: list, solve, failures: list) -> PlannerSolution:
-    """Solve each active set of ``ladder`` in turn; return the first admissible solution."""
+def _first_admissible(ladder: list, solve, failures: list) -> _Attempt:
+    """Solve each active set of ``ladder`` in turn; return the first admissible attempt."""
     for active in ladder:
         try:
-            sol = solve(active)
+            att = solve(active)
         except SolverError as exc:
             failures.append(str(exc))
             continue
-        reason = _rejection(sol, active)
+        reason = _rejection(att, active)
         if reason is None:
-            return sol
+            return att
         failures.append(reason)
     raise NoRegimeFoundError("; ".join(failures))
 
 
 def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
-                  warm: PlannerSolution | None, base: np.ndarray | None):
-    """Steady state with ``active`` imposed: its Newton vector and solution.
+                  warm: PlannerSolution | _Attempt | None, base: np.ndarray | None) -> _Attempt:
+    """Steady-state attempt with ``active`` imposed.
 
-    At most two starts: the warm solution (when stationary), then one
-    start from ``base``, or from a cold start when there is none.  The cold
-    start (a capital presolve) is only built when the warm start fails.
+    At most two starts: the warm solution or attempt (when stationary),
+    then one start from ``base``, or from a cold start when there is none.
+    The cold start (a capital presolve) is only built when the warm start
+    fails.
     """
     layout = _Layout(active, ubi=ubi)
 
@@ -576,8 +620,14 @@ def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
             yield layout.start(warm)
         yield _base_start(_cold_start(config, ubi) if base is None else base, config, active, ubi)
 
-    x = _newton(config, layout, starts())
-    return x, _build(config, layout, x)
+    return _newton(config, layout, starts())
+
+
+def _first_best(config: EconomyConfig, *, ubi: float = 0.0,
+                warm: PlannerSolution | _Attempt | None = None) -> _Attempt:
+    """The first best's attempt, unbuilt: ``first_best`` without the solution."""
+    require_valid(config)
+    return _solve_steady(config, (), ubi, warm, None)
 
 
 def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution | None = None) -> PlannerSolution:
@@ -586,12 +636,12 @@ def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution
     The returned slacks report whether that optimum is incentive-compatible;
     negative slack means the corresponding constraint would bind.
     """
-    require_valid(config)
-    return _solve_steady(config, (), ubi, warm, None)[1]
+    return _build(config, _first_best(config, ubi=ubi, warm=warm))
 
 
-def violated_side(fb: PlannerSolution) -> AgentKind:
-    """The type whose incentive constraint a first best violates more.
+def violated_side(fb: PlannerSolution | _Attempt) -> AgentKind:
+    """The type whose incentive constraint a first best (a solution or an
+    attempt) violates more.
 
     At a first best consumption is equal across types, so the sign of
     slack_c - slack_m is the sign of the earnings gap w_m l_m - w_c l_c:
@@ -605,21 +655,24 @@ def violated_side(fb: PlannerSolution) -> AgentKind:
 def solve_steady_state(
     config: EconomyConfig,
     *,
-    warm: PlannerSolution | None = None,
+    warm: PlannerSolution | _Attempt | None = None,
     ubi: float = 0.0,
 ) -> PlannerSolution:
-    """Stationary constrained-efficient allocation via active-set Newton."""
-    require_valid(config)
-    fb_x, fb = _solve_steady(config, (), ubi, warm, None)
+    """Stationary constrained-efficient allocation via active-set Newton.
+
+    ``warm`` is a solved steady state, a PlannerSolution or a first-best
+    attempt.  Only the returned attempt is built into a solution.
+    """
+    fb = _first_best(config, ubi=ubi, warm=warm)
     reason = _rejection(fb, ())
     if reason is None:
-        return fb
+        return _build(config, fb)
 
     first = violated_side(fb)
     ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
-    return _first_admissible(
-        ladder, lambda active: _solve_steady(config, active, ubi, warm, fb_x)[1], [reason]
-    )
+    return _build(config, _first_admissible(
+        ladder, lambda active: _solve_steady(config, active, ubi, warm, fb.x), [reason]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +734,8 @@ def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
     ss_active = _BINDING[ss.regime]
     ladder = sorted(_BINDING.values(), key=lambda active: active != ss_active)
 
-    def solve(active: tuple) -> PlannerSolution:
+    def solve(active: tuple) -> _Attempt:
         layout = _Layout(active, n=n, ends=ends)
-        return _build(config, layout, _newton(config, layout, [layout.start(ss)]))
+        return _newton(config, layout, [layout.start(ss)])
 
-    return _first_admissible(ladder, solve, [])
+    return _build(config, _first_admissible(ladder, solve, []))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .economy import SWEEP_PARAMS, AgentKind, EconomyConfig, validate_config, with_param
 from .errors import ConfigError, DomainError, SolverError, ThresholdRangeError, UbiInfeasibleError
-from .planner import (EPS_C, PlannerSolution, Regime, _rejection, first_best,
+from .planner import (EPS_C, PlannerSolution, Regime, _first_best, _rejection,
                       solve_steady_state, violated_side)
 from .wedges import compute_wedge_report
 
@@ -166,13 +166,18 @@ class ThresholdResult:
 
 
 def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
-                   tol_param: float = 1e-3) -> ThresholdResult:
+                   tol_param: float = 1e-3,
+                   warm: tuple[PlannerSolution, PlannerSolution] | None = None) -> ThresholdResult:
     """Bisect [lo, hi] down to the regime flip, in either endpoint order.
 
     The flip is the sign change of ``violated_side`` at the first best,
     that is of the first-best earnings gap w_c l_c - w_m l_m.  Each probe
-    is one first-best solve warm-started from the bracket's lower end, and
-    the trace records the regime of the side it takes.  Both endpoints'
+    is one first-best attempt warm-started from the bracket's lower end;
+    probes are judged, never built into solutions, and the trace records
+    the regime of the side each one takes.  ``warm``, a pair of solved
+    steady states at ``lo`` and ``hi`` (a sweep's solutions on either side
+    of its flip), warm-starts the ends' first bests; without it the first
+    best at ``lo`` starts cold and the one at ``hi`` from it.  Both ends'
     first bests must violate a constraint, on different sides, otherwise
     ThresholdRangeError.  The final ends are then solved with their
     constraints, which gives the reported solutions and regimes; an end
@@ -189,12 +194,15 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
         )
     if tol_param <= 0.0:
         raise DomainError(f"tol_param must be positive, got {tol_param}")
-    lo, hi = float(min(lo, hi)), float(max(lo, hi))
+    warm_lo, warm_hi = (None, None) if warm is None else warm
+    if lo > hi:
+        lo, hi, warm_lo, warm_hi = hi, lo, warm_hi, warm_lo
+    lo, hi = float(lo), float(hi)
     if lo == hi:
         raise DomainError("bisection endpoints must differ")
 
-    fb_lo = first_best(with_param(config, param, lo))
-    fb_hi = first_best(with_param(config, param, hi), warm=fb_lo)
+    fb_lo = _first_best(with_param(config, param, lo), warm=warm_lo)
+    fb_hi = _first_best(with_param(config, param, hi), warm=fb_lo if warm_hi is None else warm_hi)
     side_lo, side_hi = (
         _SIDE[violated_side(fb)] if _rejection(fb, ()) is not None else Regime.NONE_BIND
         for fb in (fb_lo, fb_hi)
@@ -214,7 +222,7 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
             break
         iterations += 1
         try:
-            fb_mid = first_best(with_param(config, param, mid), warm=fb_lo)
+            fb_mid = _first_best(with_param(config, param, mid), warm=fb_lo)
         except SolverError as exc:
             anomalies.append((mid, f"{type(exc).__name__}: {exc}"))
             break

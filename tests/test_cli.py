@@ -78,6 +78,16 @@ def test_check_assumptions_validates_the_config(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["prefs.beta", "agents.cognitive.pi", "tech.delta_k", "tech.rho_c"])
+def test_a_non_finite_field_is_reported_once(tmp_path, capsys, key):
+    # its range or ordering check would misjudge NaN and name the field again
+    path = edited_cfg(tmp_path, "regime_a.cfg", key, "nan")
+    assert cli.main(["check-assumptions", path, "--out", str(tmp_path / "checks.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: must be finite, got nan" in err
+    assert err.count(key) == 1
+
+
 def test_oracle_verify_validates_the_config(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0

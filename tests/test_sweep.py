@@ -1,18 +1,26 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aitax import apply_ubi, find_threshold, regime_a_economy, sweep, threshold_economy
+from aitax import (apply_ubi, cli, find_threshold, planner, regime_a_economy, regime_b_economy,
+                   solve_steady_state, sweep, threshold_economy)
+from aitax.configio import parse_config
 from aitax.economy import AgentKind
 from aitax.errors import (
     ConfigError,
     DomainError,
+    SolverError,
     ThresholdRangeError,
     UbiInfeasibleError,
 )
 from aitax.planner import Regime
+from aitax.sweep import SweepResult
 from aitax.wedges import compute_wedge_report
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 A_AI_GRID = tuple(np.geomspace(0.1, 1.0, 7))
 
@@ -101,19 +109,140 @@ def test_find_threshold_stops_at_adjacent_floats():
     assert res.hi == np.nextafter(res.lo, np.inf)
 
 
-# exact residual evaluations of the bundled threshold run's two stages
+# exact residual evaluations of the bundled threshold run's sweep, and of a
+# cold search over its whole range (the CLI's fallback when there is no single flip)
 SWEEP_EVALS = 1808
 THRESHOLD_EVALS = 1086
 
 
 def test_residual_evaluations_of_the_threshold_run(count_evals):
-    """``aitax sweep configs/threshold.cfg --param a_AI --lo 0.1 --hi 10
-    --points 25 --log --threshold``, counted exactly.  Warm solves build no
-    cold start, and bisection probes solve only the first best."""
+    """The sweep of ``aitax sweep configs/threshold.cfg --param a_AI --lo 0.1
+    --hi 10 --points 25 --log --threshold`` and a cold search over [0.1, 10],
+    counted exactly.  Warm solves build no cold start, and bisection probes
+    solve only the first best."""
     grid = np.geomspace(0.1, 10.0, 25)
     assert count_evals(lambda: sweep(threshold_economy(), "a_AI", grid)) == SWEEP_EVALS
     evals = count_evals(lambda: find_threshold(threshold_economy(), "a_AI", 0.1, 10.0))
     assert evals == THRESHOLD_EVALS
+
+
+# the bundled run: ``aitax sweep configs/threshold.cfg`` with these arguments
+THRESHOLD_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "10", "--points", "25", "--log",
+                 "--threshold")
+# its exact residual evaluations: the sweep, then bisection of the sweep's own bracket
+THRESHOLD_RUN_EVALS = 2074
+
+
+def run_sweep(tmp_path, config_path) -> tuple[int, dict | None]:
+    """Exit code and bracket payload (None when none was written) of the
+    bundled run's arguments on ``config_path``."""
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", str(config_path), *THRESHOLD_RUN, "--out", str(out)])
+    bracket = tmp_path / "sweep.csv.bracket.json"
+    return rc, json.loads(bracket.read_text())["payload"] if bracket.exists() else None
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record its calls; returns the list of calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, monkeypatch):
+    """Counted exactly.  Only the solutions the solvers return are built
+    (one assumption report each): the 25 grid points and the bracket's two
+    ends, not the rejected first bests or the bisection probes."""
+    builds = count_calls(monkeypatch, planner, "check_assumptions")
+    outcome = []
+    run = lambda: outcome.append(run_sweep(tmp_path, CONFIGS / "threshold.cfg"))
+    assert count_evals(run) == THRESHOLD_RUN_EVALS
+    assert len(builds) == 25 + 2
+    rc, b = outcome[0]
+    assert rc == 0 and b["converged"] and b["iterations"] == 5
+    # inside the sweep's flip between its grid points 0.1468 and 0.1778
+    grid = np.geomspace(0.1, 10.0, 25)
+    assert grid[2] <= b["lo"] < b["hi"] <= grid[3]
+    assert b["hi"] - b["lo"] <= 1e-3
+    assert (b["lo_regime"], b["hi_regime"]) == ("cognitive_binds", "manual_binds")
+
+
+@pytest.mark.parametrize("economy", [regime_a_economy, regime_b_economy, threshold_economy])
+def test_a_steady_solve_builds_one_solution(monkeypatch, economy):
+    """The first best is judged from its multipliers and slacks; a rejected
+    one is never built into a solution."""
+    builds = count_calls(monkeypatch, planner, "check_assumptions")
+    assert solve_steady_state(economy()).regime is not Regime.NONE_BIND
+    assert len(builds) == 1
+
+
+@pytest.fixture(scope="module")
+def cold_bracket():
+    res = find_threshold(threshold_economy(), "a_AI", 0.1, 10.0)
+    return res.lo, res.hi
+
+
+def test_without_a_single_flip_the_search_runs_cold(tmp_path, monkeypatch, cold_bracket):
+    monkeypatch.setattr(SweepResult, "threshold_bracket", property(lambda self: None))
+    searches = count_calls(monkeypatch, cli, "find_threshold")
+    rc, b = run_sweep(tmp_path, CONFIGS / "threshold.cfg")
+    assert rc == 0 and (b["lo"], b["hi"]) == cold_bracket
+    assert [args[2:] for args in searches] == [(0.1, 10.0)]
+
+
+def test_seeded_ends_on_one_side_fall_back_to_the_cold_search(tmp_path, monkeypatch, cold_bracket):
+    # the sweep's last two grid points both lie on the manual side
+    monkeypatch.setattr(SweepResult, "threshold_bracket", property(lambda self: self.values[-2:]))
+    searches = count_calls(monkeypatch, cli, "find_threshold")
+    rc, b = run_sweep(tmp_path, CONFIGS / "threshold.cfg")
+    assert rc == 0 and (b["lo"], b["hi"]) == cold_bracket
+    assert len(searches) == 2 and searches[1][2:] == (0.1, 10.0)
+
+
+# a drawn regime_b-preset economy (bench/fuzz.py, seed 0, draw 14) whose
+# 0.1 end of the bundled a_AI range has no interior solution
+CORNER_END_ECONOMY = """
+agents.cognitive.pi = 0.29793216804159683
+agents.cognitive.z = 1.6051215937873922
+agents.manual.pi = 0.7020678319584032
+agents.manual.z = 1.0125980117566347
+prefs.beta = 0.9503153815985651
+prefs.u_form = log
+prefs.psi = 1.0946886039711965
+prefs.phi = 1.8246332160331882
+tech.form = nest_substitute_cognitive
+tech.a = 2.499936876077294
+tech.mu_top = 0.7004042138894634
+tech.lambda_c = 0.374560258898564
+tech.theta_m = 0.37955748562137903
+tech.sigma_top = -0.23693672015904882
+tech.rho_c = -1.7540892935569385
+tech.rho_m = -1.2747972808195953
+tech.a_ai = 0.22294284287171348
+tech.delta_k = 0.08285069034714886
+tech.delta_ai = 0.130721841515075
+"""
+
+
+def test_the_seeded_search_survives_an_unsolvable_range_end(tmp_path):
+    """A cold search dies on the range end the sweep records as a failure;
+    seeded from the sweep's flip, it never goes there."""
+    config = parse_config(CORNER_END_ECONOMY)
+    with pytest.raises(SolverError):
+        find_threshold(config, "a_AI", 0.1, 10.0)
+    path = tmp_path / "corner.cfg"
+    path.write_text(CORNER_END_ECONOMY)
+    rc, b = run_sweep(tmp_path, path)
+    assert rc == 0 and b["converged"]
+    grid = np.geomspace(0.1, 10.0, 25)
+    assert grid[2] <= b["lo"] < b["hi"] <= grid[3]
+    assert (b["lo_regime"], b["hi_regime"]) == ("cognitive_binds", "manual_binds")
 
 
 def test_find_threshold_endpoint_order_is_irrelevant():
