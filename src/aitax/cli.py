@@ -208,6 +208,12 @@ def _cmd_sweep(args) -> int:
             except ThresholdRangeError:
                 pass  # the ends' first bests violate the same side: search cold below
         if th is None:
+            # a cold search re-solves the range ends: one the sweep failed on cannot bracket
+            for end in (result.points[0], result.points[-1]):
+                if not end.ok:
+                    raise ThresholdRangeError(
+                        f"no single flip, and the range end {args.param}={end.value} "
+                        f"did not solve: {end.error}")
             th = find_threshold(config, args.param, args.lo, args.hi, tol_param=args.tol)
         bracket_path = out + ".bracket.json"
         manifest = _manifest("sweep", _digest(raw), params, started, "ok")

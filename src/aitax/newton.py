@@ -2,8 +2,16 @@
 
 The Jacobian is a forward difference whose columns are grouped
 (Curtis, Powell & Reid 1974): given which residual rows each unknown may
-touch, unknowns that share no row are perturbed together, so one residual
-evaluation fills a whole group.  The residual may be *expanded*: it returns
+touch, unknowns that share no row are perturbed together, so one perturbed
+point fills a whole group.  The groups' points are then evaluated as one
+stack, a (groups x unknowns) array, in a single residual call: with a
+pattern, the residual must take such a stack and return one row of
+residuals per point, each exactly as it would for that point alone.  The
+per-call overhead of a small residual, not its arithmetic, is what a
+grouped Jacobian costs.  Without a pattern the Jacobian stays dense, one
+call per column at one point each: a residual on scalars (a steady
+state's) can round differently on arrays, and stacking its few columns
+saves little.  The residual may be *expanded*: it returns
 more rows than there are unknowns, and an index array folds them, by
 summing, into the Newton rows, both for the residual and for the Jacobian.
 That lets a dense row that is a sum of local terms keep a sparse pattern.
@@ -60,18 +68,30 @@ def _groups(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     return out
 
 
-def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray, groups: list) -> np.ndarray:
-    """Forward-difference Jacobian of ``f`` at x, one evaluation per group.
+def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray, groups: list | None) -> np.ndarray:
+    """Forward-difference Jacobian of ``f`` at x.
 
-    Each column has its own step and reads its entries from its own rows;
-    entries outside the pattern stay zero.
+    Without groups, every column is its own evaluation of ``f`` at one
+    point.  With groups, each group's perturbed point is one row of a
+    stack that ``f`` evaluates in a single call; each column reads its
+    entries from its own rows of its group's residual, and entries
+    outside the pattern stay zero.  Each column has its own step.
     """
     steps = JAC_STEP * np.maximum(1.0, np.abs(x))
+    if groups is None:
+        jac = np.empty((len(r0), len(x)))
+        for j in range(len(x)):
+            xp = x.copy()
+            xp[j] += steps[j]
+            jac[:, j] = (np.asarray(f(xp), dtype=float) - r0) / steps[j]
+        return jac
+    stack = np.tile(x, (len(groups), 1))
+    for point, (cols, _, _) in zip(stack, groups):
+        point[cols] += steps[cols]
+    r = np.asarray(f(stack), dtype=float)
     jac = np.zeros((len(r0), len(x)))
-    for cols, rows, owners in groups:
-        xp = x.copy()
-        xp[cols] += steps[cols]
-        jac[rows, owners] = (np.asarray(f(xp), dtype=float)[rows] - r0[rows]) / steps[owners]
+    for r_g, (_, rows, owners) in zip(r, groups):
+        jac[rows, owners] = (r_g[rows] - r0[rows]) / steps[owners]
     return jac
 
 
@@ -92,14 +112,19 @@ def newton_solve(
     ``fold`` maps each row ``f`` returns to the Newton row it is summed
     into (default: one row per unknown), and ``pattern`` says which of
     those rows each unknown may touch (default: all of them).
+
+    Given ``pattern``, ``f`` must also accept a stack of points, a 2-D
+    array with one point per row, and return their residuals row by row,
+    each bitwise equal to ``f`` at that point alone: each Jacobian is then
+    one call of ``f`` on a stack of one point per column group.  Without
+    it, ``f`` is only ever called on one point, once per column for each
+    Jacobian.
     """
     x = np.asarray(x0, dtype=float).copy()
     m = len(x)
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     fold = np.arange(m) if fold is None else np.asarray(fold)
-    if pattern is None:
-        pattern = np.ones((len(fold), m), dtype=bool)
-    groups = _groups(pattern)
+    groups = None if pattern is None else _groups(pattern)
     # flat index of each expanded Jacobian entry in the folded m x m one
     cells = (fold[:, None] * m + np.arange(m)).ravel()
 

@@ -195,17 +195,21 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     """KKT rows and flow incentive slacks at a candidate.
 
     Scalars are a steady state.  Arrays are an n-period path whose ``k``
-    and ``ai`` hold the n + 1 stocks K_0 .. K_n.  Returns the seven rows
-    named in ``_ROWS``, the cognitive and manual flow slacks, and the chain
-    terms.  The stationary stock rows are the Euler equations divided
-    through by lam; the path's are not.  Keep the steady state on scalars:
-    ``**`` on length-1 arrays can differ from scalar ``**`` in the last bit.
+    and ``ai`` hold the n + 1 stocks K_0 .. K_n; a path may also be a stack
+    of G paths, each entry with a leading axis of G and the multipliers
+    (G, 1) columns, which gives every path the rows it gets alone, bit for
+    bit, since every operation is elementwise along the periods.  Returns
+    the seven rows named in ``_ROWS``, the cognitive and manual flow
+    slacks, and the chain terms.  The stationary stock rows are the Euler
+    equations divided through by lam; the path's are not.  Keep the steady
+    state on scalars: ``**`` on length-1 arrays can differ from scalar
+    ``**`` in the last bit.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
     stationary = np.ndim(lam) == 0
-    k_now, ai_now = (k, ai) if stationary else (k[:-1], ai[:-1])
+    k_now, ai_now = (k, ai) if stationary else (k[..., :-1], ai[..., :-1])
     ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
     ev = ch.ev
 
@@ -223,15 +227,15 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
         ]
     else:
         rows += [
-            lam[:-1] - beta * lam[1:] * ev.mp.fw_k[1:] - beta * ch.x_k[1:],
-            lam[:-1] - beta * lam[1:] * ev.mp.fw_ai[1:] - beta * ch.x_ai[1:],
+            lam[..., :-1] - beta * lam[..., 1:] * ev.mp.fw_k[..., 1:] - beta * ch.x_k[..., 1:],
+            lam[..., :-1] - beta * lam[..., 1:] * ev.mp.fw_ai[..., 1:] - beta * ch.x_ai[..., 1:],
             ev.y
             + (1.0 - tech.delta_k) * k_now
             + (1.0 - tech.delta_ai) * ai_now
             - pi_c * c_c
             - pi_m * c_m
-            - k[1:]
-            - ai[1:]
+            - k[..., 1:]
+            - ai[..., 1:]
             - config.g,
         ]
     slack_c, slack_m = _flow_slacks(prefs, c_c, c_m, l_c, l_m, ch.lt_c, ch.lt_m)
@@ -293,17 +297,25 @@ class _Layout:
         )
 
     def unpack(self, x: np.ndarray) -> tuple:
-        """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m)."""
-        mu_c, mu_m = (0.0 if i is None else x[i] for i in self.mu_at)
+        """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m).
+
+        A path's ``x`` may be a stack of points, one per row: every
+        per-period entry then gains that leading axis, and each multiplier
+        is a column, so that it broadcasts across the periods.
+        """
         if self.stationary:
+            mu_c, mu_m = (0.0 if i is None else x[i] for i in self.mu_at)
             c_c, c_m, l_c, l_m, k, ai, lam = x[:7]
             return c_c + self.ubi, c_m + self.ubi, l_c, l_m, k, ai, lam, mu_c, mu_m
+        mu_c, mu_m = (0.0 if i is None else x[..., i, None] if x.ndim > 1 else x[i]
+                      for i in self.mu_at)
         n = self.n
+        edge = lambda v: np.full(x.shape[:-1] + (1,), v)
         k_0, ai_0, k_n, ai_n = self.ends
-        k = np.concatenate(([k_0], x[4 * n : 5 * n - 1], [k_n]))
-        ai = np.concatenate(([ai_0], x[5 * n - 1 : 6 * n - 2], [ai_n]))
-        return (x[:n], x[n : 2 * n], x[2 * n : 3 * n], x[3 * n : 4 * n], k, ai,
-                x[6 * n - 2 : 7 * n - 2], mu_c, mu_m)
+        k = np.concatenate((edge(k_0), x[..., 4 * n : 5 * n - 1], edge(k_n)), axis=-1)
+        ai = np.concatenate((edge(ai_0), x[..., 5 * n - 1 : 6 * n - 2], edge(ai_n)), axis=-1)
+        return (x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n], x[..., 3 * n : 4 * n], k, ai,
+                x[..., 6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
     def sparsity(self) -> tuple:
         """Jacobian pattern and row fold of the path's expanded residual.
@@ -395,7 +407,8 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
 
     Stationary slack rows stay in flow units.  A path's slack rows are
     expanded: n per-period rows beta**t * slack_t, which the layout's fold
-    sums into the lifetime slack.
+    sums into the lifetime slack.  A path's residual also takes a stack of
+    points, one per row, and returns their residuals row by row.
     """
     imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
     discount = config.prefs.beta ** np.arange(layout.n)
@@ -405,7 +418,7 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
         slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
         if layout.stationary:
             return np.array(rows + slacks)
-        return np.concatenate(rows + [discount * s for s in slacks])
+        return np.concatenate(rows + [discount * s for s in slacks], axis=-1)
 
     return f
 

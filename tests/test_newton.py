@@ -61,9 +61,11 @@ def test_dense_pattern_gives_one_column_per_group():
 
 
 def test_newton_folds_expanded_rows():
-    # x0 - x1 = 1 and (x0) + (x1 - 3) = 0, the second row given as two summed pieces
+    # x0 - x1 = 1 and (x0) + (x1 - 3) = 0, the second row given as two summed
+    # pieces; with a pattern, f evaluates a stack of points, one per row
     def f(x):
-        return np.array([x[0] - x[1] - 1.0, x[0], x[1] - 3.0])
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([x0 - x1 - 1.0, x0, x1 - 3.0], axis=-1)
 
     pattern = np.array([[True, True], [True, False], [False, True]])
     res = newton.newton_solve(f, np.zeros(2), pattern=pattern, fold=np.array([0, 1, 1]))
@@ -90,6 +92,23 @@ def test_grouped_jacobian_is_the_column_by_column_one(transition, name):
     assert not np.any(dense[~pattern])
     grouped = newton._jacobian(f, x, r0, newton._groups(pattern))
     assert np.array_equal(grouped, dense)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
+def test_a_stack_of_points_is_evaluated_row_by_row(transition, name):
+    """The path residual on a stack of points gives each point the rows it
+    gets alone, bit for bit: the stacked Jacobian rests on this."""
+    config, ss = transition
+    active = ACTIVE_SETS[name]
+    layout = path_layout(transition, active, config.horizon)
+    f = planner._residual_fn(config, layout)
+    x0 = layout.start(ss)
+    rng = np.random.default_rng(sorted(ACTIVE_SETS).index(name))
+    stack = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (5, len(x0))))
+    rows = f(stack)
+    assert rows.shape == (len(stack), len(f(x0)))
+    for g, point in enumerate(stack):
+        assert np.array_equal(rows[g], f(point))
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))

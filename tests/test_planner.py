@@ -513,6 +513,15 @@ def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
     assert evals == EVALS_PER_SOLVE["regime_a_t20"]
 
 
+@pytest.mark.parametrize("horizon", [20, 160])
+def test_one_residual_call_per_path_jacobian(horizon, count_evals):
+    """A path Jacobian's grouped columns are one stacked call, so the
+    transition's 172 evaluated points take 102 residual calls at any T."""
+    config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
+    evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=horizon)))
+    assert (evals, count_evals.calls) == (EVALS_PER_SOLVE["regime_a_t20"], 102)
+
+
 # a drawn threshold-preset economy (bench/fuzz.py, seed 0, draw 7) whose
 # first best has no interior steady state: AI is not worth holding there
 REFUSED_ECONOMY = """
