@@ -25,6 +25,7 @@ deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -297,7 +298,9 @@ def _cmd_oracle_verify(args) -> int:
     return EXIT_OK if ok else EXIT_ORACLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="aitax",
         description="Constrained-efficient allocations and tax wedges for a "

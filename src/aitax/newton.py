@@ -1,17 +1,15 @@
 """Damped Newton iteration for square nonlinear systems.
 
 The Jacobian is a forward difference whose columns are grouped
-(Curtis, Powell & Reid 1974): given which residual rows each unknown may
-touch, unknowns that share no row are perturbed together, so one perturbed
-point fills a whole group.  The groups' points are then evaluated as one
-stack, a (groups x unknowns) array, in a single residual call: with a
-pattern, the residual must take such a stack and return one row of
-residuals per point, each exactly as it would for that point alone.  The
-per-call overhead of a small residual, not its arithmetic, is what a
-grouped Jacobian costs.  Without a pattern the Jacobian stays dense, one
-call per column at one point each: a residual on scalars (a steady
-state's) can round differently on arrays, and stacking its few columns
-saves little.  The residual may be *expanded*: it returns
+(Curtis, Powell & Reid 1974): unknowns that share no residual row are
+perturbed together, so one perturbed point fills a whole group.  The
+groups' points are evaluated as one stack, a (groups x unknowns) array, in
+a single residual call, so the residual must take such a stack and return
+one row of residuals per point.  The per-call overhead of a small
+residual, not its arithmetic, is what a Jacobian costs, and that holds for
+a dense one too: without groups every unknown is a group of its own, and a
+steady state's 7-9 columns are still one call, at about a third of the
+cost of one call per column.  The residual may be *expanded*: it returns
 more rows than there are unknowns, and an index array folds them, by
 summing, into the Newton rows, both for the residual and for the Jacobian.
 That lets a dense row that is a sum of local terms keep a sparse pattern.
@@ -24,7 +22,7 @@ deterministic: no randomness, fixed iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,57 +39,40 @@ class NewtonResult:
     iterations: int
 
 
-def _groups(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Column groups of a boolean Jacobian pattern (rows x unknowns).
+class Groups(NamedTuple):
+    """Column groups of a forward-difference Jacobian.
 
-    Columns are taken in order, and each joins the first group none of
-    whose columns touches one of its rows.  Each group is (columns, rows,
-    owners): the columns perturbed together and, for every entry the
-    group's evaluation fills, its row and its column.  A dense pattern puts
-    every column in a group of its own.
+    ``color[j]`` is the group of unknown j; unknowns of one group share no
+    residual row.  ``rows`` and ``owners`` list the entries the groups'
+    evaluations fill, each by its residual row and its unknown.
     """
-    members, taken = [], []  # each group's columns and the rows they touch
-    for j, col in enumerate(pattern.T):
-        touch = np.flatnonzero(col).tolist()
-        for cols, used in zip(members, taken):
-            if used.isdisjoint(touch):
-                cols.append(j)
-                used.update(touch)
-                break
-        else:
-            members.append([j])
-            taken.append(set(touch))
-    out = []
-    for cols in map(np.array, members):
-        rows, k = np.nonzero(pattern[:, cols])
-        out.append((cols, rows, cols[k]))
-    return out
+
+    color: np.ndarray
+    rows: np.ndarray
+    owners: np.ndarray
 
 
-def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray, groups: list | None) -> np.ndarray:
+def dense_groups(n_rows: int, m: int) -> Groups:
+    """Every unknown in a group of its own, every entry filled."""
+    rows, owners = np.divmod(np.arange(n_rows * m), m)
+    return Groups(np.arange(m), rows, owners)
+
+
+def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray, groups: Groups) -> np.ndarray:
     """Forward-difference Jacobian of ``f`` at x.
 
-    Without groups, every column is its own evaluation of ``f`` at one
-    point.  With groups, each group's perturbed point is one row of a
-    stack that ``f`` evaluates in a single call; each column reads its
-    entries from its own rows of its group's residual, and entries
-    outside the pattern stay zero.  Each column has its own step.
+    Each group's perturbed point is one row of a stack that ``f``
+    evaluates in a single call; each listed entry is read from its own row
+    of its column's group, and every other entry stays zero.  Each column
+    has its own step.
     """
+    color, rows, owners = groups
     steps = JAC_STEP * np.maximum(1.0, np.abs(x))
-    if groups is None:
-        jac = np.empty((len(r0), len(x)))
-        for j in range(len(x)):
-            xp = x.copy()
-            xp[j] += steps[j]
-            jac[:, j] = (np.asarray(f(xp), dtype=float) - r0) / steps[j]
-        return jac
-    stack = np.tile(x, (len(groups), 1))
-    for point, (cols, _, _) in zip(stack, groups):
-        point[cols] += steps[cols]
+    stack = np.tile(x, (color.max() + 1, 1))
+    stack[color, np.arange(len(x))] += steps
     r = np.asarray(f(stack), dtype=float)
     jac = np.zeros((len(r0), len(x)))
-    for r_g, (_, rows, owners) in zip(r, groups):
-        jac[rows, owners] = (r_g[rows] - r0[rows]) / steps[owners]
+    jac[rows, owners] = (r[color[owners], rows] - r0[rows]) / steps[owners]
     return jac
 
 
@@ -102,7 +83,7 @@ def newton_solve(
     tol: float = 1e-10,
     max_iter: int = MAX_ITER,
     lower: np.ndarray | None = None,
-    pattern: np.ndarray | None = None,
+    groups: Groups | None = None,
     fold: np.ndarray | None = None,
 ) -> NewtonResult:
     """Solve f(x) = 0 by damped Newton from x0.
@@ -110,21 +91,21 @@ def newton_solve(
     ``lower`` gives hard lower bounds per component (-inf where free); steps
     are shortened so iterates keep a 0.5% distance-to-bound margin.
     ``fold`` maps each row ``f`` returns to the Newton row it is summed
-    into (default: one row per unknown), and ``pattern`` says which of
-    those rows each unknown may touch (default: all of them).
+    into (default: one row per unknown), and ``groups`` are the Jacobian's
+    column groups (default: dense, one unknown per group).
 
-    Given ``pattern``, ``f`` must also accept a stack of points, a 2-D
-    array with one point per row, and return their residuals row by row,
-    each bitwise equal to ``f`` at that point alone: each Jacobian is then
-    one call of ``f`` on a stack of one point per column group.  Without
-    it, ``f`` is only ever called on one point, once per column for each
-    Jacobian.
+    ``f`` takes one point, a 1-D array, and also a stack of points, a 2-D
+    array with one point per row, whose residuals it returns row by row:
+    each Jacobian is one call of ``f`` on a stack of one point per group.
+    A stacked row may differ from the one-point row in the last bits (a
+    steady state's single points are evaluated on scalars); the forward
+    difference divides that by its step, which leaves it below the
+    difference's own truncation error.
     """
     x = np.asarray(x0, dtype=float).copy()
     m = len(x)
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     fold = np.arange(m) if fold is None else np.asarray(fold)
-    groups = None if pattern is None else _groups(pattern)
     # flat index of each expanded Jacobian entry in the folded m x m one
     cells = (fold[:, None] * m + np.arange(m)).ravel()
 
@@ -140,6 +121,7 @@ def newton_solve(
     if not np.all(np.isfinite(r)):
         return NewtonResult(x, np.inf, False, 0)
     norm = float(np.max(np.abs(r)))
+    groups = dense_groups(len(r_exp), m) if groups is None else groups
 
     for it in range(1, max_iter + 1):
         if norm <= tol:

@@ -51,7 +51,7 @@ from .errors import (
     NoRegimeFoundError,
     SolverError,
 )
-from .newton import newton_solve
+from .newton import Groups, newton_solve
 from .preferences import nu_eval, nu_prime, u_eval, u_prime
 from .production import (
     AssumptionReport,
@@ -194,21 +194,24 @@ def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
 def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     """KKT rows and flow incentive slacks at a candidate.
 
-    Scalars are a steady state.  Arrays are an n-period path whose ``k``
-    and ``ai`` hold the n + 1 stocks K_0 .. K_n; a path may also be a stack
-    of G paths, each entry with a leading axis of G and the multipliers
-    (G, 1) columns, which gives every path the rows it gets alone, bit for
-    bit, since every operation is elementwise along the periods.  Returns
-    the seven rows named in ``_ROWS``, the cognitive and manual flow
-    slacks, and the chain terms.  The stationary stock rows are the Euler
-    equations divided through by lam; the path's are not.  Keep the steady
-    state on scalars: ``**`` on length-1 arrays can differ from scalar
-    ``**`` in the last bit.
+    A steady state holds as many stocks as periods: scalars for one point,
+    or (G,) arrays for a stack of G points.  A path has one stock more than
+    periods: arrays of n periods whose ``k`` and ``ai`` hold the n + 1
+    stocks K_0 .. K_n, or a stack of G paths, each entry with a leading
+    axis of G and the multipliers (G, 1) columns.  A stacked path's rows are
+    bit for bit the rows each path gets alone, since every operation is
+    elementwise along the periods; a stacked steady state's can differ from
+    its scalar rows in the last bits (array and scalar ``**`` round apart).
+    One point stays on scalars: a 1-point array call costs about three
+    times a scalar one.  Returns the seven rows named in ``_ROWS``, the
+    cognitive and manual flow slacks, and the chain terms.  The stationary
+    stock rows are the Euler equations divided through by lam; the path's
+    are not.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
-    stationary = np.ndim(lam) == 0
+    stationary = np.shape(k) == np.shape(lam)
     k_now, ai_now = (k, ai) if stationary else (k[..., :-1], ai[..., :-1])
     ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
     ev = ch.ev
@@ -251,8 +254,9 @@ def _lifetime(beta: float, flow) -> float:
 
 
 def _periods(*arrays):
-    """Stored per-period arrays as the kernel takes them: numpy scalars for a steady
-    state (on Python floats the ratio gradient's complex step rounds differently)."""
+    """Stored per-period arrays as the kernel takes them: numpy scalars for a
+    steady state, the one-point form the Newton residual evaluates (Python
+    floats would round the ratio gradient's complex step differently)."""
     if len(arrays[0]) == 1:
         return tuple(v[0] for v in arrays)
     return arrays
@@ -299,13 +303,15 @@ class _Layout:
     def unpack(self, x: np.ndarray) -> tuple:
         """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m).
 
-        A path's ``x`` may be a stack of points, one per row: every
-        per-period entry then gains that leading axis, and each multiplier
+        ``x`` may be a stack of points, one per row.  A steady state's
+        entries are then its columns, (G,) arrays, and scalars otherwise.  A
+        path's per-period entries gain the leading axis, and each multiplier
         is a column, so that it broadcasts across the periods.
         """
         if self.stationary:
-            mu_c, mu_m = (0.0 if i is None else x[i] for i in self.mu_at)
-            c_c, c_m, l_c, l_m, k, ai, lam = x[:7]
+            cols = x.T
+            mu_c, mu_m = (0.0 if i is None else cols[i] for i in self.mu_at)
+            c_c, c_m, l_c, l_m, k, ai, lam = cols[:7]
             return c_c + self.ubi, c_m + self.ubi, l_c, l_m, k, ai, lam, mu_c, mu_m
         mu_c, mu_m = (0.0 if i is None else x[..., i, None] if x.ndim > 1 else x[i]
                       for i in self.mu_at)
@@ -317,27 +323,40 @@ class _Layout:
         return (x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n], x[..., 3 * n : 4 * n], k, ai,
                 x[..., 6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
-    def sparsity(self) -> tuple:
-        """Jacobian pattern and row fold of the path's expanded residual.
+    def jacobian_groups(self) -> tuple:
+        """Jacobian column groups and row fold of the path's expanded residual.
 
         Every unknown and every expanded row has a period: a stock K_t's is
         t, and the Euler row linking t to t + 1 has period t.  A row can
         depend on an unknown of its own period or of the next one; the
-        multipliers touch every row.  The fold sums each active slack's n
-        per-period rows into its one Newton row.  A steady state has
-        neither (None, None): its rows are dense and not expanded.
+        multipliers touch every row.  So unknowns of one kind two periods
+        apart share no row: each kind's unknowns go to two groups by the
+        parity of their period, and each multiplier to a group of its own.
+        The fold sums each active slack's n per-period rows into its one
+        Newton row.  A steady state has neither (None, None): its Jacobian
+        is dense and its rows are not expanded.
         """
         if self.stationary:
             return None, None
         n, active = self.n, len(self.active)
         per, inner = np.arange(n), np.arange(1, n)
-        col = np.concatenate([per] * 4 + [inner] * 2 + [per, np.full(active, -1)])
-        row = np.concatenate([per] * 4 + [per[:-1]] * 2 + [per] * (1 + active))
-        lag = col - row[:, None]
-        pattern = (lag == 0) | (lag == 1) | (col < 0)
         head = 7 * n - 2
-        fold = np.concatenate([np.arange(head), np.repeat(head + np.arange(active), n)])
-        return pattern, fold
+        kind = np.repeat(np.arange(7), self.sizes)
+        period = np.concatenate([per] * 4 + [inner] * 2 + [per])
+        row = np.concatenate([per] * 4 + [per[:-1]] * 2 + [per] * (1 + active))
+        # each kind's unknown of each period (-1: none); a row's entries are
+        # those of its own period and of the next, and every multiplier
+        at = np.full((7, n + 1), -1)
+        at[kind, period] = np.arange(head)
+        owner = np.concatenate([at[:, row], at[:, row + 1]])
+        hit = owner >= 0
+        mus = head + np.arange(active)
+        rows = np.concatenate([np.nonzero(hit)[1], np.repeat(np.arange(len(row)), active)])
+        owners = np.concatenate([owner[hit], np.tile(mus, len(row))])
+        _, color = np.unique(2 * kind + period % 2, return_inverse=True)
+        color = np.concatenate([color, color.max() + 1 + np.arange(active)])
+        fold = np.concatenate([np.arange(head), np.repeat(mus, n)])
+        return Groups(color, rows, owners), fold
 
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
@@ -407,7 +426,7 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
 
     Stationary slack rows stay in flow units.  A path's slack rows are
     expanded: n per-period rows beta**t * slack_t, which the layout's fold
-    sums into the lifetime slack.  A path's residual also takes a stack of
+    sums into the lifetime slack.  The residual also takes a stack of
     points, one per row, and returns their residuals row by row.
     """
     imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
@@ -417,7 +436,7 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
         rows, slack_c, slack_m, _ = _kkt(config, *layout.unpack(x))
         slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
         if layout.stationary:
-            return np.array(rows + slacks)
+            return np.array(rows + slacks).T
         return np.concatenate(rows + [discount * s for s in slacks], axis=-1)
 
     return f
@@ -431,11 +450,11 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     """
     f = _residual_fn(config, layout)
     lower = layout.lower()
-    pattern, fold = layout.sparsity()
+    groups, fold = layout.jacobian_groups()
     for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
-                           pattern=pattern, fold=fold)
+                           groups=groups, fold=fold)
         if res.converged:
             return _judge(config, layout, res.x)
     raise NoInteriorSolutionError(
@@ -457,15 +476,17 @@ def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
     overflow it to inf.  The residual is then infinite, which Newton's line
     search rejects like any other non-finite trial.  The KKT solves need no
     such barrier: their lower bounds keep every unknown strictly positive.
+    A stack with any such point is all infinite, so its Jacobian fails.
     """
     beta, tech = config.prefs.beta, config.tech
 
     def f(u):
-        k, ai = np.exp(u)
-        if not (0.0 < k < np.inf and 0.0 < ai < np.inf):
-            return np.full(2, np.inf)
+        stocks = np.exp(u)
+        if not np.all((0.0 < stocks) & (stocks < np.inf)):
+            return np.full(np.shape(u), np.inf)
+        k, ai = stocks.T
         mp = marginal_products(tech, el_c, el_m, k, ai)
-        return np.array([beta * mp.fw_k - 1.0, beta * mp.fw_ai - 1.0])
+        return np.array([beta * mp.fw_k - 1.0, beta * mp.fw_ai - 1.0]).T
 
     grid = np.linspace(np.log(1e-3), np.log(1e4), 25)
     kk, aa = np.meshgrid(grid, grid, indexing="ij")

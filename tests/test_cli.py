@@ -352,3 +352,34 @@ def test_oracle_verify_recomputes_the_stored_objective(tmp_path, capsys):
     assert report["kkt_ok"] is True and report["regime_ok"] is True
     assert report["objective_ok"] is False
     assert "recomputed" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """``main`` builds its parser once per process.  Reused, it gives the
+    same help text and usage error each time, and no option of one call
+    leaks into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    helps, errors = [], []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert helps[0] == helps[1] and "oracle-verify" in helps[0]
+    assert errors[0] == errors[1] and "required: config" in errors[0]
+
+    csv_out, json_out = tmp_path / "sol.csv", tmp_path / "sol.json"
+    runs = [
+        (["check-assumptions", cfg("cobb_douglas.cfg"), "--out", str(tmp_path / "cd.json")], 1),
+        (["solve", cfg("regime_a.cfg"), "--format", "csv", "--out", str(csv_out)], 0),
+        (["solve", cfg("regime_a.cfg"), "--out", str(json_out)], 0),
+        (["check-assumptions", "no/such/file.cfg"], 2),
+        (["check-assumptions", cfg("regime_a.cfg"), "--out", str(tmp_path / "ra.json")], 0),
+    ]
+    assert [cli.main(argv) for argv, _ in runs] == [rc for _, rc in runs]
+    assert csv_out.read_text().startswith("t,")
+    assert json.loads(json_out.read_text())["payload"]["regime"] == "cognitive_binds"

@@ -489,6 +489,11 @@ EVALS_PER_SOLVE = {
     "symmetric": 51, "regime_a": 91, "regime_b": 91, "threshold": 95, "cobb_douglas": 54,
     "regime_a_t20": 172,
 }
+# and the residual calls they take: every Jacobian, dense or grouped, is one call
+CALLS_PER_SOLVE = {
+    "symmetric": 18, "regime_a": 29, "regime_b": 29, "threshold": 32, "cobb_douglas": 20,
+    "regime_a_t20": 40,
+}
 
 
 def solve(config):
@@ -502,7 +507,8 @@ def test_residual_evaluations_per_solve(name, count_evals):
     """Solver work, counted exactly: a change to the residuals or the start
     schedule that moves the Newton path shows up here."""
     config, _ = load_config(CONFIGS / f"{name}.cfg")
-    assert count_evals(lambda: solve(config)) == EVALS_PER_SOLVE[name]
+    evals = count_evals(lambda: solve(config))
+    assert (evals, count_evals.calls) == (EVALS_PER_SOLVE[name], CALLS_PER_SOLVE[name])
 
 
 def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
@@ -515,11 +521,13 @@ def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
 
 @pytest.mark.parametrize("horizon", [20, 160])
 def test_one_residual_call_per_path_jacobian(horizon, count_evals):
-    """A path Jacobian's grouped columns are one stacked call, so the
-    transition's 172 evaluated points take 102 residual calls at any T."""
+    """A path Jacobian's grouped columns are one stacked call, and so are
+    the dense Jacobians of the steady state the path ends at, so the
+    transition's 172 evaluated points take 40 residual calls at any T."""
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
     evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=horizon)))
-    assert (evals, count_evals.calls) == (EVALS_PER_SOLVE["regime_a_t20"], 102)
+    assert (evals, count_evals.calls) == (EVALS_PER_SOLVE["regime_a_t20"],
+                                          CALLS_PER_SOLVE["regime_a_t20"])
 
 
 # a drawn threshold-preset economy (bench/fuzz.py, seed 0, draw 7) whose

@@ -129,8 +129,10 @@ def test_residual_evaluations_of_the_threshold_run(count_evals):
 # the bundled run: ``aitax sweep configs/threshold.cfg`` with these arguments
 THRESHOLD_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "10", "--points", "25", "--log",
                  "--threshold")
-# its exact residual evaluations: the sweep, then bisection of the sweep's own bracket
+# its exact residual evaluations: the sweep, then bisection of the sweep's own
+# bracket; and the residual calls they take, one per Jacobian and line-search trial
 THRESHOLD_RUN_EVALS = 2074
+THRESHOLD_RUN_CALLS = 545
 
 
 def run_sweep(tmp_path, config_path) -> tuple[int, dict | None]:
@@ -162,7 +164,7 @@ def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, mon
     builds = count_calls(monkeypatch, planner, "check_assumptions")
     outcome = []
     run = lambda: outcome.append(run_sweep(tmp_path, CONFIGS / "threshold.cfg"))
-    assert count_evals(run) == THRESHOLD_RUN_EVALS
+    assert (count_evals(run), count_evals.calls) == (THRESHOLD_RUN_EVALS, THRESHOLD_RUN_CALLS)
     assert len(builds) == 25 + 2
     rc, b = outcome[0]
     assert rc == 0 and b["converged"] and b["iterations"] == 5
