@@ -101,6 +101,10 @@ def newton_solve(
     steady state's single points are evaluated on scalars); the forward
     difference divides that by its step, which leaves it below the
     difference's own truncation error.
+
+    ``f`` signals a point outside its domain by a non-finite residual,
+    which fails a start and rejects a line-search trial.  An exception
+    that ``f`` raises is a bug in ``f``, and it propagates.
     """
     x = np.asarray(x0, dtype=float).copy()
     m = len(x)
@@ -114,10 +118,7 @@ def newton_solve(
         expanded = np.asarray(f(x), dtype=float)
         return expanded, np.bincount(fold, weights=expanded, minlength=m)
 
-    try:
-        r_exp, r = residual(x)
-    except (FloatingPointError, ZeroDivisionError, OverflowError, ValueError):
-        return NewtonResult(x, np.inf, False, 0)
+    r_exp, r = residual(x)
     if not np.all(np.isfinite(r)):
         return NewtonResult(x, np.inf, False, 0)
     norm = float(np.max(np.abs(r)))
@@ -148,10 +149,7 @@ def newton_solve(
         for _ in range(MAX_HALVINGS):
             x_try = x + alpha * dx
             with np.errstate(all="ignore"):
-                try:
-                    r_exp_try, r_try = residual(x_try)
-                except (FloatingPointError, ZeroDivisionError, OverflowError, ValueError):
-                    r_try = np.array([np.inf])
+                r_exp_try, r_try = residual(x_try)
             if np.all(np.isfinite(r_try)):
                 norm_try = float(np.max(np.abs(r_try)))
                 if norm_try < norm:

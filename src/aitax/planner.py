@@ -16,9 +16,10 @@ multiplier as an unknown, and accept the first regime that converges with
 an admissible multiplier and a slack other constraint.  Regimes are tried
 most-violated first, then the other single constraint, then both.
 
-One KKT kernel (``_kkt``) writes the first-order conditions for both the
-steady state and the finite-horizon path; the Newton residuals and the
-public ``foc_residuals`` both evaluate it.
+One KKT kernel (``_kkt``) writes each first-order condition once, for the
+steady state and the finite-horizon path alike: a steady state is the path
+whose next period is itself.  The Newton residuals and the public
+``foc_residuals`` both evaluate it.
 
 A regime's steady state gets at most two Newton starts, a warm solution
 and then one base start (the first best's vector, or a cold start from a
@@ -194,53 +195,46 @@ def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
 def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     """KKT rows and flow incentive slacks at a candidate.
 
-    A steady state holds as many stocks as periods: scalars for one point,
-    or (G,) arrays for a stack of G points.  A path has one stock more than
-    periods: arrays of n periods whose ``k`` and ``ai`` hold the n + 1
-    stocks K_0 .. K_n, or a stack of G paths, each entry with a leading
-    axis of G and the multipliers (G, 1) columns.  A stacked path's rows are
-    bit for bit the rows each path gets alone, since every operation is
-    elementwise along the periods; a stacked steady state's can differ from
-    its scalar rows in the last bits (array and scalar ``**`` round apart).
-    One point stays on scalars: a 1-point array call costs about three
-    times a scalar one.  Returns the seven rows named in ``_ROWS``, the
-    cognitive and manual flow slacks, and the chain terms.  The stationary
-    stock rows are the Euler equations divided through by lam; the path's
-    are not.
+    A path has one stock more than periods: arrays of n periods whose ``k``
+    and ``ai`` hold the n + 1 stocks K_0 .. K_n, or a stack of G paths,
+    each entry with a leading axis of G and the multipliers (G, 1) columns.
+    A steady state is the path whose next period is itself: it holds as
+    many stocks as periods, scalars for one point or (G,) arrays for a
+    stack of G points.  So ``now`` drops a path's last period and ``nxt``
+    its first, and both leave a steady state as it is; every row is then
+    written once.  The stock rows are the Euler equations divided through
+    by next period's lam, which makes a steady state's lam/lam exactly 1.
+    A stacked path's rows are bit for bit the rows each path gets alone,
+    since every operation is elementwise along the periods; a stacked
+    steady state's can differ from its scalar rows in the last bits (array
+    and scalar ``**`` round apart).  One point stays on scalars: a 1-point
+    array call costs about four times a scalar one.  Returns the seven rows
+    named in ``_ROWS``, the cognitive and manual flow slacks, and the chain
+    terms.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
-    stationary = np.shape(k) == np.shape(lam)
-    k_now, ai_now = (k, ai) if stationary else (k[..., :-1], ai[..., :-1])
+    if np.shape(k) == np.shape(lam):
+        now = nxt = lambda v: v
+    else:
+        now, nxt = (lambda v: v[..., :-1]), (lambda v: v[..., 1:])
+    k_now, ai_now = now(k), now(ai)
     ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
     ev = ch.ev
-
+    lam_ratio = now(lam) / nxt(lam)
     rows = [
         u_prime(prefs, c_c) * (pi_c + mu_c - mu_m) - lam * pi_c,
         u_prime(prefs, c_m) * (pi_m + mu_m - mu_c) - lam * pi_m,
         -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c,
         -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m,
+        lam_ratio - beta * nxt(ev.mp.fw_k) - beta * nxt(ch.x_k) / nxt(lam),
+        lam_ratio - beta * nxt(ev.mp.fw_ai) - beta * nxt(ch.x_ai) / nxt(lam),
+        ev.y - pi_c * c_c - pi_m * c_m
+        - (nxt(k) - k_now + tech.delta_k * k_now)
+        - (nxt(ai) - ai_now + tech.delta_ai * ai_now)
+        - config.g,
     ]
-    if stationary:
-        rows += [
-            1.0 - beta * ev.mp.fw_k - beta * ch.x_k / lam,
-            1.0 - beta * ev.mp.fw_ai - beta * ch.x_ai / lam,
-            ev.y - pi_c * c_c - pi_m * c_m - tech.delta_k * k - tech.delta_ai * ai - config.g,
-        ]
-    else:
-        rows += [
-            lam[..., :-1] - beta * lam[..., 1:] * ev.mp.fw_k[..., 1:] - beta * ch.x_k[..., 1:],
-            lam[..., :-1] - beta * lam[..., 1:] * ev.mp.fw_ai[..., 1:] - beta * ch.x_ai[..., 1:],
-            ev.y
-            + (1.0 - tech.delta_k) * k_now
-            + (1.0 - tech.delta_ai) * ai_now
-            - pi_c * c_c
-            - pi_m * c_m
-            - k[..., 1:]
-            - ai[..., 1:]
-            - config.g,
-        ]
     slack_c, slack_m = _flow_slacks(prefs, c_c, c_m, l_c, l_m, ch.lt_c, ch.lt_m)
     return rows, slack_c, slack_m, ch
 
@@ -280,16 +274,14 @@ class _Layout:
     """Where each unknown of one regime's Newton system sits in the vector x.
 
     A steady state (``ends`` is None) has seven scalars, (c_c, c_m, l_c,
-    l_m, k, ai, lam), with consumption stored net of the uniform transfer
-    ``ubi``.  An n-period path with boundary stocks ``ends = (k_0, ai_0,
-    k_n, ai_n)`` has per-period consumptions, labors and lam, and the
-    interior stocks K_1 .. K_{n-1} and AI_1 .. AI_{n-1}.  One multiplier
-    per active constraint, cognitive first, closes the vector.
+    l_m, k, ai, lam).  An n-period path with boundary stocks ``ends =
+    (k_0, ai_0, k_n, ai_n)`` has per-period consumptions, labors and lam,
+    and the interior stocks K_1 .. K_{n-1} and AI_1 .. AI_{n-1}.  One
+    multiplier per active constraint, cognitive first, closes the vector.
     """
 
-    def __init__(self, active: tuple, *, ubi: float = 0.0, n: int = 1, ends=None):
+    def __init__(self, active: tuple, *, n: int = 1, ends=None):
         self.active = active
-        self.ubi = ubi
         self.n = n
         self.ends = ends
         self.stationary = ends is None
@@ -311,8 +303,7 @@ class _Layout:
         if self.stationary:
             cols = x.T
             mu_c, mu_m = (0.0 if i is None else cols[i] for i in self.mu_at)
-            c_c, c_m, l_c, l_m, k, ai, lam = cols[:7]
-            return c_c + self.ubi, c_m + self.ubi, l_c, l_m, k, ai, lam, mu_c, mu_m
+            return (*cols[:7], mu_c, mu_m)
         mu_c, mu_m = (0.0 if i is None else x[..., i, None] if x.ndim > 1 else x[i]
                       for i in self.mu_at)
         n = self.n
@@ -369,10 +360,7 @@ class _Layout:
         otherwise seeded with a small positive guess.
         """
         c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = _steady_point(warm)
-        head = (
-            max(float(c_c) - self.ubi, EPS_C), max(float(c_m) - self.ubi, EPS_C),
-            float(l_c), float(l_m), float(k), float(ai), float(lam),
-        )
+        head = tuple(float(v) for v in (c_c, c_m, l_c, l_m, k, ai, lam))
         stored = {AgentKind.COGNITIVE: mu_c, AgentKind.MANUAL: mu_m}
         mus = [stored[kind] if stored[kind] > 0.0 else _MU_INIT_FRACTION * 0.5
                for kind in self.active]
@@ -503,7 +491,7 @@ def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
     return None
 
 
-def _cold_start(config: EconomyConfig, ubi: float) -> np.ndarray:
+def _cold_start(config: EconomyConfig) -> np.ndarray:
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
     pi_m, z_m = config.manual.pi, config.manual.z
     l0 = 0.5
@@ -514,16 +502,14 @@ def _cold_start(config: EconomyConfig, ubi: float) -> np.ndarray:
     y = output(config.tech, el_c, el_m, k0, ai0)
     spend = y - config.tech.delta_k * k0 - config.tech.delta_ai * ai0 - config.g
     c0 = spend if spend > 0.05 * y else 0.05 * y
-    cb = max(c0 - ubi, 0.05 * c0)
-    lam0 = float(u_prime(config.prefs, cb + ubi))
-    return np.array([cb, cb, l0, l0, k0, ai0, lam0])
+    return np.array([c0, c0, l0, l0, k0, ai0, float(u_prime(config.prefs, c0))])
 
 
-def _base_start(base: np.ndarray, config: EconomyConfig, active: tuple, ubi: float) -> np.ndarray:
+def _base_start(base: np.ndarray, config: EconomyConfig, active: tuple) -> np.ndarray:
     """Start from a first-best or cold vector: its allocation, lam reset to
     u'(c_c), and each active multiplier seeded with a small positive guess."""
     x = base.copy()
-    x[6] = float(u_prime(config.prefs, max(x[0] + ubi, EPS_C)))
+    x[6] = float(u_prime(config.prefs, max(x[0], EPS_C)))
     mu0 = _MU_INIT_FRACTION * min(config.cognitive.pi, config.manual.pi)
     return np.concatenate([x, np.full(len(active), mu0)])
 
@@ -638,7 +624,7 @@ def _first_admissible(ladder: list, solve, failures: list) -> _Attempt:
     raise NoRegimeFoundError("; ".join(failures))
 
 
-def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
+def _solve_steady(config: EconomyConfig, active: tuple,
                   warm: PlannerSolution | _Attempt | None, base: np.ndarray | None) -> _Attempt:
     """Steady-state attempt with ``active`` imposed.
 
@@ -647,30 +633,30 @@ def _solve_steady(config: EconomyConfig, active: tuple, ubi: float,
     The cold start (a capital presolve) is only built when the warm start
     fails.
     """
-    layout = _Layout(active, ubi=ubi)
+    layout = _Layout(active)
 
     def starts():
         if warm is not None and warm.stationary:
             yield layout.start(warm)
-        yield _base_start(_cold_start(config, ubi) if base is None else base, config, active, ubi)
+        yield _base_start(_cold_start(config) if base is None else base, config, active)
 
     return _newton(config, layout, starts())
 
 
-def _first_best(config: EconomyConfig, *, ubi: float = 0.0,
-                warm: PlannerSolution | _Attempt | None = None) -> _Attempt:
+def _first_best(config: EconomyConfig, *, warm: PlannerSolution | _Attempt | None = None) -> _Attempt:
     """The first best's attempt, unbuilt: ``first_best`` without the solution."""
     require_valid(config)
-    return _solve_steady(config, (), ubi, warm, None)
+    return _solve_steady(config, (), warm, None)
 
 
-def first_best(config: EconomyConfig, *, ubi: float = 0.0, warm: PlannerSolution | None = None) -> PlannerSolution:
-    """Planner optimum ignoring both incentive constraints.
+def first_best(config: EconomyConfig, *, warm: PlannerSolution | None = None) -> PlannerSolution:
+    """Steady-state planner optimum ignoring both incentive constraints.
 
-    The returned slacks report whether that optimum is incentive-compatible;
+    ``warm`` is a solved steady state to start Newton from.  The returned
+    slacks report whether that optimum is incentive-compatible;
     negative slack means the corresponding constraint would bind.
     """
-    return _build(config, _first_best(config, ubi=ubi, warm=warm))
+    return _build(config, _first_best(config, warm=warm))
 
 
 def violated_side(fb: PlannerSolution | _Attempt) -> AgentKind:
@@ -686,18 +672,14 @@ def violated_side(fb: PlannerSolution | _Attempt) -> AgentKind:
     return AgentKind.COGNITIVE if fb.slack_c <= fb.slack_m else AgentKind.MANUAL
 
 
-def solve_steady_state(
-    config: EconomyConfig,
-    *,
-    warm: PlannerSolution | _Attempt | None = None,
-    ubi: float = 0.0,
-) -> PlannerSolution:
+def solve_steady_state(config: EconomyConfig, *,
+                       warm: PlannerSolution | _Attempt | None = None) -> PlannerSolution:
     """Stationary constrained-efficient allocation via active-set Newton.
 
     ``warm`` is a solved steady state, a PlannerSolution or a first-best
     attempt.  Only the returned attempt is built into a solution.
     """
-    fb = _first_best(config, ubi=ubi, warm=warm)
+    fb = _first_best(config, warm=warm)
     reason = _rejection(fb, ())
     if reason is None:
         return _build(config, fb)
@@ -705,7 +687,7 @@ def solve_steady_state(
     first = violated_side(fb)
     ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
     return _build(config, _first_admissible(
-        ladder, lambda active: _solve_steady(config, active, ubi, warm, fb.x), [reason]
+        ladder, lambda active: _solve_steady(config, active, warm, fb.x), [reason]
     ))
 
 

@@ -12,9 +12,8 @@ earnings, and solves the constrained problem only at the bracket's ends.
 ``apply_ubi`` decomposes consumption as c-tilde = c-bar + ubi with the
 uniform component entering feasibility through total consumption.  A
 common planner undoes any uniform transfer one-for-one while interior,
-so the solved c-tilde allocation matches the no-transfer solution; the
-function exists to verify that neutrality and to bound the feasible
-transfer size.
+so the c-tilde allocation is the no-transfer solution; the function
+returns it once it has bounded the feasible transfer size.
 """
 
 from __future__ import annotations
@@ -247,17 +246,16 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
 def apply_ubi(config: EconomyConfig, ubi: float) -> PlannerSolution:
     """Stationary solve with consumption decomposed as c-tilde = c-bar + ubi.
 
-    Returns the solution in c-tilde terms; the floor component of type h
-    is ``c_tilde_h - ubi``.  With ubi = 0 this is exactly
-    ``solve_steady_state(config)`` (the same object).  Raises
-    UbiInfeasibleError when the transfer leaves no room for a positive
-    floor, i.e. ubi is not strictly below the smallest optimal c-tilde.
+    Returns the solution in c-tilde terms, which is
+    ``solve_steady_state(config)`` for every feasible ubi: the planner
+    offsets the transfer one-for-one in c-bar, so the floor component of
+    type h is ``c_tilde_h - ubi``.  Raises UbiInfeasibleError when the
+    transfer leaves no room for a positive floor, i.e. ubi is not strictly
+    below the smallest optimal c-tilde.
     """
     if not np.isfinite(ubi) or ubi < 0.0:
         raise DomainError(f"ubi must be a finite nonnegative number, got {ubi}")
     baseline = solve_steady_state(config)
-    if ubi == 0.0:
-        return baseline
     a = baseline.allocation
     c_min = min(float(a.c_c[0]), float(a.c_m[0]))
     if ubi >= c_min - 10.0 * EPS_C:
@@ -265,4 +263,4 @@ def apply_ubi(config: EconomyConfig, ubi: float) -> PlannerSolution:
             f"ubi = {ubi} leaves no interior floor: smallest optimal "
             f"consumption is {c_min:.6g}"
         )
-    return solve_steady_state(config, warm=baseline, ubi=ubi)
+    return baseline

@@ -143,6 +143,22 @@ def test_newton_folds_expanded_rows():
     np.testing.assert_allclose(res.x, [2.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("where", ["start", "line search"])
+def test_a_residual_error_propagates(where):
+    """Numpy arithmetic signals with inf or nan, which Newton rejects; an
+    exception is a bug in the residual and is not taken for divergence."""
+    x0 = np.zeros(2)
+
+    def f(x):
+        # the Jacobian's stack is 2-D; a 1-D point away from x0 is a trial step
+        if x.ndim == 1 and (where == "start" or np.any(x != x0)):
+            raise ValueError("shapes do not broadcast")
+        return x - 1.0
+
+    with pytest.raises(ValueError, match="broadcast"):
+        newton.newton_solve(f, x0)
+
+
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
 def test_grouped_jacobian_is_the_column_by_column_one(transition, name):
     """Bitwise equal, with every entry outside the pattern exactly zero: a

@@ -373,7 +373,7 @@ def test_residual_rows_are_lagrangian_gradients():
         check("feasibility", float(rows["feasibility"][t]),
               fd_gradient(l_of_lam, float(mults.lam[t]), h) / disc[t])
 
-    # interior stocks K_1 .. K_{n-1}: row t is -dL/dK_{t+1} / beta**t
+    # interior stocks K_1 .. K_{n-1}: row t times lam_{t+1} is -dL/dK_{t+1} / beta**t
     for t in range(n - 1):
         s = t + 1
 
@@ -382,7 +382,7 @@ def test_residual_rows_are_lagrangian_gradients():
             return lagrangian(cfg, replace_field("k", arr), mults)
 
         h = 1e-6 * float(alloc.k[s])
-        check("k", float(rows["k"][t]),
+        check("k", float(rows["k"][t] * mults.lam[s]),
               -fd_gradient(l_of_k, float(alloc.k[s]), h) / disc[t])
 
         def l_of_ai(v, s=s):
@@ -390,7 +390,7 @@ def test_residual_rows_are_lagrangian_gradients():
             return lagrangian(cfg, replace_field("ai", arr), mults)
 
         h = 1e-6 * float(alloc.ai[s])
-        check("ai", float(rows["ai"][t]),
+        check("ai", float(rows["ai"][t] * mults.lam[s]),
               -fd_gradient(l_of_ai, float(alloc.ai[s]), h) / disc[t])
 
 
@@ -449,9 +449,9 @@ def test_stored_residual_is_within_the_newton_tolerance():
 def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
     """The kernel's one branch: a steady state repeated over n periods.
 
-    The path form must give the stationary rows, except that its stock
-    Euler rows are not divided through by lam and its complementary-
-    slackness rows sum n discounted periods of the stationary flow row.
+    The path form must give all seven stationary rows, and its
+    complementary-slackness rows sum n discounted periods of the
+    stationary flow row.
     The candidate is moved off the optimum so that the rows are far from
     zero.
     """
@@ -472,13 +472,10 @@ def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
 
     stationary = foc_residuals(cfg, one, mults)
     rows = foc_residuals(cfg, path, path_mults)
-    lam = float(mults.lam[0])
     assert max(abs(stationary[r]) for r in ("c_c", "l_m", "k", "ai", "feasibility")) > 1e-3
-    for row in ("c_c", "c_m", "l_c", "l_m", "feasibility"):
-        np.testing.assert_allclose(rows[row], np.full(n, stationary[row]), rtol=1e-12, atol=1e-12)
-    for row in ("k", "ai"):
-        np.testing.assert_allclose(rows[row], np.full(n - 1, lam * stationary[row]),
-                                   rtol=1e-12, atol=1e-12)
+    for row in planner._ROWS:
+        size = n - 1 if row in ("k", "ai") else n
+        np.testing.assert_allclose(rows[row], np.full(size, stationary[row]), rtol=1e-12, atol=1e-12)
     for row in ("comp_slack_c", "comp_slack_m"):
         assert rows[row] == pytest.approx(stationary[row] * (1.0 - beta**n) / (1.0 - beta),
                                           rel=1e-12, abs=1e-12)

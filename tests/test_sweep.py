@@ -287,9 +287,7 @@ def test_ubi_is_neutral(regime_a_solution):
     sol = apply_ubi(regime_a_economy(), ubi)
     assert sol.regime is base.regime
     for field in ("c_c", "c_m", "l_c", "l_m", "k", "ai"):
-        got = getattr(sol.allocation, field)
-        want = getattr(base.allocation, field)
-        assert got == pytest.approx(want, abs=1e-8), field
+        assert np.array_equal(getattr(sol.allocation, field), getattr(base.allocation, field)), field
     # the per-type floors stay interior after carving out the transfer
     assert float(sol.allocation.c_m[0]) - ubi > 0.0
     assert float(sol.allocation.c_c[0]) - ubi > 0.0
