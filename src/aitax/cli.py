@@ -11,7 +11,8 @@ Exit codes are a stable contract:
 
     0  success
     1  an assumption check failed
-    2  config or argument problem (argparse also uses 2)
+    2  config or argument problem (argparse also uses 2), or an output
+       path that cannot be written
     3  the solver did not converge
     4  solved, but both incentive constraints bind (outside the theory's cases)
     5  threshold requested but the endpoints share a regime
@@ -172,8 +173,8 @@ def _cmd_sweep(args) -> int:
     config, raw = _load(args.config)
     if args.points < 2:
         raise DomainError(f"grid needs >= 2 points, got {args.points}")
-    if args.threshold and not args.tol > 0.0:
-        raise DomainError(f"--tol must be positive, got {args.tol}")
+    if args.threshold and not 0.0 < args.tol < np.inf:
+        raise DomainError(f"--tol must be positive and finite, got {args.tol}")
     for flag, end in (("--lo", args.lo), ("--hi", args.hi)):
         if not np.isfinite(end):
             raise DomainError(f"{flag} must be finite, got {end}")
@@ -364,6 +365,10 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (DomainError, AitaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the loaders raise ConfigError for their own files: this is an output path
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -10,9 +10,10 @@ residual, not its arithmetic, is what a Jacobian costs, and that holds for
 a dense one too: without groups every unknown is a group of its own, and a
 steady state's 7-9 columns are still one call, at about a third of the
 cost of one call per column.  The residual may be *expanded*: it returns
-more rows than there are unknowns, and an index array folds them, by
-summing, into the Newton rows, both for the residual and for the Jacobian.
-That lets a dense row that is a sum of local terms keep a sparse pattern.
+more rows than there are unknowns, and the groups' fold sums them into the
+Newton rows.  Each Jacobian entry is added straight into its Newton row, so
+no expanded Jacobian is built; a dense row that is a sum of local terms
+keeps a sparse pattern.
 
 Steps are halved on the residual max-norm, and a fraction-to-boundary rule
 keeps selected components above hard lower bounds.  Everything is
@@ -44,35 +45,39 @@ class Groups(NamedTuple):
 
     ``color[j]`` is the group of unknown j; unknowns of one group share no
     residual row.  ``rows`` and ``owners`` list the entries the groups'
-    evaluations fill, each by its residual row and its unknown.
+    evaluations fill, each by its residual row and its unknown.  ``fold[i]``
+    is the Newton row that residual row i is summed into.
     """
 
     color: np.ndarray
     rows: np.ndarray
     owners: np.ndarray
+    fold: np.ndarray
 
 
-def dense_groups(n_rows: int, m: int) -> Groups:
-    """Every unknown in a group of its own, every entry filled."""
-    rows, owners = np.divmod(np.arange(n_rows * m), m)
-    return Groups(np.arange(m), rows, owners)
+def dense_groups(m: int) -> Groups:
+    """Every unknown in a group of its own, every entry filled, no fold."""
+    rows, owners = np.divmod(np.arange(m * m), m)
+    return Groups(np.arange(m), rows, owners, np.arange(m))
 
 
 def _jacobian(f: Callable, x: np.ndarray, r0: np.ndarray, groups: Groups) -> np.ndarray:
-    """Forward-difference Jacobian of ``f`` at x.
+    """Forward-difference Newton matrix of ``f`` at x, m x m.
 
     Each group's perturbed point is one row of a stack that ``f``
     evaluates in a single call; each listed entry is read from its own row
-    of its column's group, and every other entry stays zero.  Each column
-    has its own step.
+    of its column's group and added, in list order, into its folded row.
+    Every other entry stays zero.  Each column has its own step.
+    ``r0`` is ``f(x)``, expanded rows and all.
     """
-    color, rows, owners = groups
+    color, rows, owners, fold = groups
+    m = len(x)
     steps = JAC_STEP * np.maximum(1.0, np.abs(x))
     stack = np.tile(x, (color.max() + 1, 1))
-    stack[color, np.arange(len(x))] += steps
+    stack[color, np.arange(m)] += steps
     r = np.asarray(f(stack), dtype=float)
-    jac = np.zeros((len(r0), len(x)))
-    jac[rows, owners] = (r[color[owners], rows] - r0[rows]) / steps[owners]
+    jac = np.zeros((m, m))
+    np.add.at(jac, (fold[rows], owners), (r[color[owners], rows] - r0[rows]) / steps[owners])
     return jac
 
 
@@ -84,15 +89,14 @@ def newton_solve(
     max_iter: int = MAX_ITER,
     lower: np.ndarray | None = None,
     groups: Groups | None = None,
-    fold: np.ndarray | None = None,
 ) -> NewtonResult:
     """Solve f(x) = 0 by damped Newton from x0.
 
     ``lower`` gives hard lower bounds per component (-inf where free); steps
     are shortened so iterates keep a 0.5% distance-to-bound margin.
-    ``fold`` maps each row ``f`` returns to the Newton row it is summed
-    into (default: one row per unknown), and ``groups`` are the Jacobian's
-    column groups (default: dense, one unknown per group).
+    ``groups`` are the Jacobian's column groups and the fold of the rows
+    ``f`` returns into Newton rows (default: dense, one unknown per group
+    and one row per unknown).
 
     ``f`` takes one point, a 1-D array, and also a stack of points, a 2-D
     array with one point per row, whose residuals it returns row by row:
@@ -109,26 +113,22 @@ def newton_solve(
     x = np.asarray(x0, dtype=float).copy()
     m = len(x)
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    fold = np.arange(m) if fold is None else np.asarray(fold)
-    # flat index of each expanded Jacobian entry in the folded m x m one
-    cells = (fold[:, None] * m + np.arange(m)).ravel()
+    groups = dense_groups(m) if groups is None else groups
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The expanded rows and the folded Newton rows at x."""
         expanded = np.asarray(f(x), dtype=float)
-        return expanded, np.bincount(fold, weights=expanded, minlength=m)
+        return expanded, np.bincount(groups.fold, weights=expanded, minlength=m)
 
     r_exp, r = residual(x)
     if not np.all(np.isfinite(r)):
         return NewtonResult(x, np.inf, False, 0)
     norm = float(np.max(np.abs(r)))
-    groups = dense_groups(len(r_exp), m) if groups is None else groups
 
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return NewtonResult(x, norm, True, it - 1)
-        jac_exp = _jacobian(f, x, r_exp, groups)
-        jac = np.bincount(cells, weights=jac_exp.ravel(), minlength=m * m).reshape(m, m)
+        jac = _jacobian(f, x, r_exp, groups)
         if not np.all(np.isfinite(jac)):
             return NewtonResult(x, norm, False, it)
         try:

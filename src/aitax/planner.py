@@ -314,7 +314,7 @@ class _Layout:
         return (x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n], x[..., 3 * n : 4 * n], k, ai,
                 x[..., 6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
-    def jacobian_groups(self) -> tuple:
+    def jacobian_groups(self) -> Groups | None:
         """Jacobian column groups and row fold of the path's expanded residual.
 
         Every unknown and every expanded row has a period: a stock K_t's is
@@ -324,11 +324,11 @@ class _Layout:
         apart share no row: each kind's unknowns go to two groups by the
         parity of their period, and each multiplier to a group of its own.
         The fold sums each active slack's n per-period rows into its one
-        Newton row.  A steady state has neither (None, None): its Jacobian
-        is dense and its rows are not expanded.
+        Newton row.  A steady state has neither (None): its Jacobian is
+        dense and its rows are not expanded.
         """
         if self.stationary:
-            return None, None
+            return None
         n, active = self.n, len(self.active)
         per, inner = np.arange(n), np.arange(1, n)
         head = 7 * n - 2
@@ -347,7 +347,7 @@ class _Layout:
         _, color = np.unique(2 * kind + period % 2, return_inverse=True)
         color = np.concatenate([color, color.max() + 1 + np.arange(active)])
         fold = np.concatenate([np.arange(head), np.repeat(mus, n)])
-        return Groups(color, rows, owners), fold
+        return Groups(color, rows, owners, fold)
 
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
@@ -438,11 +438,11 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     """
     f = _residual_fn(config, layout)
     lower = layout.lower()
-    groups, fold = layout.jacobian_groups()
+    groups = layout.jacobian_groups()
     for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
-                           groups=groups, fold=fold)
+                           groups=groups)
         if res.converged:
             return _judge(config, layout, res.x)
     raise NoInteriorSolutionError(

@@ -250,15 +250,17 @@ class Grid4:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1 or len(arr) < 3:
                 raise DomainError(f"grid axis {name} needs at least 3 points")
-            if np.any(arr <= 0.0):
-                raise DomainError(f"grid axis {name} must be strictly positive")
+            if not np.all(np.isfinite(arr) & (arr > 0.0)):
+                raise DomainError(f"grid axis {name} must be finite and strictly positive")
             object.__setattr__(self, name, arr)
 
     @classmethod
     def log_around(cls, center=(1.0, 1.0, 1.0, 1.0), factor: float = 2.0, points: int = 5) -> "Grid4":
         """Log-spaced box [x/factor, x*factor] on each axis around ``center``."""
-        if factor <= 1.0:
-            raise DomainError(f"factor must exceed 1, got {factor}")
+        if not (np.isfinite(factor) and factor > 1.0):
+            raise DomainError(f"grid factor must be finite and exceed 1, got {factor}")
+        if points < 3:
+            raise DomainError(f"grid points must be at least 3, got {points}")
         axes = [np.geomspace(c / factor, c * factor, points) for c in center]
         return cls(*axes)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import SWEEP_PARAMS, AgentKind, EconomyConfig, validate_config, with_param
+from .economy import AgentKind, EconomyConfig, validate_config, with_param
 from .errors import ConfigError, DomainError, SolverError, ThresholdRangeError, UbiInfeasibleError
 from .planner import (EPS_C, PlannerSolution, Regime, _first_best, _rejection,
                       solve_steady_state, violated_side)
@@ -187,12 +187,8 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
     first best raises SolverError (recorded in ``anomalies``) or when the
     bracket cannot narrow further in floating point.
     """
-    if param not in SWEEP_PARAMS:
-        raise DomainError(
-            f"unknown sweep parameter {param!r}; allowed: {sorted(SWEEP_PARAMS)}"
-        )
-    if tol_param <= 0.0:
-        raise DomainError(f"tol_param must be positive, got {tol_param}")
+    if not 0.0 < tol_param < math.inf:
+        raise DomainError(f"tol_param must be positive and finite, got {tol_param}")
     warm_lo, warm_hi = (None, None) if warm is None else warm
     if lo > hi:
         lo, hi, warm_lo, warm_hi = hi, lo, warm_hi, warm_lo

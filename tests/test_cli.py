@@ -45,6 +45,30 @@ def test_check_assumptions_failure_exit(tmp_path):
     assert json.loads(out.read_text())["payload"]["all_pass"] is False
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--grid-factor", "nan", "grid factor"), ("--grid-factor", "inf", "grid factor"),
+    ("--grid-points", "-3", "grid points"),
+])
+def test_check_assumptions_rejects_a_bad_grid(tmp_path, capsys, flag, value, named):
+    """A NaN factor once passed every check on NaN derivatives, and an
+    infinite factor or a negative count failed inside numpy."""
+    out = tmp_path / "checks.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["check-assumptions", cfg("regime_a.cfg"), flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"{named} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_unwritable_out_is_an_argument_error(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / f"sol.{fmt}"
+    rc = cli.main(["solve", cfg("regime_a.cfg"), "--format", fmt, "--out", str(out)])
+    assert rc == 2
+    assert f"output error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+
+
 def test_missing_config_is_a_config_error(capsys):
     rc = cli.main(["check-assumptions", "no/such/file.cfg"])
     assert rc == 2
@@ -209,6 +233,16 @@ def test_sweep_rejects_nonpositive_tol_before_solving(tmp_path, capsys):
                    "--threshold", "--tol", "-1", "--out", str(out)])
     assert rc == 2
     assert "--tol must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_an_infinite_tol_before_solving(tmp_path, capsys):
+    """An infinite --tol once took the first midpoint for a converged bracket."""
+    rc = cli.main(["sweep", cfg("threshold.cfg"), "--param", "a_AI",
+                   "--lo", "0.1", "--hi", "10", "--points", "3",
+                   "--threshold", "--tol", "inf", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    assert "--tol must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -102,11 +102,11 @@ def test_groups_of_a_tridiagonal_pattern():
 
 
 def test_dense_pattern_gives_one_column_per_group():
-    groups = newton.dense_groups(4, 3)
-    assert groups.color.tolist() == [0, 1, 2]
-    filled = np.zeros((4, 3), dtype=bool)
+    groups = newton.dense_groups(3)
+    assert groups.color.tolist() == [0, 1, 2] and groups.fold.tolist() == [0, 1, 2]
+    filled = np.zeros((3, 3), dtype=bool)
     filled[groups.rows, groups.owners] = True
-    assert filled.all() and len(groups.rows) == 12
+    assert filled.all() and len(groups.rows) == 9
 
 
 @pytest.mark.parametrize("horizon", [20, 160])
@@ -118,7 +118,7 @@ def test_layout_groups_are_as_few_as_a_greedy_coloring(transition, name, horizon
     column order finds.  (Greedy puts lam_0, which touches period 0 only,
     with K_2, K_4, ...; any valid grouping gives the same Jacobian.)"""
     layout = path_layout(transition, ALL_ACTIVE_SETS[name], horizon)
-    groups, fold = layout.jacobian_groups()
+    groups = layout.jacobian_groups()
     pattern = path_pattern(layout)
     for cols in partition(groups.color):
         assert pattern[:, list(cols)].sum(axis=1).max() == 1
@@ -126,7 +126,7 @@ def test_layout_groups_are_as_few_as_a_greedy_coloring(transition, name, horizon
     filled = np.zeros_like(pattern)
     filled[groups.rows, groups.owners] = True
     assert np.array_equal(filled, pattern) and len(groups.rows) == pattern.sum()
-    assert fold.shape == (len(pattern),)
+    assert groups.fold.shape == (len(pattern),)
 
 
 def test_newton_folds_expanded_rows():
@@ -137,8 +137,8 @@ def test_newton_folds_expanded_rows():
         return np.stack([x0 - x1 - 1.0, x0, x1 - 3.0], axis=-1)
 
     pattern = np.array([[True, True], [True, False], [False, True]])
-    groups = newton.Groups(np.array([0, 1]), *np.nonzero(pattern))
-    res = newton.newton_solve(f, np.zeros(2), groups=groups, fold=np.array([0, 1, 1]))
+    groups = newton.Groups(np.array([0, 1]), *np.nonzero(pattern), np.array([0, 1, 1]))
+    res = newton.newton_solve(f, np.zeros(2), groups=groups)
     assert res.converged
     np.testing.assert_allclose(res.x, [2.0, 1.0], atol=1e-12)
 
@@ -161,8 +161,10 @@ def test_a_residual_error_propagates(where):
 
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
 def test_grouped_jacobian_is_the_column_by_column_one(transition, name):
-    """Bitwise equal, with every entry outside the pattern exactly zero: a
-    dependency missing from the pattern fails here instead of slowing Newton."""
+    """Bitwise equal to the column-by-column difference folded into the
+    Newton rows, entry by entry in the groups' order, with every entry
+    outside the pattern exactly zero: a dependency missing from the pattern
+    fails here instead of slowing Newton."""
     config, ss = transition
     active = ACTIVE_SETS[name]
     layout = path_layout(transition, active, config.horizon)
@@ -171,14 +173,15 @@ def test_grouped_jacobian_is_the_column_by_column_one(transition, name):
     rng = np.random.default_rng(sorted(ACTIVE_SETS).index(name))
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
     r0 = f(x)
-    groups, fold = layout.jacobian_groups()
+    groups = layout.jacobian_groups()
     pattern = path_pattern(layout)
-    assert pattern.shape == (len(r0), len(x)) and fold.shape == (len(r0),)
+    assert pattern.shape == (len(r0), len(x)) and groups.fold.shape == (len(r0),)
 
     dense = column_by_column(f, x, r0)
     assert not np.any(dense[~pattern])
-    grouped = newton._jacobian(f, x, r0, groups)
-    assert np.array_equal(grouped, dense)
+    folded = np.zeros((len(x), len(x)))
+    np.add.at(folded, (groups.fold[groups.rows], groups.owners), dense[groups.rows, groups.owners])
+    assert np.array_equal(newton._jacobian(f, x, r0, groups), folded)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
@@ -201,7 +204,7 @@ def test_a_stack_of_points_is_evaluated_row_by_row(transition, name):
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
 def test_group_count_does_not_grow_with_the_horizon(transition, name):
     active = ACTIVE_SETS[name]
-    counts = [path_layout(transition, active, horizon).jacobian_groups()[0].color.max() + 1
+    counts = [path_layout(transition, active, horizon).jacobian_groups().color.max() + 1
               for horizon in (20, 160)]
     assert counts == [14 + len(active)] * 2
 
@@ -235,6 +238,6 @@ def test_dense_jacobian_is_the_column_by_column_one(name, active):
     r0 = f(x)
     calls = []
     counted = lambda x: calls.append(np.shape(x)) or f(x)
-    jac = newton._jacobian(counted, x, r0, newton.dense_groups(len(r0), len(x)))
+    jac = newton._jacobian(counted, x, r0, newton.dense_groups(len(x)))
     assert calls == [(len(x), len(x))]
     np.testing.assert_allclose(jac, column_by_column(f, x, r0), rtol=1e-7, atol=1e-7)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,29 @@ def test_one_residual_call_per_path_jacobian(horizon, count_evals):
     evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=horizon)))
     assert (evals, count_evals.calls) == (EVALS_PER_SOLVE["regime_a_t20"],
                                           CALLS_PER_SOLVE["regime_a_t20"])
+
+
+def test_a_long_path_holds_few_newton_matrices(monkeypatch):
+    """A T = 160 solve's traced peak stays within three m x m float
+    matrices, m the path's unknowns: Jacobian entries go straight into
+    their Newton rows (an expanded Jacobian and its fold took 4.5)."""
+    config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
+    sizes = []
+    newton_solve = planner.newton_solve
+
+    def sized(f, x0, **kw):
+        sizes.append(len(x0))
+        return newton_solve(f, x0, **kw)
+
+    monkeypatch.setattr(planner, "newton_solve", sized)
+    tracemalloc.start()
+    try:
+        solve_finite_horizon(dataclasses.replace(config, horizon=160))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = max(sizes)
+    assert peak <= 3 * m * m * 8
 
 
 # a drawn threshold-preset economy (bench/fuzz.py, seed 0, draw 7) whose

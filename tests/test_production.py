@@ -190,6 +190,12 @@ def test_grid4_validation():
     assert grid.l_c[-1] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grid4_rejects_non_finite_axes(value):
+    with pytest.raises(DomainError, match="grid axis k must be finite"):
+        Grid4(np.ones(3), np.ones(3), np.array([1.0, value, 2.0]), np.ones(3))
+
+
 def test_output_domain():
     with pytest.raises(DomainError):
         grad_check(COMPLEMENTS, (1.0, 1.0, 1.0), 1e-6)

@@ -266,6 +266,7 @@ def test_find_threshold_needs_differing_regimes():
         dict(param="frobnication", lo=0.1, hi=1.0),
         dict(param="a_AI", lo=0.1, hi=1.0, tol_param=0.0),
         dict(param="a_AI", lo=0.5, hi=0.5),
+        dict(param="a_AI", lo=0.1, hi=1.0, tol_param=math.inf),
     ],
 )
 def test_find_threshold_validation(kwargs):
