@@ -324,8 +324,12 @@ class _Layout:
         apart share no row: each kind's unknowns go to two groups by the
         parity of their period, and each multiplier to a group of its own.
         The fold sums each active slack's n per-period rows into its one
-        Newton row.  A steady state has neither (None): its Jacobian is
-        dense and its rows are not expanded.
+        Newton row.  Block s holds period s's c_c, c_m, l_c, l_m, K_s, AI_s
+        and lam_s, each with the Newton row it is paired with: the Euler
+        rows linking s - 1 to s sit with K_s and AI_s, so a row touches the
+        blocks next to its own only, and period 0's empty stock slots are
+        padding.  The multipliers are the border.  A steady state has none
+        of this (None): its Jacobian is dense and its rows are not expanded.
         """
         if self.stationary:
             return None
@@ -347,7 +351,7 @@ class _Layout:
         _, color = np.unique(2 * kind + period % 2, return_inverse=True)
         color = np.concatenate([color, color.max() + 1 + np.arange(active)])
         fold = np.concatenate([np.arange(head), np.repeat(mus, n)])
-        return Groups(color, rows, owners, fold)
+        return Groups(color, rows, owners, fold, at[:, :n].T)
 
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])

@@ -1,5 +1,5 @@
-"""The grouped forward-difference Jacobian, its stacked residual calls and
-the row fold of ``aitax.newton``."""
+"""The grouped forward-difference Jacobian, its stacked residual calls, the
+row fold and the band step of ``aitax.newton``."""
 
 import dataclasses
 from pathlib import Path
@@ -94,6 +94,18 @@ def column_by_column(f, x, r0):
     return np.column_stack(cols)
 
 
+def unbanded(groups, band, storage):
+    """The m x m Newton matrix that band storage holds, read back from each
+    entry's slot; every slot no entry fills must be empty."""
+    m = len(groups.color)
+    rest = np.ones(band.size, dtype=bool)
+    rest[band.entry_at] = False
+    assert not np.any(storage[rest])
+    dense = np.zeros((m, m))
+    dense[groups.fold[groups.rows], groups.owners] = storage[band.entry_at]
+    return dense
+
+
 def test_groups_of_a_tridiagonal_pattern():
     """The reference coloring the layout's groups are checked against."""
     pattern = np.abs(np.subtract.outer(np.arange(7), np.arange(7))) <= 1
@@ -181,7 +193,8 @@ def test_grouped_jacobian_is_the_column_by_column_one(transition, name):
     assert not np.any(dense[~pattern])
     folded = np.zeros((len(x), len(x)))
     np.add.at(folded, (groups.fold[groups.rows], groups.owners), dense[groups.rows, groups.owners])
-    assert np.array_equal(newton._jacobian(f, x, r0, groups), folded)
+    band = newton._Band(groups, len(x))
+    assert np.array_equal(unbanded(groups, band, newton._jacobian(f, x, r0, groups, band)), folded)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
@@ -238,6 +251,66 @@ def test_dense_jacobian_is_the_column_by_column_one(name, active):
     r0 = f(x)
     calls = []
     counted = lambda x: calls.append(np.shape(x)) or f(x)
-    jac = newton._jacobian(counted, x, r0, newton.dense_groups(len(x)))
+    groups = newton.dense_groups(len(x))
+    band = newton._Band(groups, len(x))
+    jac = unbanded(groups, band, newton._jacobian(counted, x, r0, groups, band))
     assert calls == [(len(x), len(x))]
     np.testing.assert_allclose(jac, column_by_column(f, x, r0), rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
+@pytest.mark.parametrize("name", DESK)
+def test_a_dense_step_is_one_lu_solve(name, active):
+    """A dense system is one block with no border: its step is the very
+    ``np.linalg.solve`` of the m x m matrix, bit for bit."""
+    layout, f, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
+    rng = np.random.default_rng(DESK.index(name))
+    x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
+    r0 = f(x)
+    groups = newton.dense_groups(len(x))
+    band = newton._Band(groups, len(x))
+    storage = newton._jacobian(f, x, r0, groups, band)
+    jac = unbanded(groups, band, storage)
+    assert np.array_equal(band.solve(storage, -r0), np.linalg.solve(jac, -r0))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 20, 160])
+@pytest.mark.parametrize("name", sorted(ALL_ACTIVE_SETS))
+def test_a_path_step_is_the_dense_solve(transition, name, horizon):
+    """Eliminating a path's period blocks and then its border solves the
+    Newton matrix that the groups' entries assemble densely, to 1e-12
+    relative, for every active set and for odd and even block counts."""
+    config, ss = transition
+    layout = path_layout(transition, ALL_ACTIVE_SETS[name], horizon)
+    f = planner._residual_fn(config, layout)
+    x0 = layout.start(ss)
+    rng = np.random.default_rng(horizon)
+    x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
+    r0 = f(x)
+    groups = layout.jacobian_groups()
+    band = newton._Band(groups, len(x))
+    storage = newton._jacobian(f, x, r0, groups, band)
+    jac = unbanded(groups, band, storage)
+    rhs = -np.bincount(groups.fold, weights=r0, minlength=len(x))
+    dense = np.linalg.solve(jac, rhs)
+    assert np.max(np.abs(band.solve(storage, rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 9])
+def test_a_dense_band_is_the_one_block_band(m):
+    """A dense system's layout, written out, is what the general layout
+    gives one block of every unknown with no border."""
+    groups = newton.dense_groups(m)
+    dense = newton._Band(groups, m)
+    general = newton._Band(groups._replace(blocks=np.arange(m)[None, :]), m)
+    for field in ("entry_at", "rhs_at", "empty_at", "place"):
+        assert np.array_equal(getattr(dense, field), getattr(general, field)), field
+    assert (dense.size, dense.shape, dense.lag, dense.p) == (
+        general.size, general.shape, general.lag, general.p)
+
+
+def test_an_entry_outside_the_band_is_refused():
+    """Blocks whose rows reach past the next block would misplace entries."""
+    groups = newton.dense_groups(3)._replace(blocks=np.arange(3)[:, None])
+    with pytest.raises(ValueError, match="outside"):
+        newton._Band(groups, 3)
