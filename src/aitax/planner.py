@@ -52,7 +52,7 @@ from .errors import (
     NoRegimeFoundError,
     SolverError,
 )
-from .newton import Groups, newton_solve
+from .newton import Band, newton_solve
 from .preferences import nu_eval, nu_prime, u_eval, u_prime
 from .production import (
     AssumptionReport,
@@ -314,8 +314,9 @@ class _Layout:
         return (x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n], x[..., 3 * n : 4 * n], k, ai,
                 x[..., 6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
-    def jacobian_groups(self) -> Groups | None:
-        """Jacobian column groups and row fold of the path's expanded residual.
+    def band(self) -> Band | None:
+        """The path's Newton band: its Jacobian column groups, the row fold
+        of its expanded residual and its period blocks.
 
         Every unknown and every expanded row has a period: a stock K_t's is
         t, and the Euler row linking t to t + 1 has period t.  A row can
@@ -351,7 +352,7 @@ class _Layout:
         _, color = np.unique(2 * kind + period % 2, return_inverse=True)
         color = np.concatenate([color, color.max() + 1 + np.arange(active)])
         fold = np.concatenate([np.arange(head), np.repeat(mus, n)])
-        return Groups(color, rows, owners, fold, at[:, :n].T)
+        return Band(color, rows, owners, fold, at[:, :n].T)
 
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
@@ -442,11 +443,11 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     """
     f = _residual_fn(config, layout)
     lower = layout.lower()
-    groups = layout.jacobian_groups()
+    band = layout.band()
     for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
-                           groups=groups)
+                           band=band)
         if res.converged:
             return _judge(config, layout, res.x)
     raise NoInteriorSolutionError(

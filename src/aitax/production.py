@@ -337,11 +337,17 @@ def check_assumptions(tech: TechnologyParams, grid: Grid4 | None = None) -> Assu
     derivative of F_Lc / F_Lm, applied at every grid point.  A wrong sign
     beyond TOL_STRICT anywhere fails; magnitudes within TOL_STRICT make the
     verdict ``non_strict`` (the Cobb-Douglas control lands here for A1/A2).
+    A grid on which a derivative is not finite raises DomainError.
     """
     if grid is None:
         grid = Grid4.log_around()
     mesh = np.meshgrid(grid.l_c, grid.l_m, grid.k, grid.ai, indexing="ij")
-    d_lc, d_lm, d_k, d_ai = _ratio_central_diffs(tech, mesh)
+    with np.errstate(all="ignore"):
+        diffs = d_lc, d_lm, d_k, d_ai = _ratio_central_diffs(tech, mesh)
+    if not all(np.isfinite(d).all() for d in diffs):
+        spans = ", ".join(f"{name} [{axis.min():g}, {axis.max():g}]" for name, axis in
+                          zip(("L_c", "L_m", "K", "AI"), (grid.l_c, grid.l_m, grid.k, grid.ai)))
+        raise DomainError(f"ratio derivatives must be finite on the grid {spans}")
 
     a1 = AssumptionCheck("A1", *_judge([("K", d_k, +1.0)], mesh))
     a2 = AssumptionCheck("A2", *_judge([("AI", d_ai, -1.0)], mesh))

@@ -248,22 +248,34 @@ class LoadedSolution:
     manifest: dict
 
 
-def _load_record(cls, data: dict):
-    """Rebuild a record of float arrays and float scalars from its payload."""
-    values = {f.name: np.asarray(data[f.name], dtype=float) for f in fields(cls)}
-    return cls(**{name: v if v.ndim else float(v) for name, v in values.items()})
+def _load_record(cls, data: dict, n: int):
+    """Rebuild a record from its payload, checking each field's shape: n
+    periods, one more for the stocks k and ai, and none for mu_c and mu_m."""
+    record = {}
+    for f in fields(cls):
+        v = np.asarray(data[f.name], dtype=float)
+        shape = () if f.name in ("mu_c", "mu_m") else (n + (f.name in ("k", "ai")),)
+        if v.shape != shape:
+            raise ValueError(f"{f.name} has shape {v.shape}, not {shape}")
+        record[f.name] = v if v.ndim else float(v)
+    return cls(**record)
 
 
 def load_solution(path: str | Path) -> LoadedSolution:
-    """Re-ingest a solution JSON document written by write_json."""
+    """Re-ingest a solution JSON document written by write_json, shapes checked."""
     try:
         doc = json.loads(Path(path).read_text())
         payload = doc["payload"]
+        n = np.size(payload["allocation"]["c_c"])
+        if n < 1:
+            raise ValueError("the allocation has no period")
+        if type(payload["objective"]) not in (int, float):
+            raise ValueError(f"objective {payload['objective']!r} is not a number")
         return LoadedSolution(
             config=config_from_dict(payload["config"]),
             regime=Regime(payload["regime"]),
-            allocation=_load_record(Allocation, payload["allocation"]),
-            multipliers=_load_record(Multipliers, payload["multipliers"]),
+            allocation=_load_record(Allocation, payload["allocation"], n),
+            multipliers=_load_record(Multipliers, payload["multipliers"], n),
             payload=payload,
             manifest=doc.get("manifest", {}),
         )

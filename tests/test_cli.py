@@ -47,11 +47,12 @@ def test_check_assumptions_failure_exit(tmp_path):
 
 @pytest.mark.parametrize("flag,value,named", [
     ("--grid-factor", "nan", "grid factor"), ("--grid-factor", "inf", "grid factor"),
-    ("--grid-points", "-3", "grid points"),
+    ("--grid-points", "-3", "grid points"), ("--grid-factor", "1e80", "ratio derivatives"),
 ])
 def test_check_assumptions_rejects_a_bad_grid(tmp_path, capsys, flag, value, named):
-    """A NaN factor once passed every check on NaN derivatives, and an
-    infinite factor or a negative count failed inside numpy."""
+    """A NaN factor once passed every check on NaN derivatives, an infinite
+    factor or a negative count failed inside numpy, and a factor of 1e80,
+    whose far corners overflow the kernels, gave verdicts on NaN."""
     out = tmp_path / "checks.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -343,6 +344,20 @@ def test_oracle_verify_rejects_a_stored_value_outside_the_domain(tmp_path, capsy
                    "--out", str(tmp_path / "oracle.json")])
     assert rc == 2
     assert "c_c must be finite and strictly positive" in capsys.readouterr().err
+
+
+def test_oracle_verify_refuses_a_misshapen_solution(tmp_path, capsys):
+    """An emptied multiplier once failed inside numpy, with exit 1."""
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["payload"]["multipliers"]["lam"] = []
+    sol.write_text(json.dumps(doc))
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle-verify", cfg("regime_a.cfg"), "--solution", str(sol),
+                     "--out", str(out)]) == 2
+    assert "cannot load solution file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_planner_seed_is_recorded_not_used(tmp_path, monkeypatch):

@@ -94,15 +94,15 @@ def column_by_column(f, x, r0):
     return np.column_stack(cols)
 
 
-def unbanded(groups, band, storage):
+def unbanded(band, storage):
     """The m x m Newton matrix that band storage holds, read back from each
     entry's slot; every slot no entry fills must be empty."""
-    m = len(groups.color)
+    m = len(band.color)
     rest = np.ones(band.size, dtype=bool)
     rest[band.entry_at] = False
     assert not np.any(storage[rest])
     dense = np.zeros((m, m))
-    dense[groups.fold[groups.rows], groups.owners] = storage[band.entry_at]
+    dense[band.fold[band.rows], band.owners] = storage[band.entry_at]
     return dense
 
 
@@ -111,14 +111,6 @@ def test_groups_of_a_tridiagonal_pattern():
     pattern = np.abs(np.subtract.outer(np.arange(7), np.arange(7))) <= 1
     color = greedy_coloring(pattern)
     assert partition(color) == [(0, 3, 6), (1, 4), (2, 5)]
-
-
-def test_dense_pattern_gives_one_column_per_group():
-    groups = newton.dense_groups(3)
-    assert groups.color.tolist() == [0, 1, 2] and groups.fold.tolist() == [0, 1, 2]
-    filled = np.zeros((3, 3), dtype=bool)
-    filled[groups.rows, groups.owners] = True
-    assert filled.all() and len(groups.rows) == 9
 
 
 @pytest.mark.parametrize("horizon", [20, 160])
@@ -130,27 +122,29 @@ def test_layout_groups_are_as_few_as_a_greedy_coloring(transition, name, horizon
     column order finds.  (Greedy puts lam_0, which touches period 0 only,
     with K_2, K_4, ...; any valid grouping gives the same Jacobian.)"""
     layout = path_layout(transition, ALL_ACTIVE_SETS[name], horizon)
-    groups = layout.jacobian_groups()
+    band = layout.band()
     pattern = path_pattern(layout)
-    for cols in partition(groups.color):
+    for cols in partition(band.color):
         assert pattern[:, list(cols)].sum(axis=1).max() == 1
-    assert groups.color.max() + 1 == greedy_coloring(pattern).max() + 1
+    assert band.color.max() + 1 == greedy_coloring(pattern).max() + 1
     filled = np.zeros_like(pattern)
-    filled[groups.rows, groups.owners] = True
-    assert np.array_equal(filled, pattern) and len(groups.rows) == pattern.sum()
-    assert groups.fold.shape == (len(pattern),)
+    filled[band.rows, band.owners] = True
+    assert np.array_equal(filled, pattern) and len(band.rows) == pattern.sum()
+    assert band.fold.shape == (len(pattern),)
 
 
 def test_newton_folds_expanded_rows():
     # x0 - x1 = 1 and (x0) + (x1 - 3) = 0, the second row given as two summed
-    # pieces; with a pattern, f evaluates a stack of points, one per row
+    # pieces, each unknown a block of its own; f evaluates a stack of
+    # points, one per row
     def f(x):
         x0, x1 = x[..., 0], x[..., 1]
         return np.stack([x0 - x1 - 1.0, x0, x1 - 3.0], axis=-1)
 
     pattern = np.array([[True, True], [True, False], [False, True]])
-    groups = newton.Groups(np.array([0, 1]), *np.nonzero(pattern), np.array([0, 1, 1]))
-    res = newton.newton_solve(f, np.zeros(2), groups=groups)
+    band = newton.Band(np.array([0, 1]), *np.nonzero(pattern), np.array([0, 1, 1]),
+                       np.array([[0], [1]]))
+    res = newton.newton_solve(f, np.zeros(2), band=band)
     assert res.converged
     np.testing.assert_allclose(res.x, [2.0, 1.0], atol=1e-12)
 
@@ -185,16 +179,15 @@ def test_grouped_jacobian_is_the_column_by_column_one(transition, name):
     rng = np.random.default_rng(sorted(ACTIVE_SETS).index(name))
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
     r0 = f(x)
-    groups = layout.jacobian_groups()
+    band = layout.band()
     pattern = path_pattern(layout)
-    assert pattern.shape == (len(r0), len(x)) and groups.fold.shape == (len(r0),)
+    assert pattern.shape == (len(r0), len(x)) and band.fold.shape == (len(r0),)
 
     dense = column_by_column(f, x, r0)
     assert not np.any(dense[~pattern])
     folded = np.zeros((len(x), len(x)))
-    np.add.at(folded, (groups.fold[groups.rows], groups.owners), dense[groups.rows, groups.owners])
-    band = newton._Band(groups, len(x))
-    assert np.array_equal(unbanded(groups, band, newton._jacobian(f, x, r0, groups, band)), folded)
+    np.add.at(folded, (band.fold[band.rows], band.owners), dense[band.rows, band.owners])
+    assert np.array_equal(unbanded(band, band.jacobian(f, x, r0)), folded)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
@@ -217,7 +210,7 @@ def test_a_stack_of_points_is_evaluated_row_by_row(transition, name):
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
 def test_group_count_does_not_grow_with_the_horizon(transition, name):
     active = ACTIVE_SETS[name]
-    counts = [path_layout(transition, active, horizon).jacobian_groups().color.max() + 1
+    counts = [path_layout(transition, active, horizon).band().color.max() + 1
               for horizon in (20, 160)]
     assert counts == [14 + len(active)] * 2
 
@@ -251,9 +244,7 @@ def test_dense_jacobian_is_the_column_by_column_one(name, active):
     r0 = f(x)
     calls = []
     counted = lambda x: calls.append(np.shape(x)) or f(x)
-    groups = newton.dense_groups(len(x))
-    band = newton._Band(groups, len(x))
-    jac = unbanded(groups, band, newton._jacobian(counted, x, r0, groups, band))
+    jac = newton._dense_jacobian(counted, x, r0)
     assert calls == [(len(x), len(x))]
     np.testing.assert_allclose(jac, column_by_column(f, x, r0), rtol=1e-7, atol=1e-7)
 
@@ -261,17 +252,16 @@ def test_dense_jacobian_is_the_column_by_column_one(name, active):
 @pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
 @pytest.mark.parametrize("name", DESK)
 def test_a_dense_step_is_one_lu_solve(name, active):
-    """A dense system is one block with no border: its step is the very
-    ``np.linalg.solve`` of the m x m matrix, bit for bit."""
+    """A dense system's Newton step is the very ``np.linalg.solve`` of its
+    m x m Jacobian, bit for bit: one Newton iteration moves x by that step
+    or by the line search's halving of it."""
     layout, f, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
     rng = np.random.default_rng(DESK.index(name))
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
     r0 = f(x)
-    groups = newton.dense_groups(len(x))
-    band = newton._Band(groups, len(x))
-    storage = newton._jacobian(f, x, r0, groups, band)
-    jac = unbanded(groups, band, storage)
-    assert np.array_equal(band.solve(storage, -r0), np.linalg.solve(jac, -r0))
+    dx = np.linalg.solve(newton._dense_jacobian(f, x, r0), -r0)
+    moved = newton.newton_solve(f, x, max_iter=1).x
+    assert any(np.array_equal(moved, x + 0.5**h * dx) for h in range(newton.MAX_HALVINGS))
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 20, 160])
@@ -287,30 +277,16 @@ def test_a_path_step_is_the_dense_solve(transition, name, horizon):
     rng = np.random.default_rng(horizon)
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
     r0 = f(x)
-    groups = layout.jacobian_groups()
-    band = newton._Band(groups, len(x))
-    storage = newton._jacobian(f, x, r0, groups, band)
-    jac = unbanded(groups, band, storage)
-    rhs = -np.bincount(groups.fold, weights=r0, minlength=len(x))
+    band = layout.band()
+    storage = band.jacobian(f, x, r0)
+    jac = unbanded(band, storage)
+    rhs = -np.bincount(band.fold, weights=r0, minlength=len(x))
     dense = np.linalg.solve(jac, rhs)
     assert np.max(np.abs(band.solve(storage, rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("m", [2, 7, 8, 9])
-def test_a_dense_band_is_the_one_block_band(m):
-    """A dense system's layout, written out, is what the general layout
-    gives one block of every unknown with no border."""
-    groups = newton.dense_groups(m)
-    dense = newton._Band(groups, m)
-    general = newton._Band(groups._replace(blocks=np.arange(m)[None, :]), m)
-    for field in ("entry_at", "rhs_at", "empty_at", "place"):
-        assert np.array_equal(getattr(dense, field), getattr(general, field)), field
-    assert (dense.size, dense.shape, dense.lag, dense.p) == (
-        general.size, general.shape, general.lag, general.p)
-
-
 def test_an_entry_outside_the_band_is_refused():
     """Blocks whose rows reach past the next block would misplace entries."""
-    groups = newton.dense_groups(3)._replace(blocks=np.arange(3)[:, None])
+    rows, owners = np.divmod(np.arange(9), 3)
     with pytest.raises(ValueError, match="outside"):
-        newton._Band(groups, 3)
+        newton.Band(np.arange(3), rows, owners, np.arange(3), np.arange(3)[:, None])

@@ -577,6 +577,26 @@ def test_a_path_step_solves_period_blocks(monkeypatch):
     assert max(shape[-1] for shape in shapes) <= 9
 
 
+def test_only_a_path_builds_a_band(monkeypatch):
+    """A steady state's Newton system is dense and never touches band
+    storage: the five desk solves build no ``Band``.  A path builds one per
+    active set it tries, for all its starts; ``regime_a_t20`` tries one."""
+    built = []
+    band = planner.Band
+
+    def counted(*args):
+        built.append(len(args[0]))
+        return band(*args)
+
+    monkeypatch.setattr(planner, "Band", counted)
+    for name in ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas"):
+        solve_steady_state(load_config(CONFIGS / f"{name}.cfg")[0])
+    assert built == []
+    config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
+    solve_finite_horizon(config)
+    assert built == [146]  # the T = 20 path's unknowns
+
+
 # a drawn threshold-preset economy (bench/fuzz.py, seed 0, draw 7) whose
 # first best has no interior steady state: AI is not worth holding there
 REFUSED_ECONOMY = """

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aitax import cobb_douglas_economy, symmetric_economy, threshold_economy
+from aitax import cobb_douglas_economy, regime_a_economy, symmetric_economy, threshold_economy
 from aitax.economy import TechForm, TechnologyParams
 from aitax import production
 from aitax.errors import DomainError
@@ -176,6 +178,18 @@ def test_assumptions_cobb_douglas_degenerate():
     assert report.a1.verdict == "non_strict"
     assert report.a2.verdict == "non_strict"
     assert not report.all_pass
+
+
+@pytest.mark.parametrize("factor", [1e80, 1e150])
+def test_overflowing_assumption_derivatives_are_no_verdict(factor):
+    """A grid whose far corners overflow the CES kernels once gave a
+    ``fail`` (1e80) or ``non_strict`` (1e150) verdict on NaN derivatives,
+    and a RuntimeWarning under ``-W error``; it names the grid instead."""
+    grid = Grid4.log_around(factor=factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"derivatives must be finite.* K \[{1 / factor:g}, "):
+            check_assumptions(regime_a_economy().tech, grid)
 
 
 def test_grid4_validation():

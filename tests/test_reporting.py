@@ -111,7 +111,32 @@ def test_solution_document_round_trip(tmp_path, regime_a_solution):
     assert worst <= 1e-8
 
 
-def test_load_solution_rejects_bad_files(tmp_path):
+# edits of a solution document that load_solution refuses: (section, field,
+# new value), each once raising IndexError, TypeError or ValueError later on,
+# or, the c_m of two periods, re-verified as a steady state
+BAD_FIELDS = [
+    ("multipliers", "lam", []),
+    ("multipliers", "mu_c", [0.1]),
+    ("allocation", "k", [[1.1], [1.1]]),
+    ("allocation", "c_c", []),
+    ("allocation", "c_m", [0.25, 0.25]),
+    (None, "objective", "-36.6"),
+    (None, "objective", True),
+]
+
+
+def test_load_solution_rejects_bad_files(tmp_path, regime_a_solution):
+    sol = regime_a_solution
+    path = tmp_path / "sol.json"
+    write_json(path, MANIFEST, solution_payload(sol, compute_wedge_report(sol)))
+    for section, field, value in BAD_FIELDS:
+        doc = json.loads(path.read_text())
+        (doc["payload"][section] if section else doc["payload"])[field] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="cannot load solution"):
+            load_solution(edited)
+
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     with pytest.raises(ConfigError, match="cannot load solution"):
