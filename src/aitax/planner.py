@@ -21,19 +21,21 @@ steady state and the finite-horizon path alike: a steady state is the path
 whose next period is itself.  The Newton residuals and the public
 ``foc_residuals`` both evaluate it.
 
-A regime's steady state gets at most two Newton starts, a warm solution
-and then one base start (the first best's vector, or a cold start from a
-capital presolve), and fails fast when neither converges.  A converged
-vector is judged from its multipliers and lifetime slacks (one kernel
-call); only the attempt a solver returns is built into a PlannerSolution
-with its assumption report, KKT residuals and objective.  All solves are
-deterministic: no randomness.
+A regime's steady state gets at most two Newton starts, a warm one (a
+solution, an attempt or a bare predicted point) and then one base start
+(the first best's vector, or a cold start from a capital presolve), and
+fails fast when neither converges.  A converged vector is judged from its
+multipliers and lifetime slacks (one kernel call); only the attempt a
+solver returns is built into a PlannerSolution with its assumption report,
+KKT residuals and objective, and a steady state's keeps the point of the
+first best it was judged from.  All solves are deterministic: no
+randomness.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,6 +129,10 @@ class PlannerSolution:
     foc_residual: float
     assumptions: AssumptionReport
     warnings: tuple[str, ...] = ()
+    # the stationary point (c_c, ..., lam, mu_c, mu_m) of the first best a
+    # steady state was judged from, kept in memory to start a neighbor's
+    # first best; never serialized, and None for a path
+    first_best: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def stationary(self) -> bool:
@@ -357,9 +363,9 @@ class _Layout:
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
 
-    def start(self, warm: PlannerSolution | _Attempt) -> np.ndarray:
-        """Start vector repeating a solved steady state, a PlannerSolution
-        or an ``_Attempt``.
+    def start(self, warm: Start) -> np.ndarray:
+        """Start vector repeating a stationary point: a steady state's
+        PlannerSolution or ``_Attempt``, or a bare (predicted) point.
 
         An active constraint's multiplier is carried over when positive and
         otherwise seeded with a small positive guess.
@@ -406,8 +412,15 @@ def _judge(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> _Attempt:
                     slack_c=_lifetime(beta, flow_c), slack_m=_lifetime(beta, flow_m))
 
 
-def _steady_point(warm: PlannerSolution | _Attempt) -> tuple:
+# a warm start: a solution, an attempt, or a bare stationary point
+# (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m), such as a predicted one
+Start = PlannerSolution | _Attempt | tuple
+
+
+def _steady_point(warm: Start) -> tuple:
     """The stationary candidate (c_c, ..., lam, mu_c, mu_m) a warm start repeats."""
+    if isinstance(warm, tuple):
+        return warm
     if isinstance(warm, _Attempt):
         return warm.point
     a, m = warm.allocation, warm.multipliers
@@ -556,9 +569,10 @@ def detect_regime(solution: PlannerSolution) -> Regime:
     )
 
 
-def _build(config: EconomyConfig, att: _Attempt) -> PlannerSolution:
+def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> PlannerSolution:
     """Solution for an admissible attempt: allocation, KKT residuals,
-    objective and assumption report."""
+    objective and assumption report; a steady state keeps the point of its
+    first best ``fb``."""
     c_c, c_m, l_c, l_m, k, ai, lam, _, _ = att.point
     mu_c, mu_m, ch, layout = att.mu_c, att.mu_m, att.chain, att.layout
     n = layout.n
@@ -597,6 +611,7 @@ def _build(config: EconomyConfig, att: _Attempt) -> PlannerSolution:
         foc_residual=max(float(np.max(np.abs(v))) for v in res.values()),
         assumptions=check_assumptions(config.tech, Grid4.log_around(center)),
         warnings=tuple(warnings),
+        first_best=None if fb is None else fb.point,
     )
 
 
@@ -630,25 +645,24 @@ def _first_admissible(ladder: list, solve, failures: list) -> _Attempt:
 
 
 def _solve_steady(config: EconomyConfig, active: tuple,
-                  warm: PlannerSolution | _Attempt | None, base: np.ndarray | None) -> _Attempt:
+                  warm: Start | None, base: np.ndarray | None) -> _Attempt:
     """Steady-state attempt with ``active`` imposed.
 
-    At most two starts: the warm solution or attempt (when stationary),
-    then one start from ``base``, or from a cold start when there is none.
-    The cold start (a capital presolve) is only built when the warm start
-    fails.
+    At most two starts: the warm start (when stationary), then one start
+    from ``base``, or from a cold start when there is none.  The cold start
+    (a capital presolve) is only built when the warm start fails.
     """
     layout = _Layout(active)
 
     def starts():
-        if warm is not None and warm.stationary:
+        if warm is not None and (isinstance(warm, tuple) or warm.stationary):
             yield layout.start(warm)
         yield _base_start(_cold_start(config) if base is None else base, config, active)
 
     return _newton(config, layout, starts())
 
 
-def _first_best(config: EconomyConfig, *, warm: PlannerSolution | _Attempt | None = None) -> _Attempt:
+def _first_best(config: EconomyConfig, *, warm: Start | None = None) -> _Attempt:
     """The first best's attempt, unbuilt: ``first_best`` without the solution."""
     require_valid(config)
     return _solve_steady(config, (), warm, None)
@@ -661,7 +675,8 @@ def first_best(config: EconomyConfig, *, warm: PlannerSolution | None = None) ->
     slacks report whether that optimum is incentive-compatible;
     negative slack means the corresponding constraint would bind.
     """
-    return _build(config, _first_best(config, warm=warm))
+    fb = _first_best(config, warm=warm)
+    return _build(config, fb, fb)
 
 
 def violated_side(fb: PlannerSolution | _Attempt) -> AgentKind:
@@ -677,23 +692,27 @@ def violated_side(fb: PlannerSolution | _Attempt) -> AgentKind:
     return AgentKind.COGNITIVE if fb.slack_c <= fb.slack_m else AgentKind.MANUAL
 
 
-def solve_steady_state(config: EconomyConfig, *,
-                       warm: PlannerSolution | _Attempt | None = None) -> PlannerSolution:
+def solve_steady_state(config: EconomyConfig, *, warm: Start | None = None,
+                       warm_first_best: Start | None = None) -> PlannerSolution:
     """Stationary constrained-efficient allocation via active-set Newton.
 
-    ``warm`` is a solved steady state, a PlannerSolution or a first-best
-    attempt.  Only the returned attempt is built into a solution.
+    ``warm`` starts every regime's Newton: a solved steady state (a
+    PlannerSolution or a first-best attempt) or a bare stationary point
+    (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m), such as one predicted
+    from neighboring solutions.  ``warm_first_best``, when given, starts
+    the first best instead.  Only the returned attempt is built into a
+    solution, which keeps its first best's point.
     """
-    fb = _first_best(config, warm=warm)
+    fb = _first_best(config, warm=warm if warm_first_best is None else warm_first_best)
     reason = _rejection(fb, ())
     if reason is None:
-        return _build(config, fb)
+        return _build(config, fb, fb)
 
     first = violated_side(fb)
     ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
     return _build(config, _first_admissible(
         ladder, lambda active: _solve_steady(config, active, warm, fb.x), [reason]
-    ))
+    ), fb)
 
 
 # ---------------------------------------------------------------------------
@@ -759,4 +778,4 @@ def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
         layout = _Layout(active, n=n, ends=ends)
         return _newton(config, layout, [layout.start(ss)])
 
-    return _build(config, _first_admissible(ladder, solve, []))
+    return _build(config, _first_admissible(ladder, solve, []), None)

@@ -1,13 +1,19 @@
 """Parameter sweeps, regime-flip bisection, and the lump-sum transfer check.
 
 A sweep re-solves the stationary planner problem along a grid of one
-technology or productivity parameter, warm-starting each solve from its
-neighbor.  Individual failures are recorded on the affected grid point
-rather than aborting the sweep.  ``find_threshold`` then brackets the
-parameter value where the binding incentive constraint flips from the
-cognitive type to the manual type (or back).  It bisects on which
-constraint the first best violates, a sign change at equal first-best
-earnings, and solves the constrained problem only at the bracket's ends.
+technology or productivity parameter as natural-parameter continuation:
+each solve starts from a prediction, a secant in the parameter through the
+two solved grid points before it, taken for the first best and for the
+constrained solution apart.  Where fewer than two consecutive points
+solved (at the start, and after a failure) a solve starts from the last
+solution, or cold before the first.  Individual failures are recorded on
+the affected grid point rather than aborting the sweep.
+``find_threshold`` then brackets the parameter value where the binding
+incentive constraint flips from the cognitive type to the manual type (or
+back).  It bisects on which constraint the first best violates, a sign
+change at equal first-best earnings, starting each probe between the
+bracket ends' first bests, and solves the constrained problem only at the
+bracket's ends.
 
 ``apply_ubi`` decomposes consumption as c-tilde = c-bar + ubi with the
 uniform component entering feasibility through total consumption.  A
@@ -25,7 +31,7 @@ import numpy as np
 
 from .economy import AgentKind, EconomyConfig, validate_config, with_param
 from .errors import ConfigError, DomainError, SolverError, ThresholdRangeError, UbiInfeasibleError
-from .planner import (EPS_C, PlannerSolution, Regime, _first_best, _rejection,
+from .planner import (EPS_C, PlannerSolution, Regime, _first_best, _rejection, _steady_point,
                       solve_steady_state, violated_side)
 from .wedges import compute_wedge_report
 
@@ -125,17 +131,41 @@ def sweep(config: EconomyConfig, param: str, values) -> SweepResult:
     points: list[SweepPoint] = []
     solutions: list[PlannerSolution | None] = []
     warm: PlannerSolution | None = None
+    run: list[tuple[float, PlannerSolution]] = []  # the last solved points, consecutive, at most two
     for v, cfg in zip(grid, configs):
+        starts = _secant(run, v) if len(run) == 2 else {"warm": warm}
         try:
-            sol = solve_steady_state(cfg, warm=warm)
+            sol = solve_steady_state(cfg, **starts)
         except SolverError as exc:
             points.append(_failure(v, exc))
             solutions.append(None)
+            run = []
             continue
         points.append(_metrics(v, sol))
         solutions.append(sol)
         warm = sol
+        run = [*run[-1:], (v, sol)]
     return SweepResult(param=param, points=tuple(points), solutions=tuple(solutions))
+
+
+def _secant(run: list[tuple[float, PlannerSolution]], v: float) -> dict:
+    """Starts at grid value ``v`` predicted from the two solved points before it.
+
+    Natural-parameter continuation (Allgower & Georg, ch. 2): a secant in the
+    parameter itself extends each stationary point (c_c, ..., lam, mu_c, mu_m)
+    linearly to ``v``, the first best's and the solution's apart.  Across a
+    regime change the solution's incentive multipliers mu_c and mu_m are not
+    extrapolated: the last point's are kept.  The prediction makes no
+    residual call.
+    """
+    (v0, s0), (v1, s1) = run
+    step = (v - v1) / (v1 - v0)
+    extend = lambda p0, p1: tuple(b + (b - a) * step for a, b in zip(p0, p1))
+    p0, p1 = _steady_point(s0), _steady_point(s1)
+    point = extend(p0, p1)
+    if s0.regime is not s1.regime:
+        point = point[:7] + p1[7:]
+    return {"warm": point, "warm_first_best": extend(s0.first_best, s1.first_best)}
 
 
 @dataclass(frozen=True)
@@ -171,17 +201,18 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
 
     The flip is the sign change of ``violated_side`` at the first best,
     that is of the first-best earnings gap w_c l_c - w_m l_m.  Each probe
-    is one first-best attempt warm-started from the bracket's lower end;
-    probes are judged, never built into solutions, and the trace records
-    the regime of the side each one takes.  ``warm``, a pair of solved
-    steady states at ``lo`` and ``hi`` (a sweep's solutions on either side
-    of its flip), warm-starts the ends' first bests; without it the first
-    best at ``lo`` starts cold and the one at ``hi`` from it.  Both ends'
-    first bests must violate a constraint, on different sides, otherwise
-    ThresholdRangeError.  The final ends are then solved with their
-    constraints, which gives the reported solutions and regimes; an end
-    so close to the flip that its multiplier is below TOL_ICC reports
-    none_bind.
+    is one first-best attempt started from the linear interpolation, at
+    the probe, of the bracket ends' first bests; probes are judged, never
+    built into solutions, and the trace records the regime of the side
+    each one takes.  ``warm``, a pair of solved steady states at ``lo`` and
+    ``hi`` (a sweep's solutions on either side of its flip), starts each
+    end's first best at the first best that solution kept, which costs one
+    residual call; without it the first best at ``lo`` starts cold and the
+    one at ``hi`` from it.  Both ends' first bests must violate a
+    constraint, on different sides, otherwise ThresholdRangeError.  The
+    final ends are then solved with their constraints, which gives the
+    reported solutions and regimes; an end so close to the flip that its
+    multiplier is below TOL_ICC reports none_bind.
 
     ``converged`` is False, with the bracket reached so far, when a probe's
     first best raises SolverError (recorded in ``anomalies``) or when the
@@ -196,8 +227,10 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
     if lo == hi:
         raise DomainError("bisection endpoints must differ")
 
-    fb_lo = _first_best(with_param(config, param, lo), warm=warm_lo)
-    fb_hi = _first_best(with_param(config, param, hi), warm=fb_lo if warm_hi is None else warm_hi)
+    fb_lo = _first_best(with_param(config, param, lo),
+                        warm=None if warm_lo is None else warm_lo.first_best)
+    fb_hi = _first_best(with_param(config, param, hi),
+                        warm=fb_lo if warm_hi is None else warm_hi.first_best)
     side_lo, side_hi = (
         _SIDE[violated_side(fb)] if _rejection(fb, ()) is not None else Regime.NONE_BIND
         for fb in (fb_lo, fb_hi)
@@ -216,8 +249,10 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
         if not lo < mid < hi:  # adjacent floats: the bracket cannot narrow any further
             break
         iterations += 1
+        share = (mid - lo) / (hi - lo)
+        start = tuple(a + (b - a) * share for a, b in zip(fb_lo.point, fb_hi.point))
         try:
-            fb_mid = _first_best(with_param(config, param, mid), warm=fb_lo)
+            fb_mid = _first_best(with_param(config, param, mid), warm=start)
         except SolverError as exc:
             anomalies.append((mid, f"{type(exc).__name__}: {exc}"))
             break

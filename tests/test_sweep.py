@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from pathlib import Path
@@ -8,16 +9,17 @@ import pytest
 from aitax import (apply_ubi, cli, find_threshold, planner, regime_a_economy, regime_b_economy,
                    solve_steady_state, sweep, threshold_economy)
 from aitax.configio import parse_config
-from aitax.economy import AgentKind
+from aitax.economy import AgentKind, with_param
 from aitax.errors import (
     ConfigError,
     DomainError,
+    NoInteriorSolutionError,
     SolverError,
     ThresholdRangeError,
     UbiInfeasibleError,
 )
 from aitax.planner import Regime
-from aitax.sweep import SweepResult
+from aitax.sweep import SweepResult, _failure, _metrics
 from aitax.wedges import compute_wedge_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -111,15 +113,16 @@ def test_find_threshold_stops_at_adjacent_floats():
 
 # exact residual evaluations of the bundled threshold run's sweep, and of a
 # cold search over its whole range (the CLI's fallback when there is no single flip)
-SWEEP_EVALS = 1808
-THRESHOLD_EVALS = 1086
+SWEEP_EVALS = 1444
+THRESHOLD_EVALS = 702
 
 
 def test_residual_evaluations_of_the_threshold_run(count_evals):
     """The sweep of ``aitax sweep configs/threshold.cfg --param a_AI --lo 0.1
     --hi 10 --points 25 --log --threshold`` and a cold search over [0.1, 10],
-    counted exactly.  Warm solves build no cold start, and bisection probes
-    solve only the first best."""
+    counted exactly.  Warm solves build no cold start, predicted starts take
+    no residual call of their own, and bisection probes solve only the
+    first best."""
     grid = np.geomspace(0.1, 10.0, 25)
     assert count_evals(lambda: sweep(threshold_economy(), "a_AI", grid)) == SWEEP_EVALS
     evals = count_evals(lambda: find_threshold(threshold_economy(), "a_AI", 0.1, 10.0))
@@ -131,8 +134,16 @@ THRESHOLD_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "10", "--points", "25
                  "--threshold")
 # its exact residual evaluations: the sweep, then bisection of the sweep's own
 # bracket; and the residual calls they take, one per Jacobian and line-search trial
-THRESHOLD_RUN_EVALS = 2074
-THRESHOLD_RUN_CALLS = 545
+THRESHOLD_RUN_EVALS = 1606
+THRESHOLD_RUN_CALLS = 433
+# the bracket the bundled run writes, and the trace of sides that led to it
+THRESHOLD_RUN_BRACKET = (0.15260142943252294, 0.1535716798775756)
+THRESHOLD_RUN_TRACE = [
+    [0.14677992676220694, "cognitive_binds"], [0.1778279410038923, "manual_binds"],
+    [0.16230393388304962, "manual_binds"], [0.15454193032262828, "manual_binds"],
+    [0.1506609285424176, "cognitive_binds"], [0.15260142943252294, "cognitive_binds"],
+    [0.1535716798775756, "manual_binds"],
+]
 
 
 def run_sweep(tmp_path, config_path) -> tuple[int, dict | None]:
@@ -168,6 +179,7 @@ def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, mon
     assert len(builds) == 25 + 2
     rc, b = outcome[0]
     assert rc == 0 and b["converged"] and b["iterations"] == 5
+    assert (b["lo"], b["hi"]) == THRESHOLD_RUN_BRACKET and b["trace"] == THRESHOLD_RUN_TRACE
     # inside the sweep's flip between its grid points 0.1468 and 0.1778
     grid = np.geomspace(0.1, 10.0, 25)
     assert grid[2] <= b["lo"] < b["hi"] <= grid[3]
@@ -188,6 +200,92 @@ def test_a_steady_solve_builds_one_solution(monkeypatch, economy):
 def cold_bracket():
     res = find_threshold(threshold_economy(), "a_AI", 0.1, 10.0)
     return res.lo, res.hi
+
+
+def test_the_cold_search_bracket_is_pinned(cold_bracket):
+    assert cold_bracket == (0.15256958007812502, 0.15317382812500002)
+
+
+def plain_sweep(config, param: str, grid) -> list:
+    """The sweep's points solved without prediction: each grid point warm
+    from the last solved one."""
+    points, warm = [], None
+    for v in grid:
+        try:
+            warm = solve_steady_state(with_param(config, param, v), warm=warm)
+        except SolverError as exc:
+            points.append(_failure(v, exc))
+            continue
+        points.append(_metrics(v, warm))
+    return points
+
+
+# a solve is converged to a KKT residual of TOL_NEWTON = 1e-10; two starts
+# may end at points this far apart in any CSV float
+PREDICTION_ABS = 1e-9
+FLOATS = ("tau_k", "tau_ai", "tau_y_c", "tau_y_m", "wage_ratio", "objective")
+
+
+def test_prediction_does_not_change_the_bundled_sweep():
+    """Predicted starts change the path to each grid point's solution, not
+    the solution: same regimes, same wedge signs, floats within the bound."""
+    grid = np.geomspace(0.1, 10.0, 25)
+    got = sweep(threshold_economy(), "a_AI", grid).points
+    want = plain_sweep(threshold_economy(), "a_AI", grid)
+    assert [p.regime for p in got] == [p.regime for p in want]
+    assert all(p.ok for p in got)
+    for g, w in zip(got, want):
+        for name in FLOATS:
+            a, b = getattr(g, name), getattr(w, name)
+            assert abs(a - b) <= PREDICTION_ABS, (g.value, name, a, b)
+            if name.startswith("tau"):
+                assert np.sign(a) == np.sign(b), (g.value, name, a, b)
+
+
+def test_the_predictor_restarts_after_a_failed_point():
+    """The corner economy's 0.1 end fails: the sweep's failures and regimes
+    are the plain warm-started sweep's."""
+    config = parse_config(CORNER_END_ECONOMY)
+    grid = np.geomspace(0.1, 10.0, 25)
+    got = sweep(config, "a_AI", grid).points
+    want = plain_sweep(config, "a_AI", grid)
+    assert [p.error for p in got] == [p.error for p in want]
+    assert [p.regime for p in got] == [p.regime for p in want]
+    assert not got[0].ok and all(p.ok for p in got[1:])
+
+
+def test_a_failed_point_restarts_the_secant(monkeypatch):
+    """After a failure the next two points start plainly from the last
+    solution; only then does the secant resume, over consecutive points."""
+    starts = []
+
+    def failing(config, **kw):
+        starts.append(kw)
+        if len(starts) == 4:
+            raise NoInteriorSolutionError("forced")
+        return solve_steady_state(config, **kw)
+
+    monkeypatch.setattr(importlib.import_module("aitax.sweep"), "solve_steady_state", failing)
+    res = sweep(threshold_economy(), "a_AI", A_AI_GRID)
+    assert [p.ok for p in res.points] == [True] * 3 + [False] + [True] * 3
+    s = res.solutions
+    assert starts[0] == {"warm": None} and starts[1] == {"warm": s[0]}
+    assert starts[4] == {"warm": s[2]} and starts[5] == {"warm": s[4]}
+    for kw in (starts[2], starts[3], starts[6]):
+        assert set(kw) == {"warm", "warm_first_best"}
+        assert all(isinstance(v, tuple) and len(v) == 9 for v in kw.values())
+
+
+def test_prediction_keeps_the_flip_on_a_linear_grid():
+    grid = np.linspace(0.1, 1.0, 7)
+    res = sweep(threshold_economy(), "a_AI", grid)
+    want = plain_sweep(threshold_economy(), "a_AI", grid)
+    assert [p.regime for p in res.points] == [p.regime for p in want]
+    assert res.threshold_bracket == (grid[0], grid[1])
+    th = find_threshold(threshold_economy(), "a_AI", *res.threshold_bracket,
+                        warm=res.solutions[:2])
+    assert th.converged
+    assert (th.lo_regime, th.hi_regime) == (Regime.COGNITIVE_BINDS, Regime.MANUAL_BINDS)
 
 
 def test_without_a_single_flip_the_search_runs_cold(tmp_path, monkeypatch, cold_bracket):
