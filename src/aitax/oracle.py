@@ -3,8 +3,19 @@
 Enumerates a six-dimensional product grid over (c_c, c_m, l_c, l_m, K, AI),
 keeps the points satisfying stationary feasibility and both incentive
 constraints evaluated exactly, and maximizes the stationary objective
-sum_h pi_h (u(c_h) - nu(l_h)) / (1 - beta).  Everything is vectorized;
-the default 8-points-per-axis grid has 262,144 candidates.
+sum_h pi_h (u(c_h) - nu(l_h)) / (1 - beta).  The default 8-points-per-axis
+grid has 262,144 candidates.
+
+No float array spans the product grid.  Every float value is computed once,
+on a table of the axes it depends on: output, spending and the mimickers'
+labor disutility on (l_c, l_m, K, AI), the objective on (c_c, c_m, l_c,
+l_m), and what mimicking is worth on the five axes it depends on (for the
+cognitive type, one c_c row at a time).  The product is only walked by
+comparisons and boolean reductions, one c_c slice at a time, so memory
+grows as points**5: about 1.7 MB at 8 points and 40 MB at 16.  The
+objective does not depend on the stocks, so each candidate set reduces
+with ``any`` over (K, AI) to a mask on (c_c, c_m, l_c, l_m), and the
+maxima are taken there.
 
 The regime is inferred by constraint relaxation on the same grid: re-run
 the argmax with one or both incentive constraints dropped and compare
@@ -16,9 +27,11 @@ slacks exactly zero at an optimum that no constraint distorts.  Slacks
 are still cross-checked against the relaxation verdict at grid
 resolution, and disagreement raises OracleIndeterminateError.
 
-Tie-break: np.argmax over the C-ordered grid returns the first maximum,
-which is the lexicographically smallest point in axis order
-(c_c, c_m, l_c, l_m, K, AI) since every axis is ascending.
+Tie-break: the first maximum in C order over (c_c, c_m, l_c, l_m, K, AI),
+which is the lexicographically smallest best point since every axis is
+ascending.  It is found in two stages: np.argmax of the masked objective
+gives the first best (c_c, c_m, l_c, l_m), then the first (K, AI) there
+that satisfies every constraint.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from .economy import EconomyConfig
 from .errors import DomainError, EmptyFeasibleSetError, OracleIndeterminateError
 from .planner import PlannerSolution, Regime
 from .preferences import nu_eval, u_eval
-from .production import output, wages
+from .production import evaluate
 
 DEFAULT_POINTS = 8
 LIPSCHITZ_ALLOWANCE = 10.0
@@ -133,52 +146,76 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
     pi_m, z_m = config.manual.pi, config.manual.z
 
     ax = [a.values() for a in grid.axes()]
-    c_c = ax[0].reshape(-1, 1, 1, 1, 1, 1)
-    c_m = ax[1].reshape(1, -1, 1, 1, 1, 1)
     l_c4, l_m4, k4, ai4 = np.meshgrid(ax[2], ax[3], ax[4], ax[5], indexing="ij")
 
+    # tables on the (l_c, l_m, K, AI) grid
     el_c4 = pi_c * z_c * l_c4
     el_m4 = pi_m * z_m * l_m4
-    y4 = output(tech, el_c4, el_m4, k4, ai4)
-    w_c4, w_m4 = wages(tech, config, el_c4, el_m4, k4, ai4)
-
-    shape4 = (1, 1) + l_c4.shape
-    y = y4.reshape(shape4)
-    spend4 = (tech.delta_k * k4 + tech.delta_ai * ai4 + config.g).reshape(shape4)
-    feasible = pi_c * c_c + pi_m * c_m + spend4 <= y
-
-    u_cc = u_eval(prefs, ax[0]).reshape(-1, 1, 1, 1, 1, 1)
-    u_cm = u_eval(prefs, ax[1]).reshape(1, -1, 1, 1, 1, 1)
-    nu_lc = nu_eval(prefs, ax[2]).reshape(1, 1, -1, 1, 1, 1)
-    nu_lm = nu_eval(prefs, ax[3]).reshape(1, 1, 1, -1, 1, 1)
+    tech4 = evaluate(tech, config, el_c4, el_m4, k4, ai4)
+    y4, w_c4, w_m4 = tech4.y, tech4.w_c, tech4.w_m
+    spend4 = tech.delta_k * k4 + tech.delta_ai * ai4 + config.g
     # labor each type would need to reproduce the other's earnings
-    nu_mimic_c = nu_eval(prefs, l_m4 * w_m4 / w_c4).reshape(shape4)
-    nu_mimic_m = nu_eval(prefs, l_c4 * w_c4 / w_m4).reshape(shape4)
+    nu_mimic_c = nu_eval(prefs, l_m4 * w_m4 / w_c4)
+    nu_mimic_m = nu_eval(prefs, l_c4 * w_c4 / w_m4)
 
-    slack_c = (u_cc - nu_lc) - (u_cm - nu_mimic_c)
-    slack_m = (u_cm - nu_lm) - (u_cc - nu_mimic_m)
-    ok_c = slack_c >= 0.0
-    ok_m = slack_m >= 0.0
+    u_cc, u_cm = u_eval(prefs, ax[0]), u_eval(prefs, ax[1])
+    cost = pi_c * ax[0][:, None] + pi_m * ax[1]                # (c_c, c_m)
+    own_c = u_cc[:, None] - nu_eval(prefs, ax[2])              # (c_c, l_c)
+    own_m = u_cm[:, None] - nu_eval(prefs, ax[3])              # (c_m, l_m)
+    # what mimicking the manual type is worth: (c_m, l_c, l_m, K, AI)
+    tempt_c = u_cm.reshape(-1, 1, 1, 1, 1) - nu_mimic_c
 
     scale = 1.0 / (1.0 - prefs.beta)
-    objective = (pi_c * (u_cc - nu_lc) + pi_m * (u_cm - nu_lm)) * scale
+    objective = (pi_c * own_c[:, None, :, None]
+                 + pi_m * own_m[None, :, None, :]) * scale     # (c_c, c_m, l_c, l_m)
 
-    neg = np.float64(-np.inf)
-    obj_feas = np.where(feasible, objective, neg)
-    if not np.any(feasible):
+    # Which (c_c, c_m, l_c, l_m) have some (K, AI) in each candidate set:
+    # feasible in both constraints, in none, in the manual one only, in the
+    # cognitive one only.  A slack own - tempt is >= 0 exactly when
+    # own >= tempt (a rounded difference keeps its sign and is 0 only for
+    # equal operands), unless both are the same infinity.
+    masks = np.empty((4,) + objective.shape, dtype=bool)
+    # one c_c slice, (c_m, l_c, l_m, K, AI), of each set
+    sets = np.empty((4,) + tempt_c.shape, dtype=bool)
+    both, feasible, feasible_m, feasible_c = sets
+    ok_c, ok_m = np.empty((2,) + tempt_c.shape, dtype=bool)
+    spent = np.empty(tempt_c.shape)
+    # own_m spread over the slice once, so the per-slice comparison is flat
+    own_m5 = np.broadcast_to(own_m.reshape(-1, 1, own_m.shape[1], 1, 1), tempt_c.shape).copy()
+    n_feasible = n_ic = 0
+    for i in range(len(ax[0])):
+        np.add(cost[i].reshape(-1, 1, 1, 1, 1), spend4, out=spent)
+        np.less_equal(spent, y4, out=feasible)
+        np.greater_equal(own_c[i].reshape(-1, 1, 1, 1), tempt_c, out=ok_c)
+        # what mimicking the cognitive type is worth at this c_c
+        np.greater_equal(own_m5, u_cc[i] - nu_mimic_m, out=ok_m)
+        np.logical_and(feasible, ok_c, out=feasible_c)
+        np.logical_and(feasible, ok_m, out=feasible_m)
+        np.logical_and(feasible_c, ok_m, out=both)
+        np.any(sets, axis=(4, 5), out=masks[:, i])
+        n_feasible += np.count_nonzero(feasible)
+        n_ic += np.count_nonzero(both)
+
+    if not n_feasible:
         raise EmptyFeasibleSetError(
             "no grid point satisfies stationary feasibility"
         )
-    mask_all = feasible & ok_c & ok_m
-    if not np.any(mask_all):
+    if not n_ic:
         raise EmptyFeasibleSetError(
             "no feasible grid point satisfies both incentive constraints"
         )
 
-    best_all, idx = _best(np.where(mask_all, objective, neg))
-    best_no_icc, _ = _best(obj_feas)
-    best_drop_c, _ = _best(np.where(feasible & ok_m, objective, neg))
-    best_drop_m, _ = _best(np.where(feasible & ok_c, objective, neg))
+    neg = np.float64(-np.inf)
+    (best_all, idx), (best_no_icc, _), (best_drop_c, _), (best_drop_m, _) = (
+        _best(np.where(mask, objective, neg)) for mask in masks
+    )
+    # the first (K, AI) at the best (c_c, c_m, l_c, l_m) in both constraints
+    i, j, a, b = idx
+    at_best = ((cost[i, j] + spend4[a, b] <= y4[a, b])
+               & (own_c[i, a] >= tempt_c[j, a, b])
+               & (own_m[j, b] >= u_cc[i] - nu_mimic_m[a, b]))
+    k, m = np.unravel_index(int(np.argmax(at_best)), at_best.shape)
+    idx = (i, j, a, b, k, m)
 
     helps_c = best_drop_c > best_all  # dropping the cognitive constraint helps
     helps_m = best_drop_m > best_all
@@ -193,8 +230,8 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
 
     h = grid.diagonal_step
     gap = LIPSCHITZ_ALLOWANCE * h
-    flow_c = float(slack_c[idx])
-    flow_m = float(slack_m[idx])
+    flow_c = float(own_c[i, a] - tempt_c[j, a, b, k, m])
+    flow_m = float(own_m[j, b] - (u_cc[i] - nu_mimic_m[a, b, k, m]))
     s_c, s_m = flow_c * scale, flow_m * scale
     # cross-check at flow scale: a constraint the relaxation calls binding
     # must have small slack at the best point, up to grid resolution
@@ -210,7 +247,7 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
             f"({flow_c:.3e}, {flow_m:.3e}) exceed the grid allowance {gap:.3e}"
         )
 
-    point = {name: float(ax[i][idx[i]]) for i, name in enumerate(_AXES)}
+    point = {name: float(ax[n][idx[n]]) for n, name in enumerate(_AXES)}
     return OracleResult(
         objective=best_all,
         point=point,
@@ -222,8 +259,8 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
         objective_drop_m=best_drop_m,
         h=h,
         gap_allowance=gap,
-        n_feasible=int(np.count_nonzero(feasible)),
-        n_incentive_compatible=int(np.count_nonzero(mask_all)),
+        n_feasible=int(n_feasible),
+        n_incentive_compatible=int(n_ic),
     )
 
 
