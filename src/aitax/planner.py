@@ -214,9 +214,9 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     since every operation is elementwise along the periods; a stacked
     steady state's can differ from its scalar rows in the last bits (array
     and scalar ``**`` round apart).  One point stays on scalars: a 1-point
-    array call costs about four times a scalar one.  Returns the seven rows
-    named in ``_ROWS``, the cognitive and manual flow slacks, and the chain
-    terms.
+    array call costs five to eight times a scalar one.  Returns the seven
+    rows named in ``_ROWS``, the cognitive and manual flow slacks, and the
+    chain terms.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
@@ -255,8 +255,8 @@ def _lifetime(beta: float, flow) -> float:
 
 def _periods(*arrays):
     """Stored per-period arrays as the kernel takes them: numpy scalars for a
-    steady state, the one-point form the Newton residual evaluates (Python
-    floats would round the ratio gradient's complex step differently)."""
+    steady state, the one-point form the Newton residual evaluates (the
+    closed-form ratio gradient gives Python floats the same bits)."""
     if len(arrays[0]) == 1:
         return tuple(v[0] for v in arrays)
     return arrays

@@ -21,12 +21,13 @@ the ratio of marginal products of labor r = F_Lc / F_Lm:
 * A2: r strictly decreases in AI,
 * A3: r strictly decreases in L_c and strictly increases in L_m.
 
-Core evaluation is written with plain arithmetic so the same code path
-accepts floats, numpy arrays, and complex inputs; the complex path powers
-machine-precision ratio derivatives via complex-step differentiation.
-Nothing here checks its inputs' domain (nonnegative for output, strictly
-positive otherwise): callers keep them there, and values from outside the
-program are checked where they enter (``planner.foc_residuals``).
+The solver's incentive rows and the checker take these partials from one
+closed form, :func:`mpl_ratio_gradient`: no complex input and no
+finite-difference derivative of r.  Core evaluation is plain arithmetic
+on floats and numpy arrays.  Nothing here checks its inputs' domain
+(nonnegative for output, strictly positive otherwise): callers keep them
+there, and values from outside the program are checked where they enter
+(``planner.foc_residuals``).
 """
 
 from __future__ import annotations
@@ -41,14 +42,8 @@ from .errors import DomainError
 # exponents closer to zero than this use the exact log-limit branch
 LOG_LIMIT = 1e-6
 
-# relative step for the central differences in check_assumptions
-ASSUMPTION_STEP_REL = 1e-4
-
 # strictness margin on ratio derivatives
 TOL_STRICT = 1e-8
-
-# complex-step relative size; no subtractive cancellation, so tiny is fine
-_CS_STEP = 1e-20
 
 VERDICT_PASS = "pass"
 VERDICT_NON_STRICT = "non_strict"
@@ -175,38 +170,35 @@ def evaluate(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai) -> 
     return TechEvaluation(y=y, mp=mp, w_c=mp.f_lc * config.cognitive.z, w_m=mp.f_lm * config.manual.z)
 
 
-def mpl_ratio(tech: TechnologyParams, l_c, l_m, k, ai):
-    """Ratio of labor marginal products F_Lc / F_Lm."""
-    _, f_lc, f_lm, _, _ = _core(tech, l_c, l_m, k, ai)
-    return f_lc / f_lm
-
-
 def mpl_ratio_gradient(tech: TechnologyParams, l_c, l_m, k, ai):
-    """Gradient of F_Lc / F_Lm with respect to (L_c, L_m, K, AI).
+    """Gradient of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI).
 
-    Uses complex-step differentiation of the analytic marginal products,
-    which is exact to machine precision for these smooth positive forms.
-    On arrays the four step directions share one core pass, on a leading
-    axis; scalars take four scalar passes, which cost about half as much.
-    Both round alike to within a few ulps.
+    log r is linear in the logs of the inputs and of the CES bundles, so
+    each partial is r * e / x for an elasticity e.  A bundle's elasticity in
+    one input is that input's share of it, read off one real core pass
+    because the bundles are homogeneous of degree one.  Exponents within
+    LOG_LIMIT of zero count as zero, as in ``_ces``; so Cobb-Douglas's K and
+    AI partials are exactly 0.
     """
-    base = [l_c, l_m, k, ai]
-    steps = [_CS_STEP * v for v in base]
-    if all(np.ndim(v) == 0 for v in base):
-        grad = []
-        for i in range(4):
-            args = list(base)
-            args[i] = args[i] + 1j * steps[i]
-            _, f_lc, f_lm, _, _ = _core(tech, *args)
-            grad.append((f_lc / f_lm).imag / steps[i])
-        return tuple(grad)
-    shape = (4,) + np.broadcast_shapes(*map(np.shape, base))
-    args = [np.broadcast_to(v, shape).astype(complex) for v in base]
-    for i in range(4):
-        args[i][i] += 1j * steps[i]
-    _, f_lc, f_lm, _, _ = _core(tech, *args)
-    ratio = (f_lc / f_lm).imag
-    return tuple(ratio[i] / steps[i] for i in range(4))
+    sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
+    _, f_lc, f_lm, f_k, f_ai = _core(tech, l_c, l_m, k, ai)
+    r = f_lc / f_lm
+    kf = k * f_k
+    if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
+        # N = L_c + a_ai * AI stands in for L_c in the cognitive bundle
+        n = l_c + tech.a_ai * ai
+        s_k = kf / (kf + n * f_lc)
+        d_n = r * ((sigma - rho_c) * (1.0 - s_k) - (1.0 - rho_c)) / n
+        return d_n, r * (1.0 - sigma) / l_m, r * (sigma - rho_c) * s_k / k, d_n * tech.a_ai
+    s_k = kf / (kf + l_c * f_lc)
+    af = ai * f_ai
+    s_a = af / (af + l_m * f_lm)
+    return (
+        r * ((sigma - rho_c) * (1.0 - s_k) - (1.0 - rho_c)) / l_c,
+        r * ((1.0 - rho_m) - (sigma - rho_m) * (1.0 - s_a)) / l_m,
+        r * (sigma - rho_c) * s_k / k,
+        r * (rho_m - sigma) * s_a / ai,
+    )
 
 
 def grad_check(tech: TechnologyParams, point, step: float) -> float:
@@ -290,27 +282,12 @@ class AssumptionReport:
         return (self.a1, self.a2, self.a3)
 
 
-def _ratio_central_diffs(tech, mesh):
-    """Elementwise d(mpl_ratio)/d(axis) along each of the four axes, by
-    central differences with relative step.
-
-    The eight shifted meshes share one ``mpl_ratio`` pass, on a leading
-    axis: shifts 2a and 2a + 1 move axis a up and down.
-    """
-    steps = [ASSUMPTION_STEP_REL * v for v in mesh]
-    shifted = [np.repeat(v[None], 8, axis=0) for v in mesh]
-    for a in range(4):
-        shifted[a][2 * a] += steps[a]
-        shifted[a][2 * a + 1] -= steps[a]
-    r = mpl_ratio(tech, *shifted)
-    return [(r[2 * a] - r[2 * a + 1]) / (2.0 * steps[a]) for a in range(4)]
-
-
-def _judge(conditions, mesh) -> tuple[str, float, tuple, str]:
+def _judge(conditions, axes) -> tuple[str, float, tuple, str]:
     """Combine signed derivative conditions into one verdict.
 
-    ``conditions`` is a list of (axis_name, derivative_array, required_sign).
-    The worst point is the one with the smallest signed margin.
+    ``conditions`` is a list of (axis_name, derivative_array, required_sign),
+    each array over the product of the four grid ``axes``.  The worst point
+    is the one with the smallest signed margin.
     """
     verdict = VERDICT_PASS
     worst_margin = np.inf
@@ -321,7 +298,7 @@ def _judge(conditions, mesh) -> tuple[str, float, tuple, str]:
         m = float(margin[idx])
         if m < worst_margin:
             worst_margin = m
-            point = tuple(float(ax[idx]) for ax in mesh)
+            point = tuple(float(ax[i]) for ax, i in zip(axes, idx))
             worst = (float(deriv[idx]), point, axis_name)
         if np.any(margin < -TOL_STRICT):
             verdict = VERDICT_FAIL
@@ -333,23 +310,24 @@ def _judge(conditions, mesh) -> tuple[str, float, tuple, str]:
 def check_assumptions(tech: TechnologyParams, grid: Grid4 | None = None) -> AssumptionReport:
     """Sign-check the factor-bias assumptions on a rectangular grid.
 
-    Each assumption is a strict sign requirement on a central-difference
-    derivative of F_Lc / F_Lm, applied at every grid point.  A wrong sign
-    beyond TOL_STRICT anywhere fails; magnitudes within TOL_STRICT make the
-    verdict ``non_strict`` (the Cobb-Douglas control lands here for A1/A2).
+    Each assumption is a strict sign requirement on a partial of F_Lc / F_Lm
+    from :func:`mpl_ratio_gradient`, applied at every grid point.  A wrong
+    sign beyond TOL_STRICT anywhere fails; magnitudes within TOL_STRICT make
+    the verdict ``non_strict`` (the Cobb-Douglas control lands here for
+    A1/A2, whose partials are exactly 0).
     A grid on which a derivative is not finite raises DomainError.
     """
     if grid is None:
         grid = Grid4.log_around()
-    mesh = np.meshgrid(grid.l_c, grid.l_m, grid.k, grid.ai, indexing="ij")
+    axes = (grid.l_c, grid.l_m, grid.k, grid.ai)
     with np.errstate(all="ignore"):
-        diffs = d_lc, d_lm, d_k, d_ai = _ratio_central_diffs(tech, mesh)
+        diffs = d_lc, d_lm, d_k, d_ai = mpl_ratio_gradient(tech, *np.ix_(*axes))
     if not all(np.isfinite(d).all() for d in diffs):
         spans = ", ".join(f"{name} [{axis.min():g}, {axis.max():g}]" for name, axis in
-                          zip(("L_c", "L_m", "K", "AI"), (grid.l_c, grid.l_m, grid.k, grid.ai)))
+                          zip(("L_c", "L_m", "K", "AI"), axes))
         raise DomainError(f"ratio derivatives must be finite on the grid {spans}")
 
-    a1 = AssumptionCheck("A1", *_judge([("K", d_k, +1.0)], mesh))
-    a2 = AssumptionCheck("A2", *_judge([("AI", d_ai, -1.0)], mesh))
-    a3 = AssumptionCheck("A3", *_judge([("L_c", d_lc, -1.0), ("L_m", d_lm, +1.0)], mesh))
+    a1 = AssumptionCheck("A1", *_judge([("K", d_k, +1.0)], axes))
+    a2 = AssumptionCheck("A2", *_judge([("AI", d_ai, -1.0)], axes))
+    a3 = AssumptionCheck("A3", *_judge([("L_c", d_lc, -1.0), ("L_m", d_lm, +1.0)], axes))
     return AssumptionReport(a1=a1, a2=a2, a3=a3)

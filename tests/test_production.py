@@ -1,22 +1,30 @@
+import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aitax import cobb_douglas_economy, regime_a_economy, symmetric_economy, threshold_economy
+from aitax import (
+    cobb_douglas_economy,
+    regime_a_economy,
+    regime_b_economy,
+    symmetric_economy,
+    threshold_economy,
+)
+from aitax.configio import parse_config
 from aitax.economy import TechForm, TechnologyParams
 from aitax import production
 from aitax.errors import DomainError
 from aitax.production import (
-    ASSUMPTION_STEP_REL,
     Grid4,
     check_assumptions,
     evaluate,
     grad_check,
     marginal_products,
-    mpl_ratio,
     mpl_ratio_gradient,
     output,
     total_wealth,
@@ -27,11 +35,18 @@ COMPLEMENTS = symmetric_economy().tech
 SUBSTITUTE = threshold_economy().tech
 COBB = cobb_douglas_economy().tech
 ALL_FORMS = (COMPLEMENTS, SUBSTITUTE, COBB)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_points(n, seed=0):
     rng = np.random.default_rng(seed)
     return np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(n, 4)))
+
+
+def ratio(tech, *point):
+    """The wage ratio F_Lc / F_Lm."""
+    mp = marginal_products(tech, *point)
+    return mp.f_lc / mp.f_lm
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
@@ -95,7 +110,7 @@ def test_evaluate_bundles_everything():
     assert ev.w_c == pytest.approx(w_c, rel=1e-14)
     assert ev.w_m == pytest.approx(w_m, rel=1e-14)
     assert ev.w_c / ev.w_m == pytest.approx(
-        mpl_ratio(cfg.tech, *pt) * cfg.cognitive.z / cfg.manual.z, rel=1e-12
+        ratio(cfg.tech, *pt) * cfg.cognitive.z / cfg.manual.z, rel=1e-12
     )
 
 
@@ -108,46 +123,87 @@ def test_mpl_ratio_gradient_vs_finite_differences():
             hi, lo = list(pt), list(pt)
             hi[i] += h
             lo[i] -= h
-            fd = (mpl_ratio(tech, *hi) - mpl_ratio(tech, *lo)) / (2 * h)
+            fd = (ratio(tech, *hi) - ratio(tech, *lo)) / (2 * h)
             # abs floor covers central-difference roundoff on flat directions
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
 def test_ratio_gradient_on_arrays_is_the_per_point_one(tech):
-    """Arrays take the four complex steps in one core pass, scalars in four;
-    the two agree to rounding (8.1e-16 relative at most on these points).
-    Cobb-Douglas's K and AI derivatives are zero, so there both are rounding
-    noise, up to 1.5e-14 absolute."""
+    """Arrays and scalars take the same formulas; they agree to rounding
+    (6.6e-16 relative at most on these points), since array and scalar
+    ``**`` round apart."""
     pts = random_points(8, seed=3)
     stacked = mpl_ratio_gradient(tech, *pts.T)
     for g, pt in enumerate(pts):
         one = mpl_ratio_gradient(tech, *pt)
-        np.testing.assert_allclose([d[g] for d in stacked], one, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose([d[g] for d in stacked], one, rtol=1e-14, atol=0.0)
 
 
-def per_axis_central_diffs(tech, mesh):
-    """d(mpl_ratio)/d(axis), one axis and one shifted mesh at a time."""
-    out = []
-    for a in range(4):
-        hi, lo = list(mesh), list(mesh)
-        h = ASSUMPTION_STEP_REL * mesh[a]
-        hi[a] = mesh[a] + h
-        lo[a] = mesh[a] - h
-        out.append((mpl_ratio(tech, *hi) - mpl_ratio(tech, *lo)) / (2.0 * h))
-    return out
+def complex_step_ratio_gradient(tech, l_c, l_m, k, ai):
+    """Reference gradient of F_Lc / F_Lm: a complex step of relative size
+    1e-20 in each of the four directions through ``production._core``, which
+    has no subtractive cancellation, so it is exact to rounding."""
+    base = [np.asarray(v, dtype=float) for v in (l_c, l_m, k, ai)]
+    grad = []
+    for i in range(4):
+        args = [v.astype(complex) for v in base]
+        step = 1e-20 * base[i]
+        args[i] = args[i] + 1j * step
+        _, f_lc, f_lm, _, _ = production._core(tech, *args)
+        grad.append((f_lc / f_lm).imag / step)
+    return grad
+
+
+def _fuzz_techs():
+    """The technologies of the 24 seed-0 draws of ``bench/fuzz.py``, by name."""
+    spec = importlib.util.spec_from_file_location("fuzz", ROOT / "bench" / "fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return {name: parse_config(text).tech
+            for name, text in fuzz.draw_economies(ROOT / "configs", 0, 24)}
+
+
+REFERENCE_TECHS = {
+    "symmetric": COMPLEMENTS,
+    "regime_a": regime_a_economy().tech,
+    "regime_b": regime_b_economy().tech,
+    "threshold": SUBSTITUTE,
+    "cobb_douglas": COBB,
+    **_fuzz_techs(),
+    # an exponent inside LOG_LIMIT of zero on either nest
+    "near_log_limit": dataclasses.replace(regime_a_economy().tech, rho_c=5e-7, rho_m=-5e-7),
+}
+
+
+@pytest.mark.parametrize("tech", REFERENCE_TECHS.values(), ids=REFERENCE_TECHS.keys())
+def test_closed_form_ratio_gradient_is_the_complex_step(tech):
+    """The closed form agrees with the complex step to 1e-13 relative,
+    component by component, at random points over a box of e^-3 to e^3
+    (measured: 2.2e-15 at most).  Cobb-Douglas's K and AI partials are
+    exactly zero, where the complex step reads rounding noise."""
+    rng = np.random.default_rng(7)
+    pts = np.exp(rng.uniform(-3.0, 3.0, size=(4, 400)))
+    closed = mpl_ratio_gradient(tech, *pts)
+    reference = complex_step_ratio_gradient(tech, *pts)
+    axes = (0, 1) if tech.form is TechForm.COBB_DOUGLAS else range(4)
+    for a in axes:
+        np.testing.assert_allclose(closed[a], reference[a], rtol=1e-13, atol=0.0)
+    if tech.form is TechForm.COBB_DOUGLAS:
+        for a in (2, 3):
+            assert np.all(closed[a] == 0.0)
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
 @pytest.mark.parametrize("center", [(1.0, 1.0, 1.0, 1.0), (0.3, 0.7, 2.0, 0.5)])
-def test_one_pass_assumption_derivatives_are_the_per_axis_ones(tech, center):
-    """``check_assumptions`` shifts its eight meshes in one ``mpl_ratio``
-    pass; every derivative is bit for bit the one-mesh-at-a-time one."""
-    grid = Grid4.log_around(center)
-    mesh = np.meshgrid(grid.l_c, grid.l_m, grid.k, grid.ai, indexing="ij")
-    for one_pass, reference in zip(production._ratio_central_diffs(tech, mesh),
-                                   per_axis_central_diffs(tech, mesh)):
-        assert np.array_equal(one_pass, reference)
+def test_worst_values_are_the_gradient_at_the_worst_point(tech, center):
+    """Every check reports the gradient's own partial at its worst point:
+    the grid takes ``mpl_ratio_gradient`` once, on arrays."""
+    report = check_assumptions(tech, Grid4.log_around(center))
+    axes = {"L_c": 0, "L_m": 1, "K": 2, "AI": 3}
+    for check in report.checks():
+        expected = mpl_ratio_gradient(tech, *check.worst_point)[axes[check.axis]]
+        assert check.worst_value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_assumptions_complements_desk():
@@ -178,6 +234,26 @@ def test_assumptions_cobb_douglas_degenerate():
     assert report.a1.verdict == "non_strict"
     assert report.a2.verdict == "non_strict"
     assert not report.all_pass
+    # every K and AI partial is exactly 0, so the first grid point is the worst
+    grid = Grid4.log_around()
+    for check in (report.a1, report.a2):
+        assert check.worst_value == 0.0
+        assert check.worst_point == (grid.l_c[0], grid.l_m[0], grid.k[0], grid.ai[0])
+
+
+def test_a_wide_grid_reads_no_rounding_noise():
+    """At factor 1e6 threshold's K partial is tiny but positive at the far
+    corners (3.8e-30 at least): A1 is ``non_strict``, where central
+    differences once read -0.078125 there, a false ``fail``.  They also
+    failed Cobb-Douglas's A1 and A2 from factor 1e3 on; its K and AI
+    partials are exactly 0 at any factor."""
+    wide = Grid4.log_around(factor=1e6)
+    report = check_assumptions(SUBSTITUTE, wide)
+    assert [c.verdict for c in report.checks()] == ["non_strict"] * 3
+    assert 0.0 < report.a1.worst_value <= production.TOL_STRICT
+    report = check_assumptions(COBB, wide)
+    assert [c.verdict for c in report.checks()] == ["non_strict"] * 3
+    assert (report.a1.worst_value, report.a2.worst_value) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("factor", [1e80, 1e150])
