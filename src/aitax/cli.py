@@ -48,7 +48,7 @@ from .errors import (
 )
 from .oracle import agreement, brute_force_steady, grid_bracketing
 from .planner import Regime, _objective, foc_residuals, solve_finite_horizon, solve_steady_state
-from .production import Grid4, check_assumptions
+from .production import check_assumptions
 from .reporting import (
     RunManifest,
     assumption_payload,
@@ -107,8 +107,7 @@ def _load(path: str):
 def _cmd_check_assumptions(args) -> int:
     started = time.perf_counter()
     config, raw = _load(args.config)
-    grid = Grid4.log_around(factor=args.grid_factor, points=args.grid_points)
-    report = check_assumptions(config.tech, grid)
+    report = check_assumptions(config.tech, factor=args.grid_factor, points=args.grid_points)
     outcome = "ok" if report.all_pass else "assumption_failure"
     manifest = _manifest(
         "check-assumptions", _digest(raw),

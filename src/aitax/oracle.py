@@ -151,8 +151,8 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
     # tables on the (l_c, l_m, K, AI) grid
     el_c4 = pi_c * z_c * l_c4
     el_m4 = pi_m * z_m * l_m4
-    tech4 = evaluate(tech, config, el_c4, el_m4, k4, ai4)
-    y4, w_c4, w_m4 = tech4.y, tech4.w_c, tech4.w_m
+    tech4 = evaluate(tech, el_c4, el_m4, k4, ai4)
+    y4, w_c4, w_m4 = tech4.y, tech4.f_lc * z_c, tech4.f_lm * z_m
     spend4 = tech.delta_k * k4 + tech.delta_ai * ai4 + config.g
     # labor each type would need to reproduce the other's earnings
     nu_mimic_c = nu_eval(prefs, l_m4 * w_m4 / w_c4)

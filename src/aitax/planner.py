@@ -19,7 +19,9 @@ most-violated first, then the other single constraint, then both.
 One KKT kernel (``_kkt``) writes each first-order condition once, for the
 steady state and the finite-horizon path alike: a steady state is the path
 whose next period is itself.  The Newton residuals and the public
-``foc_residuals`` both evaluate it.
+``foc_residuals`` both evaluate it.  Each kernel call evaluates the
+technology once: ``evaluate`` gives output and the marginal products,
+wages are those times z, and ``mpl_ratio_gradient`` reads the same record.
 
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
@@ -58,13 +60,10 @@ from .newton import Band, newton_solve
 from .preferences import nu_eval, nu_prime, u_eval, u_prime
 from .production import (
     AssumptionReport,
-    Grid4,
     TechEvaluation,
     check_assumptions,
     evaluate,
-    marginal_products,
     mpl_ratio_gradient,
-    output,
 )
 
 TOL_NEWTON = 1e-10
@@ -146,6 +145,8 @@ class _ChainTerms:
     ev: TechEvaluation
     el_c: object  # effective labor pi * l * z
     el_m: object
+    w_c: object  # competitive wages z * F_L
+    w_m: object
     lt_c: object  # labor the cognitive type supplies when mimicking
     lt_m: object
     x_k: object
@@ -162,10 +163,10 @@ def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTe
     pi_m, z_m = config.manual.pi, config.manual.z
     el_c = pi_c * l_c * z_c
     el_m = pi_m * l_m * z_m
-    ev = evaluate(config.tech, config, el_c, el_m, k, ai)
+    ev = evaluate(config.tech, el_c, el_m, k, ai)
 
-    ratio = ev.mp.f_lc / ev.mp.f_lm
-    grad = mpl_ratio_gradient(config.tech, el_c, el_m, k, ai)
+    ratio = ev.f_lc / ev.f_lm
+    grad = mpl_ratio_gradient(config.tech, ev, el_c, el_m, k, ai)
     zr = z_m / z_c
     r_mc = zr / ratio
     g_mc = tuple(-zr * g / ratio**2 for g in grad)
@@ -186,8 +187,9 @@ def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTe
     cross_m = mu_c * nup_lt_c * (r_mc + l_m * g_mc[1] * pi_m * z_m)
 
     return _ChainTerms(
-        ev=ev, el_c=el_c, el_m=el_m, lt_c=lt_c, lt_m=lt_m,
-        x_k=x_k, x_ai=x_ai, y_c=y_c, y_m=y_m, cross_c=cross_c, cross_m=cross_m,
+        ev=ev, el_c=el_c, el_m=el_m, w_c=ev.f_lc * z_c, w_m=ev.f_lm * z_m,
+        lt_c=lt_c, lt_m=lt_m, x_k=x_k, x_ai=x_ai, y_c=y_c, y_m=y_m,
+        cross_c=cross_c, cross_m=cross_m,
     )
 
 
@@ -232,10 +234,10 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     rows = [
         u_prime(prefs, c_c) * (pi_c + mu_c - mu_m) - lam * pi_c,
         u_prime(prefs, c_m) * (pi_m + mu_m - mu_c) - lam * pi_m,
-        -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ev.w_c,
-        -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ev.w_m,
-        lam_ratio - beta * nxt(ev.mp.fw_k) - beta * nxt(ch.x_k) / nxt(lam),
-        lam_ratio - beta * nxt(ev.mp.fw_ai) - beta * nxt(ch.x_ai) / nxt(lam),
+        -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ch.w_c,
+        -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ch.w_m,
+        lam_ratio - beta * nxt(ev.fw_k) - beta * nxt(ch.x_k) / nxt(lam),
+        lam_ratio - beta * nxt(ev.fw_ai) - beta * nxt(ch.x_ai) / nxt(lam),
         ev.y - pi_c * c_c - pi_m * c_m
         - (nxt(k) - k_now + tech.delta_k * k_now)
         - (nxt(ai) - ai_now + tech.delta_ai * ai_now)
@@ -491,14 +493,14 @@ def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
         if not np.all((0.0 < stocks) & (stocks < np.inf)):
             return np.full(np.shape(u), np.inf)
         k, ai = stocks.T
-        mp = marginal_products(tech, el_c, el_m, k, ai)
-        return np.array([beta * mp.fw_k - 1.0, beta * mp.fw_ai - 1.0]).T
+        ev = evaluate(tech, el_c, el_m, k, ai)
+        return np.array([beta * ev.fw_k - 1.0, beta * ev.fw_ai - 1.0]).T
 
     grid = np.linspace(np.log(1e-3), np.log(1e4), 25)
     kk, aa = np.meshgrid(grid, grid, indexing="ij")
     with np.errstate(all="ignore"):
-        mp = marginal_products(tech, el_c, el_m, np.exp(kk), np.exp(aa))
-        score = np.abs(beta * mp.fw_k - 1.0) + np.abs(beta * mp.fw_ai - 1.0)
+        ev = evaluate(tech, el_c, el_m, np.exp(kk), np.exp(aa))
+        score = np.abs(beta * ev.fw_k - 1.0) + np.abs(beta * ev.fw_ai - 1.0)
     score = np.where(np.isfinite(score), score, np.inf)
     i, j = np.unravel_index(np.argmin(score), score.shape)
     res = newton_solve(f, np.array([kk[i, j], aa[i, j]]), tol=1e-9, max_iter=80)
@@ -517,7 +519,7 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     el_m = pi_m * l0 * z_m
     stocks = _capital_subsolve(config, el_c, el_m)
     k0, ai0 = stocks if stocks is not None else (1.0, 1.0)
-    y = output(config.tech, el_c, el_m, k0, ai0)
+    y = evaluate(config.tech, el_c, el_m, k0, ai0).y
     spend = y - config.tech.delta_k * k0 - config.tech.delta_ai * ai0 - config.g
     c0 = spend if spend > 0.05 * y else 0.05 * y
     return np.array([c0, c0, l0, l0, k0, ai0, float(u_prime(config.prefs, c0))])
@@ -603,13 +605,13 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
         regime=_classify(mu_c, mu_m, att.slack_c, att.slack_m),
         allocation=alloc,
         multipliers=mults,
-        wages_c=per_period(ch.ev.w_c),
-        wages_m=per_period(ch.ev.w_m),
+        wages_c=per_period(ch.w_c),
+        wages_m=per_period(ch.w_m),
         slack_c=att.slack_c,
         slack_m=att.slack_m,
         objective=_objective(config, alloc),
         foc_residual=max(float(np.max(np.abs(v))) for v in res.values()),
-        assumptions=check_assumptions(config.tech, Grid4.log_around(center)),
+        assumptions=check_assumptions(config.tech, center),
         warnings=tuple(warnings),
         first_best=None if fb is None else fb.point,
     )

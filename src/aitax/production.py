@@ -1,4 +1,4 @@
-"""Production technology: output, marginal products, wages, factor-bias checks.
+"""Production technology: one evaluation, the wage-ratio gradient, factor-bias checks.
 
 Three functional forms, all homogeneous of degree one:
 
@@ -21,13 +21,16 @@ the ratio of marginal products of labor r = F_Lc / F_Lm:
 * A2: r strictly decreases in AI,
 * A3: r strictly decreases in L_c and strictly increases in L_m.
 
-The solver's incentive rows and the checker take these partials from one
-closed form, :func:`mpl_ratio_gradient`: no complex input and no
+:func:`evaluate` is the one way to evaluate the technology: one core pass
+gives output, the four marginal products and the two wealth returns in
+one record.  The solver's incentive rows and the checker take the partials
+of r from one closed form, :func:`mpl_ratio_gradient`, which reads that
+record's marginal products: no second core pass, no complex input and no
 finite-difference derivative of r.  Core evaluation is plain arithmetic
 on floats and numpy arrays.  Nothing here checks its inputs' domain
-(nonnegative for output, strictly positive otherwise): callers keep them
-there, and values from outside the program are checked where they enter
-(``planner.foc_residuals``).
+(strictly positive): callers keep them there, and values from outside the
+program are checked where they enter (``planner.foc_residuals``, and the
+grid factor and points in :func:`check_assumptions`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import EconomyConfig, TechForm, TechnologyParams
+from .economy import TechForm, TechnologyParams
 from .errors import DomainError
 
 # exponents closer to zero than this use the exact log-limit branch
@@ -105,23 +108,13 @@ def _core(tech: TechnologyParams, l_c, l_m, k, ai):
     return tech.a * v, f_lc, f_lm, f_k, f_ai
 
 
-def output(tech: TechnologyParams, l_c, l_m, k, ai):
-    """Final-good output F(L_c, L_m, K, AI).  Inputs must be nonnegative."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = _core(tech, l_c, l_m, k, ai)[0]
-    return float(y) if np.ndim(y) == 0 else y
-
-
-def total_wealth(tech: TechnologyParams, l_c, l_m, k, ai):
-    """Output plus undepreciated stocks: F + (1-delta_k)K + (1-delta_ai)AI."""
-    y = output(tech, l_c, l_m, k, ai)
-    return y + (1.0 - tech.delta_k) * k + (1.0 - tech.delta_ai) * ai
-
-
 @dataclass(frozen=True)
-class MarginalProducts:
-    """Partials of output, plus partials of total wealth w.r.t. the stocks."""
+class TechEvaluation:
+    """Output and its partials at one input point (or arrays of points):
+    the four marginal products and the wealth returns fw = f + (1 - delta)
+    of the two stocks."""
 
+    y: float
     f_lc: float
     f_lm: float
     f_k: float
@@ -130,58 +123,31 @@ class MarginalProducts:
     fw_ai: float
 
 
-def _evaluate(tech: TechnologyParams, l_c, l_m, k, ai):
-    """Output and marginal products from one core pass, strictly positive inputs."""
+def evaluate(tech: TechnologyParams, l_c, l_m, k, ai) -> TechEvaluation:
+    """The one evaluation of the technology: a single core pass.  Inputs
+    must be strictly positive."""
     y, f_lc, f_lm, f_k, f_ai = _core(tech, l_c, l_m, k, ai)
-    return y, MarginalProducts(
-        f_lc=f_lc,
-        f_lm=f_lm,
-        f_k=f_k,
-        f_ai=f_ai,
+    return TechEvaluation(
+        y=y, f_lc=f_lc, f_lm=f_lm, f_k=f_k, f_ai=f_ai,
         fw_k=f_k + (1.0 - tech.delta_k),
         fw_ai=f_ai + (1.0 - tech.delta_ai),
     )
 
 
-def marginal_products(tech: TechnologyParams, l_c, l_m, k, ai) -> MarginalProducts:
-    """Analytic first derivatives of output.  Inputs must be strictly positive."""
-    return _evaluate(tech, l_c, l_m, k, ai)[1]
-
-
-def wages(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai):
-    """Competitive wages (w_c, w_m) = (F_Lc * z_c, F_Lm * z_m)."""
-    mp = marginal_products(tech, l_c, l_m, k, ai)
-    return mp.f_lc * config.cognitive.z, mp.f_lm * config.manual.z
-
-
-@dataclass(frozen=True)
-class TechEvaluation:
-    """Output, marginal products and wages at one input point."""
-
-    y: float
-    mp: MarginalProducts
-    w_c: float
-    w_m: float
-
-
-def evaluate(tech: TechnologyParams, config: EconomyConfig, l_c, l_m, k, ai) -> TechEvaluation:
-    """Everything the planner FOCs need at one point, in a single core pass."""
-    y, mp = _evaluate(tech, l_c, l_m, k, ai)
-    return TechEvaluation(y=y, mp=mp, w_c=mp.f_lc * config.cognitive.z, w_m=mp.f_lm * config.manual.z)
-
-
-def mpl_ratio_gradient(tech: TechnologyParams, l_c, l_m, k, ai):
+def mpl_ratio_gradient(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai):
     """Gradient of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI).
 
-    log r is linear in the logs of the inputs and of the CES bundles, so
-    each partial is r * e / x for an elasticity e.  A bundle's elasticity in
-    one input is that input's share of it, read off one real core pass
-    because the bundles are homogeneous of degree one.  Exponents within
-    LOG_LIMIT of zero count as zero, as in ``_ces``; so Cobb-Douglas's K and
-    AI partials are exactly 0.
+    ``ev`` is :func:`evaluate` at the same point; the gradient reads its
+    marginal products and makes no core pass of its own.  log r is linear
+    in the logs of the inputs and of the CES bundles, so each partial is
+    r * e / x for an elasticity e.  A bundle's elasticity in one input is
+    that input's share of it, read off the marginal products because the
+    bundles are homogeneous of degree one.  Exponents within LOG_LIMIT of
+    zero count as zero, as in ``_ces``; so Cobb-Douglas's K and AI partials
+    are exactly 0.
     """
     sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
-    _, f_lc, f_lm, f_k, f_ai = _core(tech, l_c, l_m, k, ai)
+    f_lc, f_lm, f_k, f_ai = ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai
     r = f_lc / f_lm
     kf = k * f_k
     if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
@@ -214,47 +180,18 @@ def grad_check(tech: TechnologyParams, point, step: float) -> float:
         raise DomainError(f"step must be positive, got {step}")
     if step >= min(pt):
         raise DomainError(f"step {step} is too large for point {pt}")
-    mp = marginal_products(tech, *pt)
-    analytic = (mp.f_lc, mp.f_lm, mp.f_k, mp.f_ai)
+    ev = evaluate(tech, *pt)
+    analytic = (ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai)
     worst = 0.0
     for i in range(4):
         hi = list(pt)
         lo = list(pt)
         hi[i] += step
         lo[i] -= step
-        numeric = (output(tech, *hi) - output(tech, *lo)) / (2.0 * step)
+        numeric = (evaluate(tech, *hi).y - evaluate(tech, *lo).y) / (2.0 * step)
         err = abs(numeric - analytic[i]) / max(1.0, abs(analytic[i]))
         worst = max(worst, err)
     return worst
-
-
-@dataclass(frozen=True)
-class Grid4:
-    """Rectangular evaluation grid over (L_c, L_m, K, AI)."""
-
-    l_c: np.ndarray
-    l_m: np.ndarray
-    k: np.ndarray
-    ai: np.ndarray
-
-    def __post_init__(self):
-        for name in ("l_c", "l_m", "k", "ai"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or len(arr) < 3:
-                raise DomainError(f"grid axis {name} needs at least 3 points")
-            if not np.all(np.isfinite(arr) & (arr > 0.0)):
-                raise DomainError(f"grid axis {name} must be finite and strictly positive")
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def log_around(cls, center=(1.0, 1.0, 1.0, 1.0), factor: float = 2.0, points: int = 5) -> "Grid4":
-        """Log-spaced box [x/factor, x*factor] on each axis around ``center``."""
-        if not (np.isfinite(factor) and factor > 1.0):
-            raise DomainError(f"grid factor must be finite and exceed 1, got {factor}")
-        if points < 3:
-            raise DomainError(f"grid points must be at least 3, got {points}")
-        axes = [np.geomspace(c / factor, c * factor, points) for c in center]
-        return cls(*axes)
 
 
 @dataclass(frozen=True)
@@ -307,21 +244,28 @@ def _judge(conditions, axes) -> tuple[str, float, tuple, str]:
     return verdict, worst[0], worst[1], worst[2]
 
 
-def check_assumptions(tech: TechnologyParams, grid: Grid4 | None = None) -> AssumptionReport:
-    """Sign-check the factor-bias assumptions on a rectangular grid.
+def check_assumptions(tech: TechnologyParams, center=(1.0, 1.0, 1.0, 1.0), factor: float = 2.0,
+                      points: int = 5) -> AssumptionReport:
+    """Sign-check the factor-bias assumptions on a log-spaced grid.
 
-    Each assumption is a strict sign requirement on a partial of F_Lc / F_Lm
-    from :func:`mpl_ratio_gradient`, applied at every grid point.  A wrong
-    sign beyond TOL_STRICT anywhere fails; magnitudes within TOL_STRICT make
-    the verdict ``non_strict`` (the Cobb-Douglas control lands here for
-    A1/A2, whose partials are exactly 0).
-    A grid on which a derivative is not finite raises DomainError.
+    The grid spans [x / factor, x * factor] with ``points`` points on each
+    axis of (L_c, L_m, K, AI) around ``center``.  Each assumption is a
+    strict sign requirement on a partial of F_Lc / F_Lm from
+    :func:`mpl_ratio_gradient`, applied at every grid point.  A wrong sign
+    beyond TOL_STRICT anywhere fails; magnitudes within TOL_STRICT make the
+    verdict ``non_strict`` (the Cobb-Douglas control lands here for A1/A2,
+    whose partials are exactly 0).  A factor that is not finite or not
+    above 1, fewer than 3 points, or a grid on which a derivative is not
+    finite raises DomainError.
     """
-    if grid is None:
-        grid = Grid4.log_around()
-    axes = (grid.l_c, grid.l_m, grid.k, grid.ai)
+    if not (np.isfinite(factor) and factor > 1.0):
+        raise DomainError(f"grid factor must be finite and exceed 1, got {factor}")
+    if points < 3:
+        raise DomainError(f"grid points must be at least 3, got {points}")
     with np.errstate(all="ignore"):
-        diffs = d_lc, d_lm, d_k, d_ai = mpl_ratio_gradient(tech, *np.ix_(*axes))
+        axes = np.geomspace(np.divide(center, factor), np.multiply(center, factor), points, axis=-1)
+        mesh = np.ix_(*axes)
+        diffs = d_lc, d_lm, d_k, d_ai = mpl_ratio_gradient(tech, evaluate(tech, *mesh), *mesh)
     if not all(np.isfinite(d).all() for d in diffs):
         spans = ", ".join(f"{name} [{axis.min():g}, {axis.max():g}]" for name, axis in
                           zip(("L_c", "L_m", "K", "AI"), axes))

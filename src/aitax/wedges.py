@@ -35,7 +35,7 @@ from .economy import AgentKind
 from .errors import DomainError, OutOfHorizonError
 from .planner import PlannerSolution, Regime, _periods
 from .preferences import nu_prime, u_prime
-from .production import marginal_products
+from .production import evaluate
 
 TOL_SIGN = 1e-6
 TOL_EQUIV = 1e-8
@@ -84,10 +84,8 @@ def _wedge_table(solution: PlannerSolution) -> _WedgeTable:
     n = a.n_periods
     now = np.arange(max(n - 1, 1))
     nxt = now + (n > 1)
-    mp = marginal_products(
-        solution.config.tech, a.eff_l_c[:n], a.eff_l_m[:n], a.k[:n], a.ai[:n]
-    )
-    fw = {"k": mp.fw_k[nxt], "ai": mp.fw_ai[nxt]}
+    ev = evaluate(solution.config.tech, a.eff_l_c[:n], a.eff_l_m[:n], a.k[:n], a.ai[:n])
+    fw = {"k": ev.fw_k[nxt], "ai": ev.fw_ai[nxt]}
     x = {"k": m.x_k[nxt], "ai": m.x_ai[nxt]}
     lam = m.lam[nxt]
     # a steady state stays on scalars: ** on arrays can differ in the last bit

@@ -33,7 +33,7 @@ from aitax import (
 from aitax.economy import AgentKind, SolveMode
 from aitax.oracle import agreement, grid_bracketing
 from aitax.planner import Regime
-from aitax.production import check_assumptions, grad_check, marginal_products, output
+from aitax.production import check_assumptions, evaluate, grad_check
 
 TOL_SIGN = 1e-6
 TOL_EQUIV = 1e-8
@@ -43,7 +43,7 @@ DESKS = (symmetric_economy, regime_a_economy, regime_b_economy)
 
 def _stationary_mp(solution):
     a = solution.allocation
-    return marginal_products(
+    return evaluate(
         solution.config.tech,
         float(a.eff_l_c[0]), float(a.eff_l_m[0]), float(a.k[0]), float(a.ai[0]),
     )
@@ -153,10 +153,9 @@ def test_criterion_06_analytic_gradients_match_finite_differences():
         for _ in range(100):
             pt = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=4))
             worst_grad = max(worst_grad, grad_check(tech, pt, step=1e-5 * float(pt.min())))
-            mp = marginal_products(tech, *pt)
-            y = output(tech, *pt)
-            euler = pt[0] * mp.f_lc + pt[1] * mp.f_lm + pt[2] * mp.f_k + pt[3] * mp.f_ai
-            worst_euler = max(worst_euler, abs(euler - y) / abs(y))
+            ev = evaluate(tech, *pt)
+            euler = pt[0] * ev.f_lc + pt[1] * ev.f_lm + pt[2] * ev.f_k + pt[3] * ev.f_ai
+            worst_euler = max(worst_euler, abs(euler - ev.y) / abs(ev.y))
         assert worst_grad <= 1e-6, name
         assert worst_euler <= 1e-8, name
         print(f"\n[6] {name}: max gradient err = {worst_grad:.2e}, "

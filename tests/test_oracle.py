@@ -28,7 +28,7 @@ from aitax.errors import (
 from aitax.oracle import AxisSpec, GridSpec, OracleResult, agreement, grid_bracketing
 from aitax.planner import Regime
 from aitax.preferences import nu_eval, u_eval
-from aitax.production import output, wages
+from aitax.production import evaluate
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = {
@@ -61,8 +61,8 @@ def reference_brute_force(config, grid):
 
     el_c4 = pi_c * z_c * l_c4
     el_m4 = pi_m * z_m * l_m4
-    y4 = output(tech, el_c4, el_m4, k4, ai4)
-    w_c4, w_m4 = wages(tech, config, el_c4, el_m4, k4, ai4)
+    ev4 = evaluate(tech, el_c4, el_m4, k4, ai4)
+    y4, w_c4, w_m4 = ev4.y, ev4.f_lc * z_c, ev4.f_lm * z_m
 
     shape4 = (1, 1) + l_c4.shape
     y = y4.reshape(shape4)
@@ -250,13 +250,14 @@ def assert_rescanner_agrees(cfg, grid):
     axes = [list(a.values()) for a in grid.axes()]
     for c_c, c_m, l_c, l_m, k, ai in itertools.product(*axes):
         el_c, el_m = pi_c * z_c * l_c, pi_m * z_m * l_m
-        y = output(cfg.tech, el_c, el_m, k, ai)
+        ev = evaluate(cfg.tech, el_c, el_m, k, ai)
+        y = ev.y
         spend = (pi_c * c_c + pi_m * c_m
                  + cfg.tech.delta_k * k + cfg.tech.delta_ai * ai + cfg.g)
         if spend > y:
             continue
         n_feas += 1
-        w_c, w_m = wages(cfg.tech, cfg, el_c, el_m, k, ai)
+        w_c, w_m = ev.f_lc * z_c, ev.f_lm * z_m
         own_c = u_eval(prefs, c_c) - nu_eval(prefs, l_c)
         own_m = u_eval(prefs, c_m) - nu_eval(prefs, l_m)
         if own_c < u_eval(prefs, c_m) - nu_eval(prefs, l_m * w_m / w_c):

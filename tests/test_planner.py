@@ -14,6 +14,7 @@ from aitax import (
     first_best,
     foc_residuals,
     planner,
+    production,
     regime_a_economy,
     regime_b_economy,
     solve_finite_horizon,
@@ -32,7 +33,7 @@ from aitax.errors import (
 )
 from aitax.planner import TOL_ICC, violated_side
 from aitax.preferences import icc_slack, nu_eval, u_eval
-from aitax.production import total_wealth, wages
+from aitax.production import evaluate
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -101,12 +102,9 @@ def test_regime_a_structure(regime_a_solution):
     # (X^K < 0 raises the required return) and starves AI (X^AI > 0)
     assert float(s.multipliers.x_k[0]) < 0.0
     assert float(s.multipliers.x_ai[0]) > 0.0
-    beta = s.config.prefs.beta
-    ev_wealth = total_wealth(
-        s.config.tech, s.allocation.eff_l_c[0], s.allocation.eff_l_m[0],
-        s.allocation.k[0], s.allocation.ai[0],
-    )
-    assert ev_wealth > 0.0
+    tech, a = s.config.tech, s.allocation
+    ev = evaluate(tech, a.eff_l_c[0], a.eff_l_m[0], a.k[0], a.ai[0])
+    assert ev.y + (1.0 - tech.delta_k) * a.k[0] + (1.0 - tech.delta_ai) * a.ai[0] > 0.0
     assert s.foc_residual <= 1e-10
 
 
@@ -273,11 +271,12 @@ def lagrangian(config, alloc, mults):
     flows = pi_c * (u_cc - nu_lc) + pi_m * (u_cm - nu_lm)
 
     k_now, ai_now = alloc.k[:n], alloc.ai[:n]
-    wealth = total_wealth(tech, alloc.eff_l_c, alloc.eff_l_m, k_now, ai_now)
+    ev = evaluate(tech, alloc.eff_l_c, alloc.eff_l_m, k_now, ai_now)
+    wealth = ev.y + (1.0 - tech.delta_k) * k_now + (1.0 - tech.delta_ai) * ai_now
     resource = (wealth - pi_c * alloc.c_c - pi_m * alloc.c_m
                 - alloc.k[1:] - alloc.ai[1:] - config.g)
 
-    w_c, w_m = wages(tech, config, alloc.eff_l_c, alloc.eff_l_m, k_now, ai_now)
+    w_c, w_m = ev.f_lc * config.cognitive.z, ev.f_lm * config.manual.z
     lt_c = alloc.l_m * w_m / w_c
     lt_m = alloc.l_c * w_c / w_m
     slack_c = (u_cc - nu_lc) - (u_cm - nu_eval(prefs, lt_c))
@@ -635,24 +634,24 @@ def test_a_refusal_costs_one_start(count_evals):
     assert count_evals(refused) == 132
 
 
-# kernel -> index of its first numeric argument; every later argument is an input
-KERNEL_INPUTS = {
-    "evaluate": 2, "mpl_ratio_gradient": 1, "marginal_products": 1,
-    "u_prime": 1, "u_eval": 1, "nu_prime": 1, "nu_eval": 1,
-}
+# the kernels the planner calls through its module globals
+KERNELS = ("evaluate", "mpl_ratio_gradient", "u_prime", "u_eval", "nu_prime", "nu_eval")
 
 
 def test_kernels_only_see_their_domain(monkeypatch):
     """The kernels check no domain, so the solver must never hand them a
     value outside it: every input finite and strictly positive, labor
-    (the disutility's argument) nonnegative."""
-    calls = dict.fromkeys(KERNEL_INPUTS, 0)
+    (the disutility's argument) nonnegative.  An input is any float or
+    array argument; parameters and evaluation records are skipped."""
+    calls = dict.fromkeys(KERNELS, 0)
     bad = []
 
     def checked(name, kernel):
         def call(*args):
             calls[name] += 1
-            for v in args[KERNEL_INPUTS[name]:]:
+            for v in args:
+                if not isinstance(v, (float, np.ndarray)):
+                    continue
                 v = np.asarray(v)
                 low_ok = v >= 0.0 if name.startswith("nu_") else v > 0.0
                 if not (np.all(np.isfinite(v)) and np.all(low_ok)):
@@ -660,7 +659,7 @@ def test_kernels_only_see_their_domain(monkeypatch):
             return kernel(*args)
         return call
 
-    for name in KERNEL_INPUTS:
+    for name in KERNELS:
         monkeypatch.setattr(planner, name, checked(name, getattr(planner, name)))
     for name in ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas", "regime_a_t20"):
         solve(load_config(CONFIGS / f"{name}.cfg")[0])
@@ -669,6 +668,34 @@ def test_kernels_only_see_their_domain(monkeypatch):
             solve_steady_state(refused)
     assert all(calls.values()), calls
     assert bad == []
+
+
+@pytest.mark.parametrize("name", ["regime_a", "regime_a_t20"])
+def test_a_residual_call_makes_one_core_pass(monkeypatch, name):
+    """Every residual call Newton makes evaluates the technology once: the
+    ratio gradient reads the marginal products of the KKT rows' own
+    evaluation, and the capital presolve's stock FOCs need one pass too."""
+    passes, per_call = 0, set()
+    core, newton_solve = production._core, planner.newton_solve
+
+    def counted_core(*args):
+        nonlocal passes
+        passes += 1
+        return core(*args)
+
+    def counted_newton(f, x0, **kw):
+        def residual(x):
+            nonlocal passes
+            passes = 0
+            r = f(x)
+            per_call.add(passes)
+            return r
+        return newton_solve(residual, x0, **kw)
+
+    monkeypatch.setattr(production, "_core", counted_core)
+    monkeypatch.setattr(planner, "newton_solve", counted_newton)
+    solve(load_config(CONFIGS / f"{name}.cfg")[0])
+    assert per_call == {1}
 
 
 @pytest.mark.parametrize("field,value", [

@@ -19,17 +19,7 @@ from aitax.configio import parse_config
 from aitax.economy import TechForm, TechnologyParams
 from aitax import production
 from aitax.errors import DomainError
-from aitax.production import (
-    Grid4,
-    check_assumptions,
-    evaluate,
-    grad_check,
-    marginal_products,
-    mpl_ratio_gradient,
-    output,
-    total_wealth,
-    wages,
-)
+from aitax.production import check_assumptions, evaluate, grad_check, mpl_ratio_gradient
 
 COMPLEMENTS = symmetric_economy().tech
 SUBSTITUTE = threshold_economy().tech
@@ -45,8 +35,13 @@ def random_points(n, seed=0):
 
 def ratio(tech, *point):
     """The wage ratio F_Lc / F_Lm."""
-    mp = marginal_products(tech, *point)
-    return mp.f_lc / mp.f_lm
+    ev = evaluate(tech, *point)
+    return ev.f_lc / ev.f_lm
+
+
+def gradient(tech, *point):
+    """The closed-form ratio gradient at ``point``, on its own evaluation."""
+    return mpl_ratio_gradient(tech, evaluate(tech, *point), *point)
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
@@ -62,10 +57,9 @@ def test_gradients_match_central_differences(tech):
 def test_euler_identity(tech):
     """Degree-1 homogeneity: inputs times marginal products add up to output."""
     for pt in random_points(50, seed=1):
-        mp = marginal_products(tech, *pt)
-        y = output(tech, *pt)
-        total = pt[0] * mp.f_lc + pt[1] * mp.f_lm + pt[2] * mp.f_k + pt[3] * mp.f_ai
-        assert total == pytest.approx(y, rel=1e-8)
+        ev = evaluate(tech, *pt)
+        total = pt[0] * ev.f_lc + pt[1] * ev.f_lm + pt[2] * ev.f_k + pt[3] * ev.f_ai
+        assert total == pytest.approx(ev.y, rel=1e-8)
 
 
 @settings(max_examples=60)
@@ -75,49 +69,43 @@ def test_euler_identity(tech):
 )
 def test_output_homogeneous_degree_one(scale, pt):
     for tech in ALL_FORMS:
-        y = output(tech, *pt)
-        scaled = output(tech, *(scale * v for v in pt))
+        y = evaluate(tech, *pt).y
+        scaled = evaluate(tech, *(scale * v for v in pt)).y
         assert scaled == pytest.approx(scale * y, rel=1e-9)
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
 def test_marginal_products_positive(tech):
     for pt in random_points(25, seed=2):
-        mp = marginal_products(tech, *pt)
-        for v in (mp.f_lc, mp.f_lm, mp.f_k, mp.f_ai):
+        ev = evaluate(tech, *pt)
+        for v in (ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai):
             assert v > 0.0
 
 
 def test_wealth_returns_add_undepreciated_stock():
     pt = (1.0, 1.0, 2.0, 3.0)
     for tech in ALL_FORMS:
-        mp = marginal_products(tech, *pt)
-        assert mp.fw_k == pytest.approx(mp.f_k + 1.0 - tech.delta_k)
-        assert mp.fw_ai == pytest.approx(mp.f_ai + 1.0 - tech.delta_ai)
-        assert total_wealth(tech, *pt) == pytest.approx(
-            output(tech, *pt) + (1 - tech.delta_k) * pt[2] + (1 - tech.delta_ai) * pt[3]
-        )
+        ev = evaluate(tech, *pt)
+        assert ev.fw_k == pytest.approx(ev.f_k + 1.0 - tech.delta_k)
+        assert ev.fw_ai == pytest.approx(ev.f_ai + 1.0 - tech.delta_ai)
 
 
 def test_evaluate_bundles_everything():
+    """One record holds the core pass's output and marginal products, bit
+    for bit, and the wealth returns built on them."""
     cfg = threshold_economy()
     pt = (0.7, 1.3, 2.0, 0.5)
-    ev = evaluate(cfg.tech, cfg, *pt)
-    mp = marginal_products(cfg.tech, *pt)
-    w_c, w_m = wages(cfg.tech, cfg, *pt)
-    assert ev.y == pytest.approx(output(cfg.tech, *pt), rel=1e-14)
-    assert ev.mp.f_k == pytest.approx(mp.f_k, rel=1e-14)
-    assert ev.w_c == pytest.approx(w_c, rel=1e-14)
-    assert ev.w_m == pytest.approx(w_m, rel=1e-14)
-    assert ev.w_c / ev.w_m == pytest.approx(
-        ratio(cfg.tech, *pt) * cfg.cognitive.z / cfg.manual.z, rel=1e-12
-    )
+    ev = evaluate(cfg.tech, *pt)
+    y, f_lc, f_lm, f_k, f_ai = production._core(cfg.tech, *pt)
+    assert (ev.y, ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai) == (y, f_lc, f_lm, f_k, f_ai)
+    tech = cfg.tech
+    assert (ev.fw_k, ev.fw_ai) == (f_k + (1.0 - tech.delta_k), f_ai + (1.0 - tech.delta_ai))
 
 
 def test_mpl_ratio_gradient_vs_finite_differences():
     pt = [0.8, 1.2, 1.5, 0.6]
     for tech in ALL_FORMS:
-        grad = mpl_ratio_gradient(tech, *pt)
+        grad = gradient(tech, *pt)
         for i in range(4):
             h = 1e-6 * pt[i]
             hi, lo = list(pt), list(pt)
@@ -134,9 +122,9 @@ def test_ratio_gradient_on_arrays_is_the_per_point_one(tech):
     (6.6e-16 relative at most on these points), since array and scalar
     ``**`` round apart."""
     pts = random_points(8, seed=3)
-    stacked = mpl_ratio_gradient(tech, *pts.T)
+    stacked = gradient(tech, *pts.T)
     for g, pt in enumerate(pts):
-        one = mpl_ratio_gradient(tech, *pt)
+        one = gradient(tech, *pt)
         np.testing.assert_allclose([d[g] for d in stacked], one, rtol=1e-14, atol=0.0)
 
 
@@ -184,7 +172,7 @@ def test_closed_form_ratio_gradient_is_the_complex_step(tech):
     exactly zero, where the complex step reads rounding noise."""
     rng = np.random.default_rng(7)
     pts = np.exp(rng.uniform(-3.0, 3.0, size=(4, 400)))
-    closed = mpl_ratio_gradient(tech, *pts)
+    closed = gradient(tech, *pts)
     reference = complex_step_ratio_gradient(tech, *pts)
     axes = (0, 1) if tech.form is TechForm.COBB_DOUGLAS else range(4)
     for a in axes:
@@ -199,10 +187,10 @@ def test_closed_form_ratio_gradient_is_the_complex_step(tech):
 def test_worst_values_are_the_gradient_at_the_worst_point(tech, center):
     """Every check reports the gradient's own partial at its worst point:
     the grid takes ``mpl_ratio_gradient`` once, on arrays."""
-    report = check_assumptions(tech, Grid4.log_around(center))
+    report = check_assumptions(tech, center)
     axes = {"L_c": 0, "L_m": 1, "K": 2, "AI": 3}
     for check in report.checks():
-        expected = mpl_ratio_gradient(tech, *check.worst_point)[axes[check.axis]]
+        expected = gradient(tech, *check.worst_point)[axes[check.axis]]
         assert check.worst_value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
@@ -234,11 +222,11 @@ def test_assumptions_cobb_douglas_degenerate():
     assert report.a1.verdict == "non_strict"
     assert report.a2.verdict == "non_strict"
     assert not report.all_pass
-    # every K and AI partial is exactly 0, so the first grid point is the worst
-    grid = Grid4.log_around()
+    # every K and AI partial is exactly 0, so the first grid point, the
+    # default box's lower corner, is the worst
     for check in (report.a1, report.a2):
         assert check.worst_value == 0.0
-        assert check.worst_point == (grid.l_c[0], grid.l_m[0], grid.k[0], grid.ai[0])
+        assert check.worst_point == (0.5, 0.5, 0.5, 0.5)
 
 
 def test_a_wide_grid_reads_no_rounding_noise():
@@ -247,11 +235,10 @@ def test_a_wide_grid_reads_no_rounding_noise():
     differences once read -0.078125 there, a false ``fail``.  They also
     failed Cobb-Douglas's A1 and A2 from factor 1e3 on; its K and AI
     partials are exactly 0 at any factor."""
-    wide = Grid4.log_around(factor=1e6)
-    report = check_assumptions(SUBSTITUTE, wide)
+    report = check_assumptions(SUBSTITUTE, factor=1e6)
     assert [c.verdict for c in report.checks()] == ["non_strict"] * 3
     assert 0.0 < report.a1.worst_value <= production.TOL_STRICT
-    report = check_assumptions(COBB, wide)
+    report = check_assumptions(COBB, factor=1e6)
     assert [c.verdict for c in report.checks()] == ["non_strict"] * 3
     assert (report.a1.worst_value, report.a2.worst_value) == (0.0, 0.0)
 
@@ -261,29 +248,43 @@ def test_overflowing_assumption_derivatives_are_no_verdict(factor):
     """A grid whose far corners overflow the CES kernels once gave a
     ``fail`` (1e80) or ``non_strict`` (1e150) verdict on NaN derivatives,
     and a RuntimeWarning under ``-W error``; it names the grid instead."""
-    grid = Grid4.log_around(factor=factor)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=rf"derivatives must be finite.* K \[{1 / factor:g}, "):
-            check_assumptions(regime_a_economy().tech, grid)
+            check_assumptions(regime_a_economy().tech, factor=factor)
 
 
-def test_grid4_validation():
-    with pytest.raises(DomainError):
-        Grid4(np.array([1.0, 2.0]), np.ones(3), np.ones(3), np.ones(3))
-    with pytest.raises(DomainError):
-        Grid4(np.array([0.0, 1.0, 2.0]), np.ones(3), np.ones(3), np.ones(3))
-    with pytest.raises(DomainError):
-        Grid4.log_around(factor=1.0)
-    grid = Grid4.log_around(center=(1.0, 1.0, 1.0, 1.0), factor=2.0, points=5)
-    assert grid.l_c[0] == pytest.approx(0.5)
-    assert grid.l_c[-1] == pytest.approx(2.0)
+def test_grid4_validation(monkeypatch):
+    """The grid is checked where it enters: a factor of at most 1 or fewer
+    than 3 points is refused.  The box is log-spaced over [x / factor,
+    x * factor] on each axis around the center."""
+    with pytest.raises(DomainError, match="grid points must be at least 3"):
+        check_assumptions(COMPLEMENTS, points=2)
+    with pytest.raises(DomainError, match="grid factor must be finite and exceed 1"):
+        check_assumptions(COMPLEMENTS, factor=1.0)
+    meshes = []
+
+    def recorded(tech, *mesh):
+        meshes.append(mesh)
+        return evaluate(tech, *mesh)
+
+    monkeypatch.setattr(production, "evaluate", recorded)
+    center = (1.0, 0.5, 2.0, 3.0)
+    check_assumptions(COMPLEMENTS, center, factor=2.0, points=5)
+    (mesh,) = meshes
+    for axis, (values, c) in enumerate(zip(mesh, center)):
+        assert values.shape == tuple(5 if a == axis else 1 for a in range(4))
+        np.testing.assert_array_equal(values.ravel(), np.geomspace(c / 2.0, c * 2.0, 5))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_grid4_rejects_non_finite_axes(value):
-    with pytest.raises(DomainError, match="grid axis k must be finite"):
-        Grid4(np.ones(3), np.ones(3), np.array([1.0, value, 2.0]), np.ones(3))
+    """A center coordinate that is not finite gives a NaN grid axis, and
+    the check names the grid instead of giving a verdict."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"derivatives must be finite.* K \[nan, nan\]"):
+            check_assumptions(COMPLEMENTS, (1.0, 1.0, value, 1.0))
 
 
 def test_output_domain():

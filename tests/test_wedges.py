@@ -23,7 +23,7 @@ from aitax import wedges
 from aitax.configio import load_config
 from aitax.errors import DomainError, OutOfHorizonError
 from aitax.preferences import u_prime
-from aitax.production import marginal_products
+from aitax.production import evaluate
 from aitax.wedges import (
     VERDICT_NOT_APPLICABLE,
     VERDICT_PASS,
@@ -95,11 +95,9 @@ def test_stationary_wedge_is_return_based(regime_a_solution):
     s = regime_a_solution
     beta = s.config.prefs.beta
     tau_k = intertemporal_wedge(s, C, "k")
-    from aitax.production import marginal_products
-
     a = s.allocation
-    mp = marginal_products(s.config.tech, a.eff_l_c[0], a.eff_l_m[0], a.k[0], a.ai[0])
-    assert tau_k == pytest.approx(1.0 - 1.0 / (beta * float(mp.fw_k)), rel=1e-10)
+    ev = evaluate(s.config.tech, a.eff_l_c[0], a.eff_l_m[0], a.k[0], a.ai[0])
+    assert tau_k == pytest.approx(1.0 - 1.0 / (beta * float(ev.fw_k)), rel=1e-10)
 
 
 @given(
@@ -189,17 +187,17 @@ def test_one_wedge_table_per_report(monkeypatch):
     def counted(*args):
         nonlocal calls
         calls += 1
-        return marginal_products(*args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(wedges, "marginal_products", counted)
+    monkeypatch.setattr(wedges, "evaluate", counted)
     report = compute_wedge_report(path)
     assert calls == 1
 
     a, prefs = path.allocation, config.prefs
     taus = []
     for t in range(a.n_periods - 1):
-        mp = marginal_products(config.tech, a.eff_l_c[t + 1], a.eff_l_m[t + 1], a.k[t + 1], a.ai[t + 1])
-        tau = 1.0 - u_prime(prefs, a.c_c[t]) / (prefs.beta * u_prime(prefs, a.c_c[t + 1]) * mp.fw_k)
+        ev = evaluate(config.tech, a.eff_l_c[t + 1], a.eff_l_m[t + 1], a.k[t + 1], a.ai[t + 1])
+        tau = 1.0 - u_prime(prefs, a.c_c[t]) / (prefs.beta * u_prime(prefs, a.c_c[t + 1]) * ev.fw_k)
         assert intertemporal_wedge(path, C, "k", t) == pytest.approx(tau, rel=1e-12, abs=1e-15)
         taus.append(tau)
     assert report.tau_k[C] == pytest.approx(taus[0], rel=1e-12)
