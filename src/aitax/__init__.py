@@ -28,7 +28,6 @@ from .oracle import AxisSpec, GridSpec, brute_force_steady
 from .planner import (
     PlannerSolution,
     Regime,
-    detect_regime,
     first_best,
     foc_residuals,
     solve_finite_horizon,
@@ -67,7 +66,6 @@ __all__ = [
     "brute_force_steady",
     "cobb_douglas_economy",
     "compute_wedge_report",
-    "detect_regime",
     "find_threshold",
     "first_best",
     "foc_residuals",

@@ -42,6 +42,7 @@ from .errors import (
     AitaxError,
     ConfigError,
     DomainError,
+    EmptyFeasibleSetError,
     OracleIndeterminateError,
     SolverError,
     ThresholdRangeError,
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     except ThresholdRangeError as exc:
         print(f"threshold error: {exc}", file=sys.stderr)
         return EXIT_NO_FLIP
-    except OracleIndeterminateError as exc:
+    except (EmptyFeasibleSetError, OracleIndeterminateError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except SolverError as exc:

@@ -18,15 +18,13 @@ class SolverError(AitaxError, RuntimeError):
 
 
 class NoInteriorSolutionError(SolverError):
-    """Newton failed from each of its one or two starts; no interior point found."""
+    """No interior point found: Newton failed from each of its one or two
+    starts, or a cold start's capital presolve stopped short of interior
+    stocks (the message names the K, AI and residual it stopped at)."""
 
 
 class NoRegimeFoundError(SolverError):
     """No incentive-compatibility regime produced an admissible solution."""
-
-
-class InconsistentMultipliersError(AitaxError, ValueError):
-    """Multiplier signs contradict the reported constraint slacks."""
 
 
 class UbiInfeasibleError(AitaxError, ValueError):

@@ -26,12 +26,13 @@ wages are those times z, and ``mpl_ratio_gradient`` reads the same record.
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
 (the first best's vector, or a cold start from a capital presolve), and
-fails fast when neither converges.  A converged vector is judged from its
-multipliers and lifetime slacks (one kernel call); only the attempt a
-solver returns is built into a PlannerSolution with its assumption report,
-KKT residuals and objective, and a steady state's keeps the point of the
-first best it was judged from.  All solves are deterministic: no
-randomness.
+fails fast when neither converges; a presolve that finds no interior
+stocks refuses the economy, naming where it stopped.  A converged vector
+is judged from its multipliers and lifetime slacks (one kernel call); only
+the attempt a solver returns is built into a PlannerSolution with its
+assumption report, KKT residuals and objective, and a steady state's keeps
+the point of the first best it was judged from.  All solves are
+deterministic: no randomness.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .economy import (
 from .errors import (
     ConfigError,
     DomainError,
-    InconsistentMultipliersError,
     NoInteriorSolutionError,
     NoRegimeFoundError,
     SolverError,
@@ -93,6 +93,8 @@ _BINDING = {
     Regime.MANUAL_BINDS: (AgentKind.MANUAL,),
     Regime.BOTH_BIND: (AgentKind.COGNITIVE, AgentKind.MANUAL),
 }
+# a solution's regime, keyed by the types whose multiplier exceeds TOL_ICC
+_REGIME = {active: regime for regime, active in _BINDING.items()}
 
 
 @dataclass(frozen=True)
@@ -471,26 +473,30 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     )
 
 
-def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
-    """Stocks consistent with the no-ICC stationary stock FOCs, labor held fixed.
+def _cold_start(config: EconomyConfig) -> np.ndarray:
+    """The first best's start without a warm one: labor 0.5, the stocks that
+    solve the no-ICC stationary stock FOCs at that labor, and the
+    consumption they leave.
 
-    A coarse log-grid presolve picks the Newton start, its best-scoring
-    point; marginal products can vary by orders of magnitude across
-    technologies, so a fixed start is not reliable.  Returns None when
-    Newton finds no interior stock pair from there.
-
-    This is the one solve whose iterates can leave the kernels' domain:
-    its log stocks are unbounded, so ``exp`` can underflow a stock to 0 or
-    overflow it to inf.  The residual is then infinite, which Newton's line
-    search rejects like any other non-finite trial.  The KKT solves need no
-    such barrier: their lower bounds keep every unknown strictly positive.
-    A stack with any such point is all infinite, so its Jacobian fails.
+    The stocks come from a 2-D Newton presolve in log stocks, started at the
+    best point of a coarse log grid, since marginal products can vary by
+    orders of magnitude across technologies.  The log stocks keep the KKT
+    solves' floor (``_LOWER``).  Above it they are unbounded: a stock that
+    overflows to inf makes the residual infinite, which Newton's line search
+    rejects like any other non-finite trial (a stack with any such point is
+    all infinite, so its Jacobian fails).  When the presolve stops short of
+    stocks below 1e9 there is no interior steady state to start from (where
+    holding AI does not pay, AI falls to the floor): raises
+    NoInteriorSolutionError naming the stocks and residual it stopped at.
     """
     beta, tech = config.prefs.beta, config.tech
+    l0 = 0.5
+    el_c = config.cognitive.pi * l0 * config.cognitive.z
+    el_m = config.manual.pi * l0 * config.manual.z
 
     def f(u):
         stocks = np.exp(u)
-        if not np.all((0.0 < stocks) & (stocks < np.inf)):
+        if not np.all(stocks < np.inf):
             return np.full(np.shape(u), np.inf)
         k, ai = stocks.T
         ev = evaluate(tech, el_c, el_m, k, ai)
@@ -503,24 +509,16 @@ def _capital_subsolve(config: EconomyConfig, el_c: float, el_m: float):
         score = np.abs(beta * ev.fw_k - 1.0) + np.abs(beta * ev.fw_ai - 1.0)
     score = np.where(np.isfinite(score), score, np.inf)
     i, j = np.unravel_index(np.argmin(score), score.shape)
-    res = newton_solve(f, np.array([kk[i, j], aa[i, j]]), tol=1e-9, max_iter=80)
-    if res.converged:
-        k, ai = np.exp(res.x)
-        if k < 1e9 and ai < 1e9:
-            return float(k), float(ai)
-    return None
-
-
-def _cold_start(config: EconomyConfig) -> np.ndarray:
-    pi_c, z_c = config.cognitive.pi, config.cognitive.z
-    pi_m, z_m = config.manual.pi, config.manual.z
-    l0 = 0.5
-    el_c = pi_c * l0 * z_c
-    el_m = pi_m * l0 * z_m
-    stocks = _capital_subsolve(config, el_c, el_m)
-    k0, ai0 = stocks if stocks is not None else (1.0, 1.0)
-    y = evaluate(config.tech, el_c, el_m, k0, ai0).y
-    spend = y - config.tech.delta_k * k0 - config.tech.delta_ai * ai0 - config.g
+    res = newton_solve(f, np.array([kk[i, j], aa[i, j]]), tol=1e-9, max_iter=80,
+                       lower=np.log(_LOWER[4:6]))
+    k0, ai0 = (float(v) for v in np.exp(res.x))
+    if not (res.converged and k0 < 1e9 and ai0 < 1e9):
+        raise NoInteriorSolutionError(
+            f"{_label(())}: the capital presolve stopped at K={k0:.3e}, AI={ai0:.3e} "
+            f"(residual {res.residual_norm:.3e})"
+        )
+    y = evaluate(tech, el_c, el_m, k0, ai0).y
+    spend = y - tech.delta_k * k0 - tech.delta_ai * ai0 - config.g
     c0 = spend if spend > 0.05 * y else 0.05 * y
     return np.array([c0, c0, l0, l0, k0, ai0, float(u_prime(config.prefs, c0))])
 
@@ -532,43 +530,6 @@ def _base_start(base: np.ndarray, config: EconomyConfig, active: tuple) -> np.nd
     x[6] = float(u_prime(config.prefs, max(x[0], EPS_C)))
     mu0 = _MU_INIT_FRACTION * min(config.cognitive.pi, config.manual.pi)
     return np.concatenate([x, np.full(len(active), mu0)])
-
-
-def _classify(mu_c: float, mu_m: float, slack_c: float, slack_m: float, strict: bool = False) -> Regime:
-    binds = []
-    for kind, mu, slack in (
-        (AgentKind.COGNITIVE, mu_c, slack_c),
-        (AgentKind.MANUAL, mu_m, slack_m),
-    ):
-        if mu > TOL_ICC:
-            if abs(slack) > TOL_ICC and strict:
-                raise InconsistentMultipliersError(
-                    f"{kind.value} multiplier {mu:.3e} positive but slack {slack:.3e} nonzero"
-                )
-            binds.append(kind)
-    if not binds:
-        return Regime.NONE_BIND
-    if binds == [AgentKind.COGNITIVE]:
-        return Regime.COGNITIVE_BINDS
-    if binds == [AgentKind.MANUAL]:
-        return Regime.MANUAL_BINDS
-    return Regime.BOTH_BIND
-
-
-def detect_regime(solution: PlannerSolution) -> Regime:
-    """Classify a solution from its multipliers and incentive slacks.
-
-    A type binds when its multiplier exceeds TOL_ICC and its slack is zero
-    within TOL_ICC; a positive multiplier with nonzero slack raises
-    InconsistentMultipliersError.
-    """
-    return _classify(
-        solution.multipliers.mu_c,
-        solution.multipliers.mu_m,
-        solution.slack_c,
-        solution.slack_m,
-        strict=True,
-    )
 
 
 def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> PlannerSolution:
@@ -602,7 +563,7 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
         warnings.append(f"mu_m = {mu_m:.6g} is not below pi_c = {pi_c:.6g}")
     return PlannerSolution(
         config=config,
-        regime=_classify(mu_c, mu_m, att.slack_c, att.slack_m),
+        regime=_REGIME[tuple(kind for kind, mu in zip(AgentKind, (mu_c, mu_m)) if mu > TOL_ICC)],
         allocation=alloc,
         multipliers=mults,
         wages_c=per_period(ch.w_c),
@@ -652,7 +613,8 @@ def _solve_steady(config: EconomyConfig, active: tuple,
 
     At most two starts: the warm start (when stationary), then one start
     from ``base``, or from a cold start when there is none.  The cold start
-    (a capital presolve) is only built when the warm start fails.
+    (a capital presolve) is only built when the warm start fails, and it
+    raises NoInteriorSolutionError when the presolve finds no stocks.
     """
     layout = _Layout(active)
 

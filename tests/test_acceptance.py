@@ -17,7 +17,6 @@ from aitax import (
     brute_force_steady,
     cobb_douglas_economy,
     compute_wedge_report,
-    detect_regime,
     find_threshold,
     intertemporal_wedge,
     intratemporal_wedge,
@@ -32,7 +31,7 @@ from aitax import (
 )
 from aitax.economy import AgentKind, SolveMode
 from aitax.oracle import agreement, grid_bracketing
-from aitax.planner import Regime
+from aitax.planner import TOL_ICC, Regime
 from aitax.production import check_assumptions, evaluate, grad_check
 
 TOL_SIGN = 1e-6
@@ -134,7 +133,9 @@ def test_criterion_05_grid_oracle_agrees_on_all_desks():
         elapsed = time.perf_counter() - start
         assert ag["objective_ok"], (preset.__name__, ag)
         assert ag["regime_ok"], (preset.__name__, ag)
-        assert detect_regime(sol) is oracle.regime
+        assert sol.regime is oracle.regime
+        for mu, slack in ((sol.multipliers.mu_c, sol.slack_c), (sol.multipliers.mu_m, sol.slack_m)):
+            assert mu <= TOL_ICC or abs(slack) <= TOL_ICC, (preset.__name__, mu, slack)
         assert elapsed < 60.0
         print(f"\n[5] {preset.__name__}: gap = {ag['objective_gap']:.3e} "
               f"(allowance {oracle.gap_allowance:.2e}), regime {oracle.regime.value}, "

@@ -257,36 +257,11 @@ def test_sweep_threshold_without_flip(tmp_path, capsys):
     assert out.exists()  # the sweep table itself still gets written
 
 
-# a drawn threshold-preset economy (bench/fuzz.py, seed 0, draw 3) whose
-# z_c sweep on [0.5, 4] solves only its three lowest points
-UNSOLVED_END_ECONOMY = """
-agents.cognitive.pi = 0.2634941473047342
-agents.cognitive.z = 2.1189470642771253
-agents.manual.pi = 0.7365058526952658
-agents.manual.z = 0.9332713238591842
-prefs.beta = 0.9612987124356377
-prefs.u_form = log
-prefs.psi = 1.0464365270901592
-prefs.phi = 1.7635783210801643
-tech.form = nest_substitute_cognitive
-tech.a = 1.6599408640913729
-tech.mu_top = 0.66291676851545
-tech.lambda_c = 0.5350028138117313
-tech.theta_m = 0.5492774744749123
-tech.sigma_top = -0.27393777750633513
-tech.rho_c = -1.7459713904322316
-tech.rho_m = -0.7945238661158907
-tech.a_ai = 0.09860172744622586
-tech.delta_k = 0.06254718621890895
-tech.delta_ai = 0.11671470511186588
-"""
-
-
-def test_sweep_threshold_with_an_unsolved_end_is_no_flip(tmp_path, capsys):
+def test_sweep_threshold_with_an_unsolved_end_is_no_flip(tmp_path, capsys, unsolved_end_economy):
     """Without a single flip the threshold search starts cold from the range
     ends; an end the sweep could not solve is named, not solved again."""
     economy = tmp_path / "economy.cfg"
-    economy.write_text(UNSOLVED_END_ECONOMY)
+    economy.write_text(unsolved_end_economy)
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", str(economy), "--param", "z_c", "--lo", "0.5", "--hi", "4",
                    "--points", "25", "--log", "--threshold", "--out", str(out)])
@@ -344,6 +319,22 @@ def test_oracle_verify_rejects_a_stored_value_outside_the_domain(tmp_path, capsy
                    "--out", str(tmp_path / "oracle.json")])
     assert rc == 2
     assert "c_c must be finite and strictly positive" in capsys.readouterr().err
+
+
+def test_oracle_verify_refuses_a_solution_with_no_feasible_grid_point(tmp_path, capsys):
+    """A stored solution whose oracle grid holds no feasible point fails
+    re-verification with exit 6, like any other oracle disagreement."""
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    allocation = doc["payload"]["allocation"]
+    for name in ("c_c", "c_m"):
+        allocation[name] = [10 * v for v in allocation[name]]
+    sol.write_text(json.dumps(doc))
+    rc = cli.main(["oracle-verify", cfg("regime_a.cfg"), "--solution", str(sol),
+                   "--out", str(tmp_path / "oracle.json")])
+    assert rc == 6
+    assert "no grid point satisfies stationary feasibility" in capsys.readouterr().err
 
 
 def test_oracle_verify_refuses_a_misshapen_solution(tmp_path, capsys):

@@ -10,7 +10,6 @@ from aitax import (
     Regime,
     SolveMode,
     cobb_douglas_economy,
-    detect_regime,
     first_best,
     foc_residuals,
     planner,
@@ -27,7 +26,6 @@ from aitax.economy import TechForm
 from aitax.errors import (
     ConfigError,
     DomainError,
-    InconsistentMultipliersError,
     NoInteriorSolutionError,
     SolverError,
 )
@@ -159,23 +157,10 @@ def test_warm_start_agrees_with_cold():
     assert warm.regime == cold2.regime
 
 
-def test_detect_regime_consistency(symmetric_solution, regime_a_solution):
-    assert detect_regime(symmetric_solution) is Regime.NONE_BIND
-    assert detect_regime(regime_a_solution) is Regime.COGNITIVE_BINDS
-
-
-def test_detect_regime_rejects_contradictory_multipliers(regime_a_solution):
-    s = regime_a_solution
-    bad = dataclasses.replace(
-        s, multipliers=dataclasses.replace(s.multipliers, mu_c=0.1), slack_c=5.0)
-    with pytest.raises(InconsistentMultipliersError):
-        detect_regime(bad)
-
-
 def unbounded_economy():
     """A substitute nest whose AI-only return exceeds the discount rate: no
     interior steady state, and the capital presolve's log stocks run off
-    until ``exp`` leaves the kernels' domain."""
+    upward."""
     cfg = threshold_economy()
     tech = dataclasses.replace(
         cfg.tech, form=TechForm.NEST_SUBSTITUTE_COGNITIVE,
@@ -634,11 +619,26 @@ def test_a_refusal_costs_one_start(count_evals):
     assert count_evals(refused) == 132
 
 
+def test_a_presolve_refusal_names_its_stocks(count_evals, unsolved_end_economy):
+    """Where holding AI does not pay, the capital presolve walks AI down to
+    the stock floor and stops unconverged.  The solve refuses there, naming
+    the stocks and residual, and tries no other start."""
+    config = parse_config(unsolved_end_economy)
+
+    def refused():
+        with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve "
+                           r"stopped at K=6\.631e-01, AI=4\.894e-10 \(residual 4\.247e-02\)$"):
+            solve_steady_state(config)
+
+    assert count_evals(refused) == 109
+    assert count_evals.calls == 96
+
+
 # the kernels the planner calls through its module globals
 KERNELS = ("evaluate", "mpl_ratio_gradient", "u_prime", "u_eval", "nu_prime", "nu_eval")
 
 
-def test_kernels_only_see_their_domain(monkeypatch):
+def test_kernels_only_see_their_domain(monkeypatch, unsolved_end_economy):
     """The kernels check no domain, so the solver must never hand them a
     value outside it: every input finite and strictly positive, labor
     (the disutility's argument) nonnegative.  An input is any float or
@@ -663,7 +663,10 @@ def test_kernels_only_see_their_domain(monkeypatch):
         monkeypatch.setattr(planner, name, checked(name, getattr(planner, name)))
     for name in ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas", "regime_a_t20"):
         solve(load_config(CONFIGS / f"{name}.cfg")[0])
-    for refused in (parse_config(REFUSED_ECONOMY), unbounded_economy()):
+    # draw 3's presolve stops with AI near the stock floor, which alone keeps
+    # it positive; the unbounded economy's stocks run off upward
+    for refused in (parse_config(REFUSED_ECONOMY), parse_config(unsolved_end_economy),
+                    unbounded_economy()):
         with pytest.raises(SolverError):
             solve_steady_state(refused)
     assert all(calls.values()), calls
