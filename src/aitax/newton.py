@@ -1,32 +1,32 @@
 """Damped Newton iteration for square nonlinear systems.
 
-The Jacobian is a forward difference, evaluated as one stack of perturbed
-points, a (points x unknowns) array, in a single residual call, so the
-residual must take such a stack and return one row of residuals per
-point.  The per-call overhead of a small residual, not its arithmetic, is
-what a Jacobian costs.  A dense system, a steady state's 7-9 unknowns,
-perturbs each unknown in a point of its own: its Jacobian is one call, at
-about a third of the cost of one call per column, and its step is one LU
-solve of the m x m matrix.
+A dense system, a steady state's 7-9 unknowns or the capital presolve's
+2, comes with its exact Jacobian: a function of one point that returns
+the m x m matrix.  Its residual is only ever evaluated on one point, and
+its step is one LU solve of that matrix.
 
-A finite-horizon path is a ``Band``.  Its Jacobian's columns are grouped
-(Curtis, Powell & Reid 1974): unknowns that share no residual row are
-perturbed together, so one perturbed point fills a whole group.  Its
-residual is *expanded*: it returns more rows than there are unknowns, and
-the band's fold sums them into the Newton rows.  Each Jacobian entry is
-added straight into its Newton row's slot in band storage, so neither an
-expanded Jacobian nor an m x m matrix is built.  The band gives every
-unknown, and the Newton row paired with it, a slot in a block; the blocks
-are ordered so that a row of block s touches only the unknowns of blocks
-s - 1, s and s + 1 (one block per period), and the unknowns in no block
-(its multipliers) form a border whose columns and rows may be dense.  The
-step is block Gaussian elimination over the blocks with partial pivoting
-inside each: it eliminates them from both ends at once, the two sweeps'
-blocks solved two at a time in one small LU call, solves the middle block
-where they meet, substitutes back out to both ends, and then solves the
-Schur complement of the border.  Its cost grows linearly with the number
-of blocks; eliminating from both ends halves the number of calls, which at
-a few microseconds each is what a 7 x 7 block costs.
+A finite-horizon path is a ``Band``.  Its Jacobian is a forward
+difference whose columns are grouped (Curtis, Powell & Reid 1974):
+unknowns that share no residual row are perturbed together, so one
+perturbed point fills a whole group, and the groups' points are evaluated
+as one stack, a (points x unknowns) array, in a single residual call; a
+path's residual must take such a stack and return one row of residuals
+per point.  Its residual is *expanded*: it returns more rows than there
+are unknowns, and the band's fold sums them into the Newton rows.  Each
+Jacobian entry is added straight into its Newton row's slot in band
+storage, so neither an expanded Jacobian nor an m x m matrix is built.
+The band gives every unknown, and the Newton row paired with it, a slot
+in a block; the blocks are ordered so that a row of block s touches only
+the unknowns of blocks s - 1, s and s + 1 (one block per period), and the
+unknowns in no block (its multipliers) form a border whose columns and
+rows may be dense.  The step is block Gaussian elimination over the
+blocks with partial pivoting inside each: it eliminates them from both
+ends at once, the two sweeps' blocks solved two at a time in one small LU
+call, solves the middle block where they meet, substitutes back out to
+both ends, and then solves the Schur complement of the border.  Its cost
+grows linearly with the number of blocks; eliminating from both ends
+halves the number of calls, which at a few microseconds each is what a
+7 x 7 block costs.
 
 Steps are halved on the residual max-norm, and a fraction-to-boundary rule
 keeps selected components above hard lower bounds.  Everything is
@@ -182,14 +182,6 @@ class Band:
         return z[self.place, 0]
 
 
-def _dense_jacobian(f: Callable, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of ``f`` at x, m x m: one call on a stack
-    of one perturbed point per unknown.  ``r0`` is ``f(x)``."""
-    steps = JAC_STEP * np.maximum(1.0, np.abs(x))
-    r = np.asarray(f(x + np.diag(steps)), dtype=float)
-    return ((r - r0) / steps[:, None]).T
-
-
 def newton_solve(
     f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -197,31 +189,30 @@ def newton_solve(
     tol: float = 1e-10,
     max_iter: int = MAX_ITER,
     lower: np.ndarray | None = None,
+    jac: Callable[[np.ndarray], np.ndarray] | None = None,
     band: Band | None = None,
 ) -> NewtonResult:
     """Solve f(x) = 0 by damped Newton from x0.
 
     ``lower`` gives hard lower bounds per component (-inf where free); steps
     are shortened so iterates keep a 0.5% distance-to-bound margin.
-    Without a ``band`` the system is dense: ``f`` returns one row per
-    unknown, each Jacobian is one call of ``f`` on a stack of one perturbed
-    point per unknown, and each step is one LU solve of the m x m matrix.
-    A path passes its ``band``: the Jacobian's column groups, the fold of
-    the rows ``f`` returns into Newton rows, and one block per period, so
-    that a step costs one small LU solve per period and one Schur
-    complement for its border, and no m x m matrix is formed.
-
-    ``f`` takes one point, a 1-D array, and also a stack of points, a 2-D
-    array with one point per row, whose residuals it returns row by row.
-    A stacked row may differ from the one-point row in the last bits (a
-    steady state's single points are evaluated on scalars); the forward
-    difference divides that by its step, which leaves it below the
-    difference's own truncation error.
+    Exactly one of ``jac`` and ``band`` is given.  A dense system passes
+    ``jac``, its exact Jacobian: ``jac(x)`` is the m x m matrix at a point
+    whose residual is finite, and each step is one LU solve of it; ``f``
+    then takes one point, a 1-D array.  A path passes its ``band``: the
+    forward-difference Jacobian's column groups, the fold of the rows
+    ``f`` returns into Newton rows, and one block per period, so that a
+    step costs one small LU solve per period and one Schur complement for
+    its border, and no m x m matrix is formed.  A path's ``f`` takes one
+    point and also a stack of points, a 2-D array with one point per row,
+    whose residuals it returns row by row.
 
     ``f`` signals a point outside its domain by a non-finite residual,
     which fails a start and rejects a line-search trial.  An exception
     that ``f`` raises is a bug in ``f``, and it propagates.
     """
+    if (jac is None) == (band is None):
+        raise TypeError("newton_solve takes exactly one of jac and band")
     x = np.asarray(x0, dtype=float).copy()
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
 
@@ -240,11 +231,11 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return NewtonResult(x, norm, True, it - 1)
-        jac = _dense_jacobian(f, x, r_exp) if band is None else band.jacobian(f, x, r_exp)
-        if not np.all(np.isfinite(jac)):
+        matrix = jac(x) if band is None else band.jacobian(f, x, r_exp)
+        if not np.all(np.isfinite(matrix)):
             return NewtonResult(x, norm, False, it)
         try:
-            dx = np.linalg.solve(jac, -r) if band is None else band.solve(jac, -r)
+            dx = np.linalg.solve(matrix, -r) if band is None else band.solve(matrix, -r)
         except np.linalg.LinAlgError:
             return NewtonResult(x, norm, False, it)
 

@@ -2,9 +2,13 @@
 
 Enumerates a six-dimensional product grid over (c_c, c_m, l_c, l_m, K, AI),
 keeps the points satisfying stationary feasibility and both incentive
-constraints evaluated exactly, and maximizes the stationary objective
-sum_h pi_h (u(c_h) - nu(l_h)) / (1 - beta).  The default 8-points-per-axis
-grid has 262,144 candidates.
+constraints, and maximizes the stationary objective sum_h pi_h (u(c_h) -
+nu(l_h)) / (1 - beta).  The default 8-points-per-axis grid has 262,144
+candidates.  A point satisfies an incentive constraint when its flow slack
+is at least -TOL_ICC (1 - beta), the lifetime margin -TOL_ICC the solver
+grants a slack constraint: at a symmetric grid point a slack that is zero
+comes out as rounding noise of either sign, and its sign alone would
+decide the regime.
 
 No float array spans the product grid.  Every float value is computed once,
 on a table of the axes it depends on: output, spending and the mimickers'
@@ -42,7 +46,7 @@ import numpy as np
 
 from .economy import EconomyConfig
 from .errors import DomainError, EmptyFeasibleSetError, OracleIndeterminateError
-from .planner import PlannerSolution, Regime
+from .planner import TOL_ICC, PlannerSolution, Regime
 from .preferences import nu_eval, u_eval
 from .production import evaluate
 
@@ -171,24 +175,26 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
 
     # Which (c_c, c_m, l_c, l_m) have some (K, AI) in each candidate set:
     # feasible in both constraints, in none, in the manual one only, in the
-    # cognitive one only.  A slack own - tempt is >= 0 exactly when
-    # own >= tempt (a rounded difference keeps its sign and is 0 only for
-    # equal operands), unless both are the same infinity.
+    # cognitive one only.  A constraint holds where its flow slack own -
+    # tempt is at least ``floor``, the solver's slack margin in flow units.
+    floor = -TOL_ICC * (1.0 - prefs.beta)
     masks = np.empty((4,) + objective.shape, dtype=bool)
     # one c_c slice, (c_m, l_c, l_m, K, AI), of each set
     sets = np.empty((4,) + tempt_c.shape, dtype=bool)
     both, feasible, feasible_m, feasible_c = sets
     ok_c, ok_m = np.empty((2,) + tempt_c.shape, dtype=bool)
-    spent = np.empty(tempt_c.shape)
+    work = np.empty(tempt_c.shape)  # one slice's spending, then each flow slack
     # own_m spread over the slice once, so the per-slice comparison is flat
     own_m5 = np.broadcast_to(own_m.reshape(-1, 1, own_m.shape[1], 1, 1), tempt_c.shape).copy()
     n_feasible = n_ic = 0
     for i in range(len(ax[0])):
-        np.add(cost[i].reshape(-1, 1, 1, 1, 1), spend4, out=spent)
-        np.less_equal(spent, y4, out=feasible)
-        np.greater_equal(own_c[i].reshape(-1, 1, 1, 1), tempt_c, out=ok_c)
+        np.add(cost[i].reshape(-1, 1, 1, 1, 1), spend4, out=work)
+        np.less_equal(work, y4, out=feasible)
+        np.subtract(own_c[i].reshape(-1, 1, 1, 1), tempt_c, out=work)
+        np.greater_equal(work, floor, out=ok_c)
         # what mimicking the cognitive type is worth at this c_c
-        np.greater_equal(own_m5, u_cc[i] - nu_mimic_m, out=ok_m)
+        np.subtract(own_m5, u_cc[i] - nu_mimic_m, out=work)
+        np.greater_equal(work, floor, out=ok_m)
         np.logical_and(feasible, ok_c, out=feasible_c)
         np.logical_and(feasible, ok_m, out=feasible_m)
         np.logical_and(feasible_c, ok_m, out=both)
@@ -212,8 +218,8 @@ def brute_force_steady(config: EconomyConfig, grid: GridSpec) -> OracleResult:
     # the first (K, AI) at the best (c_c, c_m, l_c, l_m) in both constraints
     i, j, a, b = idx
     at_best = ((cost[i, j] + spend4[a, b] <= y4[a, b])
-               & (own_c[i, a] >= tempt_c[j, a, b])
-               & (own_m[j, b] >= u_cc[i] - nu_mimic_m[a, b]))
+               & (own_c[i, a] - tempt_c[j, a, b] >= floor)
+               & (own_m[j, b] - (u_cc[i] - nu_mimic_m[a, b]) >= floor))
     k, m = np.unravel_index(int(np.argmax(at_best)), at_best.shape)
     idx = (i, j, a, b, k, m)
 

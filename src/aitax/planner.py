@@ -22,6 +22,9 @@ whose next period is itself.  The Newton residuals and the public
 ``foc_residuals`` both evaluate it.  Each kernel call evaluates the
 technology once: ``evaluate`` gives output and the marginal products,
 wages are those times z, and ``mpl_ratio_gradient`` reads the same record.
+A steady state's Newton Jacobian is exact (``_jacobian_fn``), built from
+the closed-form Hessians of the technology and of the wage ratio, and
+costs no residual call; a path's is its band's grouped forward difference.
 
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
@@ -57,13 +60,15 @@ from .errors import (
     SolverError,
 )
 from .newton import Band, newton_solve
-from .preferences import nu_eval, nu_prime, u_eval, u_prime
+from .preferences import nu_eval, nu_prime, nu_second, u_eval, u_prime, u_second
 from .production import (
     AssumptionReport,
     TechEvaluation,
     check_assumptions,
     evaluate,
+    hessian,
     mpl_ratio_gradient,
+    mpl_ratio_hessian,
 )
 
 TOL_NEWTON = 1e-10
@@ -208,24 +213,21 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     A path has one stock more than periods: arrays of n periods whose ``k``
     and ``ai`` hold the n + 1 stocks K_0 .. K_n, or a stack of G paths,
     each entry with a leading axis of G and the multipliers (G, 1) columns.
-    A steady state is the path whose next period is itself: it holds as
-    many stocks as periods, scalars for one point or (G,) arrays for a
-    stack of G points.  So ``now`` drops a path's last period and ``nxt``
-    its first, and both leave a steady state as it is; every row is then
-    written once.  The stock rows are the Euler equations divided through
-    by next period's lam, which makes a steady state's lam/lam exactly 1.
-    A stacked path's rows are bit for bit the rows each path gets alone,
-    since every operation is elementwise along the periods; a stacked
-    steady state's can differ from its scalar rows in the last bits (array
-    and scalar ``**`` round apart).  One point stays on scalars: a 1-point
-    array call costs five to eight times a scalar one.  Returns the seven
-    rows named in ``_ROWS``, the cognitive and manual flow slacks, and the
-    chain terms.
+    A steady state is the path whose next period is itself: one point, on
+    scalars (a 1-point array call costs five to eight times a scalar one).
+    So ``now`` drops a path's last period and ``nxt`` its first, and both
+    leave a steady state as it is; every row is then written once.  The
+    stock rows are the Euler equations divided through by next period's
+    lam, which makes a steady state's lam/lam exactly 1.  A stacked path's
+    rows are bit for bit the rows each path gets alone, since every
+    operation is elementwise along the periods.  Returns the seven rows
+    named in ``_ROWS``, the cognitive and manual flow slacks, and the chain
+    terms.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
-    if np.shape(k) == np.shape(lam):
+    if np.ndim(lam) == 0:
         now = nxt = lambda v: v
     else:
         now, nxt = (lambda v: v[..., :-1]), (lambda v: v[..., 1:])
@@ -305,17 +307,15 @@ class _Layout:
     def unpack(self, x: np.ndarray) -> tuple:
         """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m).
 
-        ``x`` may be a stack of points, one per row.  A steady state's
-        entries are then its columns, (G,) arrays, and scalars otherwise.  A
-        path's per-period entries gain the leading axis, and each multiplier
-        is a column, so that it broadcasts across the periods.
+        A steady state's entries are scalars.  A path's ``x`` may be a
+        stack of points, one per row: its per-period entries then gain the
+        leading axis, and each multiplier is a column, so that it broadcasts
+        across the periods.
         """
-        if self.stationary:
-            cols = x.T
-            mu_c, mu_m = (0.0 if i is None else cols[i] for i in self.mu_at)
-            return (*cols[:7], mu_c, mu_m)
         mu_c, mu_m = (0.0 if i is None else x[..., i, None] if x.ndim > 1 else x[i]
                       for i in self.mu_at)
+        if self.stationary:
+            return (*x[:7], mu_c, mu_m)
         n = self.n
         edge = lambda v: np.full(x.shape[:-1] + (1,), v)
         k_0, ai_0, k_n, ai_n = self.ends
@@ -324,7 +324,7 @@ class _Layout:
         return (x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n], x[..., 3 * n : 4 * n], k, ai,
                 x[..., 6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
-    def band(self) -> Band | None:
+    def band(self) -> Band:
         """The path's Newton band: its Jacobian column groups, the row fold
         of its expanded residual and its period blocks.
 
@@ -340,10 +340,9 @@ class _Layout:
         rows linking s - 1 to s sit with K_s and AI_s, so a row touches the
         blocks next to its own only, and period 0's empty stock slots are
         padding.  The multipliers are the border.  A steady state has none
-        of this (None): its Jacobian is dense and its rows are not expanded.
+        of this: its Jacobian is exact (``_jacobian_fn``), and its rows are
+        not expanded.
         """
-        if self.stationary:
-            return None
         n, active = self.n, len(self.active)
         per, inner = np.arange(n), np.arange(1, n)
         head = 7 * n - 2
@@ -434,10 +433,11 @@ def _steady_point(warm: Start) -> tuple:
 def _residual_fn(config: EconomyConfig, layout: _Layout):
     """Newton residual: the seven KKT rows, then each active incentive slack.
 
-    Stationary slack rows stay in flow units.  A path's slack rows are
-    expanded: n per-period rows beta**t * slack_t, which the layout's fold
-    sums into the lifetime slack.  The residual also takes a stack of
-    points, one per row, and returns their residuals row by row.
+    Stationary slack rows stay in flow units, and a steady state's
+    residual takes one point.  A path's slack rows are expanded: n
+    per-period rows beta**t * slack_t, which the layout's fold sums into
+    the lifetime slack.  A path's residual also takes a stack of points,
+    one per row, and returns their residuals row by row.
     """
     imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
     discount = config.prefs.beta ** np.arange(layout.n)
@@ -446,10 +446,93 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
         rows, slack_c, slack_m, _ = _kkt(config, *layout.unpack(x))
         slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
         if layout.stationary:
-            return np.array(rows + slacks).T
+            return np.array(rows + slacks)
         return np.concatenate(rows + [discount * s for s in slacks], axis=-1)
 
     return f
+
+
+def _jacobian_fn(config: EconomyConfig, layout: _Layout):
+    """Exact Jacobian of a steady state's Newton residual (``_residual_fn``):
+    the partials of its rows, the seven KKT rows and each imposed flow
+    slack, in (c_c, c_m, l_c, l_m, K, AI, lam) and each active multiplier.
+
+    With q = (l_c, l_m, K, AI), a type's mimicking labor is the other
+    type's labor times a wage ratio w(q): lt_c = l_m z_m F_Lm / (z_c F_Lc)
+    and lt_m = l_c z_c F_Lc / (z_m F_Lm).  Its disutility nu(lt) enters
+    the type's slack and, times its multiplier, the Lagrangian whose
+    q-partials the labor rows are (and the stock rows, divided by -lam /
+    beta).  So their q block is lam d2F/dq2 plus each active mu times
+    d2 nu(lt)/dq2, from the closed-form Hessians of the technology and of
+    the wage ratio; the consumption rows take u'' and the labor rows'
+    own disutility nu''.  A steady state's lam/lam is exactly 1, so lam
+    enters the stock rows only through their X-terms.
+    """
+    prefs, tech, beta = config.prefs, config.tech, config.prefs.beta
+    pi_c, z_c = config.cognitive.pi, config.cognitive.z
+    pi_m, z_m = config.manual.pi, config.manual.z
+    zr = z_m / z_c
+    d = np.array([pi_c * z_c, pi_m * z_m, 1.0, 1.0])  # d(effective inputs)/dq
+    dd = d[:, None] * d
+    spent = np.array([0.0, 0.0, tech.delta_k, tech.delta_ai])
+    m = 7 + len(layout.active)
+
+    def jac(x: np.ndarray) -> np.ndarray:
+        c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = layout.unpack(x)
+        el_c, el_m = pi_c * l_c * z_c, pi_m * l_m * z_m
+        ev = evaluate(tech, el_c, el_m, k, ai)
+        f_q = np.array([ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai]) * d
+        h_q = lam * dd * hessian(tech, ev, el_c, el_m, k, ai)
+        up_c, up_m = u_prime(prefs, c_c), u_prime(prefs, c_m)
+        j = np.zeros((m, m))
+        j[0, 0] = u_second(prefs, c_c) * (pi_c + mu_c - mu_m)
+        j[1, 1] = u_second(prefs, c_m) * (pi_m + mu_m - mu_c)
+        j[0:2, 6] = j[6, 0:2] = -pi_c, -pi_m
+        j[6, 2:6] = f_q - spent
+        j[2:4, 6] = f_q[:2]
+        if layout.active:
+            grad = mpl_ratio_gradient(tech, ev, el_c, el_m, k, ai)
+            ratio = ev.f_lc / ev.f_lm
+            g_q = np.array(grad) * d
+            hr_q = dd * mpl_ratio_hessian(tech, ev, grad, el_c, el_m, k, ai)
+            x_q = np.zeros(4)  # the X-terms: each active mu times d nu(lt)/dq
+            for col, kind in enumerate(layout.active, 7):
+                if kind is AgentKind.COGNITIVE:  # w = zr / ratio
+                    mu, own, other, w = mu_c, 0, 1, zr / ratio
+                    dw = -w / ratio * g_q
+                    d2w = w / ratio * (2.0 / ratio * (g_q[:, None] * g_q) - hr_q)
+                    signs = (1.0, -1.0)
+                else:  # w = ratio / zr
+                    mu, own, other, w = mu_m, 1, 0, ratio / zr
+                    dw, d2w = g_q / zr, hr_q / zr
+                    signs = (-1.0, 1.0)
+                l_other = (l_c, l_m)[other]
+                lt = l_other * w
+                d_lt = l_other * dw
+                d_lt[other] += w
+                d2_lt = l_other * d2w
+                d2_lt[other] += dw
+                d2_lt[:, other] += dw
+                nup = nu_prime(prefs, lt)
+                d_nu = nup * d_lt
+                h_q += mu * (nu_second(prefs, lt) * (d_lt[:, None] * d_lt) + nup * d2_lt)
+                x_q += mu * d_nu
+                # the slack's row, which is also the multiplier's column in
+                # the consumption and labor rows
+                row = j[col]
+                row[0:2] = signs[0] * up_c, signs[1] * up_m
+                row[2:6] = d_nu
+                row[2 + own] -= nu_prime(prefs, (l_c, l_m)[own])
+                j[0:4, col] = row[0:4]
+                j[4:6, col] = -beta / lam * d_nu[2:]
+            j[4:6, 6] = beta / lam**2 * x_q[2:]
+        j[2:4, 2:6] = h_q[:2]
+        j[4:6, 2:6] = -beta / lam * h_q[2:]
+        j[2, 2] -= (pi_c + mu_c) * nu_second(prefs, l_c)
+        j[3, 3] -= (pi_m + mu_m) * nu_second(prefs, l_m)
+        return j
+
+    return jac
 
 
 def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
@@ -460,11 +543,12 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     """
     f = _residual_fn(config, layout)
     lower = layout.lower()
-    band = layout.band()
+    derivative = ({"jac": _jacobian_fn(config, layout)} if layout.stationary
+                  else {"band": layout.band()})
     for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
-                           band=band)
+                           **derivative)
         if res.converged:
             return _judge(config, layout, res.x)
     raise NoInteriorSolutionError(
@@ -483,11 +567,12 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     orders of magnitude across technologies.  The log stocks keep the KKT
     solves' floor (``_LOWER``).  Above it they are unbounded: a stock that
     overflows to inf makes the residual infinite, which Newton's line search
-    rejects like any other non-finite trial (a stack with any such point is
-    all infinite, so its Jacobian fails).  When the presolve stops short of
-    stocks below 1e9 there is no interior steady state to start from (where
-    holding AI does not pay, AI falls to the floor): raises
-    NoInteriorSolutionError naming the stocks and residual it stopped at.
+    rejects like any other non-finite trial.  The Jacobian is exact: the
+    stock block of the technology's Hessian, times the stocks.  When the
+    presolve stops short of stocks below 1e9 there is no interior steady
+    state to start from (where holding AI does not pay, AI falls to the
+    floor): raises NoInteriorSolutionError naming the stocks and residual
+    it stopped at.
     """
     beta, tech = config.prefs.beta, config.tech
     l0 = 0.5
@@ -497,10 +582,14 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     def f(u):
         stocks = np.exp(u)
         if not np.all(stocks < np.inf):
-            return np.full(np.shape(u), np.inf)
-        k, ai = stocks.T
-        ev = evaluate(tech, el_c, el_m, k, ai)
-        return np.array([beta * ev.fw_k - 1.0, beta * ev.fw_ai - 1.0]).T
+            return np.full(2, np.inf)
+        ev = evaluate(tech, el_c, el_m, *stocks)
+        return np.array([beta * ev.fw_k - 1.0, beta * ev.fw_ai - 1.0])
+
+    def jac(u):
+        stocks = np.exp(u)
+        ev = evaluate(tech, el_c, el_m, *stocks)
+        return beta * hessian(tech, ev, el_c, el_m, *stocks)[2:, 2:] * stocks
 
     grid = np.linspace(np.log(1e-3), np.log(1e4), 25)
     kk, aa = np.meshgrid(grid, grid, indexing="ij")
@@ -510,7 +599,7 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     score = np.where(np.isfinite(score), score, np.inf)
     i, j = np.unravel_index(np.argmin(score), score.shape)
     res = newton_solve(f, np.array([kk[i, j], aa[i, j]]), tol=1e-9, max_iter=80,
-                       lower=np.log(_LOWER[4:6]))
+                       lower=np.log(_LOWER[4:6]), jac=jac)
     k0, ai0 = (float(v) for v in np.exp(res.x))
     if not (res.converged and k0 < 1e9 and ai0 < 1e9):
         raise NoInteriorSolutionError(

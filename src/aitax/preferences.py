@@ -5,9 +5,9 @@ utility with what it would get by reporting as the other type: receiving
 the other's consumption while supplying l_other * w_other / w_own so that
 its labor income matches the other's.
 
-u, u', nu and nu' are plain formulas with no domain check: consumption
-must be strictly positive and labor nonnegative, which their callers
-ensure.
+u, u', u'', nu, nu' and nu'' are plain formulas with no domain check:
+consumption must be strictly positive and labor nonnegative, which their
+callers ensure.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ def u_prime(prefs: PreferenceParams, c):
     return c ** (-prefs.gamma)
 
 
+def u_second(prefs: PreferenceParams, c):
+    """Curvature u''(c) of consumption utility."""
+    if prefs.u_form is UtilityForm.LOG:
+        return -1.0 / (c * c)
+    return -prefs.gamma * c ** (-prefs.gamma - 1.0)
+
+
 def nu_eval(prefs: PreferenceParams, l):
     """Labor disutility nu(l) = psi * l**(1+phi) / (1+phi)."""
     return prefs.psi * l ** (1.0 + prefs.phi) / (1.0 + prefs.phi)
@@ -43,6 +50,11 @@ def nu_eval(prefs: PreferenceParams, l):
 def nu_prime(prefs: PreferenceParams, l):
     """Marginal disutility nu'(l) = psi * l**phi."""
     return prefs.psi * l**prefs.phi
+
+
+def nu_second(prefs: PreferenceParams, l):
+    """Curvature nu''(l) = psi * phi * l**(phi-1) of labor disutility."""
+    return prefs.psi * prefs.phi * l ** (prefs.phi - 1.0)
 
 
 def mimic_labor(l_other, w_other, w_own):

@@ -1,4 +1,4 @@
-"""Production technology: one evaluation, the wage-ratio gradient, factor-bias checks.
+"""Production technology: one evaluation, its Hessians, the ratio gradient, bias checks.
 
 Three functional forms, all homogeneous of degree one:
 
@@ -26,8 +26,11 @@ gives output, the four marginal products and the two wealth returns in
 one record.  The solver's incentive rows and the checker take the partials
 of r from one closed form, :func:`mpl_ratio_gradient`, which reads that
 record's marginal products: no second core pass, no complex input and no
-finite-difference derivative of r.  Core evaluation is plain arithmetic
-on floats and numpy arrays.  Nothing here checks its inputs' domain
+finite-difference derivative of r.  The solver's exact Jacobians take the
+second derivatives of F and of r the same way, from the marginal products
+and the bundle shares (:func:`hessian`, :func:`mpl_ratio_hessian`, one
+point at a time).  Core evaluation is plain arithmetic on floats and numpy
+arrays.  Nothing here checks its inputs' domain
 (strictly positive): callers keep them there, and values from outside the
 program are checked where they enter (``planner.foc_residuals``, and the
 grid factor and points in :func:`check_assumptions`).
@@ -165,6 +168,84 @@ def mpl_ratio_gradient(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, 
         r * (sigma - rho_c) * s_k / k,
         r * (rho_m - sigma) * s_a / ai,
     )
+
+
+# the bundle (0 cognitive, 1 manual) of each input (L_c, L_m, K, AI)
+_NEST_BUNDLES = np.array([0, 1, 0, 1])
+_SUBSTITUTE_BUNDLES = np.array([0, 1, 0, 0])
+
+
+def hessian(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai) -> np.ndarray:
+    """Hessian of F with respect to (L_c, L_m, K, AI), 4 x 4, at one point.
+
+    ``ev`` is :func:`evaluate` at the same point.  A CES aggregate G of
+    exponent rho has G_xy = (1 - rho) G_x G_y / G, so for inputs a != b
+
+        F_ab = F_a F_b / Y * ((1 - sigma) + [a, b in one bundle] (sigma - rho) / s),
+
+    s being that bundle's share of output, and an input's own curvature
+    adds -(1 - rho) F_a / a on the diagonal.  Everything is read off the
+    marginal products.  In ``nest_substitute_cognitive`` L_c and AI enter
+    as one input N = L_c + a_ai AI, and L_m is the manual bundle by itself
+    (exponent 1: no curvature of its own).  Exponents within LOG_LIMIT of
+    zero count as zero, as in ``_ces``.
+    """
+    sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
+    f = np.array([ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai])
+    x = np.array([l_c, l_m, k, ai])
+    if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
+        bundle, rho = _SUBSTITUTE_BUNDLES, np.array([rho_c, 1.0])
+        via_n = np.array([1.0, 0.0, 0.0, tech.a_ai])
+        own = (1.0 - rho_c) * (ev.f_lc / (l_c + tech.a_ai * ai)) * (via_n[:, None] * via_n)
+        own[2, 2] = (1.0 - rho_c) * ev.f_k / k
+    else:
+        bundle, rho = _NEST_BUNDLES, np.array([rho_c, rho_m])
+        own = np.diag((1.0 - rho[bundle]) * f / x)
+    share = np.bincount(bundle, weights=x * f, minlength=2) / ev.y
+    within = ((sigma - rho) / share)[bundle]
+    m = np.where(bundle[:, None] == bundle, within, 0.0) + (1.0 - sigma)
+    return f[:, None] * f / ev.y * m - own
+
+
+def mpl_ratio_hessian(tech: TechnologyParams, ev: TechEvaluation, grad,
+                      l_c, l_m, k, ai) -> np.ndarray:
+    """Hessian of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI), 4 x 4.
+
+    ``ev`` is :func:`evaluate` and ``grad`` :func:`mpl_ratio_gradient` at
+    the same point.  Each partial is g_a = r e_a / x_a, and the elasticity
+    e_a moves only through the bundle shares, s' = rho s (1 - s) per log
+    input, so
+
+        H = g g' / r + r * sum_bundles (sigma - rho) rho s (1 - s) v v' - diag(g / x),
+
+    with v the bundle's signed inverse inputs: -1/x for the labor, +1/x for
+    the stock.  In ``nest_substitute_cognitive`` the cognitive bundle's
+    second input is N = L_c + a_ai AI, so L_c and AI share N's terms, and
+    the manual bundle L_m has no share.  Exponents within LOG_LIMIT of zero
+    count as zero, as in :func:`mpl_ratio_gradient`.
+    """
+    sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
+    g = np.array(grad)
+    r = ev.f_lc / ev.f_lm
+    kf = k * ev.f_k
+    if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
+        n = l_c + tech.a_ai * ai
+        s_k = kf / (kf + n * ev.f_lc)
+        v = np.array([-1.0 / n, 0.0, 1.0 / k, -tech.a_ai / n])
+        curved = (sigma - rho_c) * rho_c * s_k * (1.0 - s_k) * (v[:, None] * v)
+        via_n = np.array([1.0, 0.0, 0.0, tech.a_ai])
+        own = g[0] / n * (via_n[:, None] * via_n)
+        own[1, 1], own[2, 2] = g[1] / l_m, g[2] / k
+    else:
+        s_k = kf / (kf + l_c * ev.f_lc)
+        af = ai * ev.f_ai
+        s_a = af / (af + l_m * ev.f_lm)
+        v_c = np.array([-1.0 / l_c, 0.0, 1.0 / k, 0.0])
+        v_m = np.array([0.0, -1.0 / l_m, 0.0, 1.0 / ai])
+        curved = ((sigma - rho_c) * rho_c * s_k * (1.0 - s_k) * (v_c[:, None] * v_c)
+                  + (rho_m - sigma) * rho_m * s_a * (1.0 - s_a) * (v_m[:, None] * v_m))
+        own = np.diag(g / np.array([l_c, l_m, k, ai]))
+    return g[:, None] * g / r + r * curved - own
 
 
 def grad_check(tech: TechnologyParams, point, step: float) -> float:

@@ -60,26 +60,31 @@ def count_evals(monkeypatch):
     counted exactly through ``planner.newton_solve``.
 
     An evaluation is one point: a call on a stack of G points counts G.
-    ``count_evals.calls`` holds the residual calls the last ``call()`` made.
+    ``count_evals.calls`` holds the residual calls the last ``call()`` made,
+    and ``count_evals.iterations`` the sum of its solves' Newton iterations.
     """
-    evals = calls = 0
+    evals = calls = iterations = 0
     newton_solve = planner.newton_solve
 
     def counted(f, x0, **kw):
+        nonlocal iterations
+
         def residual(x):
             nonlocal evals, calls
             evals += len(x) if np.ndim(x) > 1 else 1
             calls += 1
             return f(x)
-        return newton_solve(residual, x0, **kw)
+        result = newton_solve(residual, x0, **kw)
+        iterations += result.iterations
+        return result
 
     monkeypatch.setattr(planner, "newton_solve", counted)
 
     def count(call) -> int:
-        nonlocal evals, calls
-        evals = calls = 0
+        nonlocal evals, calls, iterations
+        evals = calls = iterations = 0
         call()
-        count.calls = calls
+        count.calls, count.iterations = calls, iterations
         return evals
 
     return count

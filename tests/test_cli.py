@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -293,6 +294,31 @@ def test_oracle_verify_solution_file_round_trip(tmp_path):
     payload = json.loads(out.read_text())["payload"]
     assert payload["source"] == "file"
     assert payload["kkt_ok"] is True
+
+
+def test_a_symmetric_solution_a_few_ulps_off_verifies(tmp_path):
+    """On the symmetric desk no incentive constraint binds, and at the
+    grid's symmetric points both flow slacks are zero up to rounding.
+    Moving l_c, l_m or c_c of a stored solution by 1 to 3 ulps (units in
+    the last place) either way once flipped the oracle's regime to
+    both_bind in 9 of these 18 files (exit 6).  A grid point now holds a
+    constraint when its flow slack is at least -TOL_ICC (1 - beta), the
+    margin the solver grants a slack one."""
+    sol = tmp_path / "sym.json"
+    assert cli.main(["solve", cfg("symmetric.cfg"), "--out", str(sol)]) == 0
+    out = tmp_path / "oracle.json"
+    for field in ("l_c", "l_m", "c_c"):
+        for ulps in (-3, -2, -1, 1, 2, 3):
+            doc = json.loads(sol.read_text())
+            entry = doc["payload"]["allocation"][field]
+            for _ in range(abs(ulps)):
+                entry[0] = math.nextafter(entry[0], math.copysign(math.inf, ulps))
+            moved = tmp_path / "moved.json"
+            moved.write_text(json.dumps(doc))
+            rc = cli.main(["oracle-verify", cfg("symmetric.cfg"), "--solution", str(moved),
+                           "--out", str(out)])
+            assert (field, ulps, rc) == (field, ulps, 0)
+            assert json.loads(out.read_text())["payload"]["regime_oracle"] == "none_bind"
 
 
 def test_oracle_verify_flags_corrupted_solution(tmp_path):

@@ -1,5 +1,6 @@
-"""The grouped forward-difference Jacobian, its stacked residual calls, the
-row fold and the band step of ``aitax.newton``."""
+"""The exact Jacobian and LU step of a dense (steady-state) system, and the
+grouped forward-difference Jacobian, its stacked residual calls, the row
+fold and the band step of a path, in ``aitax.newton``."""
 
 import dataclasses
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from aitax import newton, planner
 from aitax.configio import load_config
-from aitax.economy import AgentKind, SolveMode
+from aitax.economy import AgentKind, SolveMode, UtilityForm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -22,6 +23,23 @@ ACTIVE_SETS = {
 ALL_ACTIVE_SETS = {**ACTIVE_SETS, "manual": (AgentKind.MANUAL,)}
 
 DESK = ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas")
+
+
+def variants():
+    """CRRA (gamma = 2) and government-spending (g = 0.05) variants of
+    regime_a and regime_b: every bundled config has log utility and g = 0."""
+    out = {}
+    for name in ("regime_a", "regime_b"):
+        config, _ = load_config(CONFIGS / f"{name}.cfg")
+        crra = dataclasses.replace(config.prefs, u_form=UtilityForm.CRRA, gamma=2.0)
+        out[f"{name}_crra2"] = dataclasses.replace(config, prefs=crra)
+        out[f"{name}_g005"] = dataclasses.replace(config, g=0.05)
+    return out
+
+
+VARIANTS = variants()
+# the steady states whose exact Jacobian is checked
+STEADY = DESK + tuple(sorted(VARIANTS))
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +59,13 @@ def path_layout(transition, active, horizon):
 
 
 def steady_layout(name, active):
-    """A steady ``_Layout`` of the bundled config ``name``, its residual and
-    the start its solved steady state gives."""
-    config, _ = load_config(CONFIGS / f"{name}.cfg")
+    """A steady ``_Layout`` of the bundled config ``name`` (or of a variant),
+    its residual, its exact Jacobian and the start its solved steady state
+    gives."""
+    config = VARIANTS[name] if name in VARIANTS else load_config(CONFIGS / f"{name}.cfg")[0]
     layout = planner._Layout(active)
-    return layout, planner._residual_fn(config, layout), layout.start(
-        planner.solve_steady_state(config))
+    return (layout, planner._residual_fn(config, layout), planner._jacobian_fn(config, layout),
+            layout.start(planner.solve_steady_state(config)))
 
 
 def path_pattern(layout):
@@ -156,13 +175,25 @@ def test_a_residual_error_propagates(where):
     x0 = np.zeros(2)
 
     def f(x):
-        # the Jacobian's stack is 2-D; a 1-D point away from x0 is a trial step
-        if x.ndim == 1 and (where == "start" or np.any(x != x0)):
+        # a point away from x0 is a trial step
+        if where == "start" or np.any(x != x0):
             raise ValueError("shapes do not broadcast")
         return x - 1.0
 
     with pytest.raises(ValueError, match="broadcast"):
-        newton.newton_solve(f, x0)
+        newton.newton_solve(f, x0, jac=lambda x: np.eye(2))
+
+
+def test_a_system_takes_one_jacobian():
+    """A dense system passes its exact Jacobian, a path its band; neither or
+    both is a caller's bug."""
+    f = lambda x: x - 1.0
+    with pytest.raises(TypeError, match="exactly one"):
+        newton.newton_solve(f, np.zeros(1))
+    band = newton.Band(np.array([0]), np.array([0]), np.array([0]), np.array([0]),
+                       np.array([[0], [-1]]))
+    with pytest.raises(TypeError, match="exactly one"):
+        newton.newton_solve(f, np.zeros(1), jac=lambda x: np.eye(1), band=band)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVE_SETS))
@@ -218,49 +249,56 @@ def test_group_count_does_not_grow_with_the_horizon(transition, name):
 @pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
 @pytest.mark.parametrize("name", DESK)
 def test_a_steady_stack_is_evaluated_row_by_row(name, active):
-    """A steady residual on a stack of points, one (G,) array per unknown,
-    gives each point its one-point rows, which are evaluated on scalars,
-    to within rounding: array and scalar ``**`` can differ in the last bit
-    (231 of these 1,280 rows differ, by 7.1e-15 at most)."""
-    layout, f, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
+    """A steady state's points, which a forward difference once evaluated
+    as one stack, are evaluated one by one: from a perturbed start, Newton
+    hands its residual one point per call and its exact Jacobian one point
+    per iteration, and no call makes a stack."""
+    layout, f, jac, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
     rng = np.random.default_rng(DESK.index(name))
-    stack = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (8, len(x0))))
-    rows = f(stack)
-    assert rows.shape == (len(stack), len(x0))
-    for g, point in enumerate(stack):
-        np.testing.assert_allclose(rows[g], f(point), rtol=1e-13, atol=1e-13)
+    x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
+    points, jacobians = [], []
+    res = newton.newton_solve(lambda x: points.append(np.shape(x)) or f(x), x,
+                              jac=lambda x: jacobians.append(np.shape(x)) or jac(x),
+                              lower=layout.lower())
+    assert res.converged
+    assert set(points) == set(jacobians) == {(len(x),)}
+    assert len(jacobians) == res.iterations and len(points) >= res.iterations + 1
 
 
 @pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
-@pytest.mark.parametrize("name", DESK)
+@pytest.mark.parametrize("name", STEADY)
 def test_dense_jacobian_is_the_column_by_column_one(name, active):
-    """A steady state's Jacobian is one stacked call on one point per
-    unknown.  Its differences of stacked and scalar rows carry their last-bit
-    rounding divided by the step (1.8e-8 relative at most here), far below
-    what moves Newton."""
-    layout, f, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
-    rng = np.random.default_rng(DESK.index(name))
+    """A steady state's exact Jacobian matches the column-by-column forward
+    difference at a perturbed point to within the difference's own
+    truncation error (4.7e-7 of max(1, |entry|) at most here), on the
+    desks and on the CRRA and spending variants."""
+    layout, f, jac, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
+    rng = np.random.default_rng(STEADY.index(name))
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
-    r0 = f(x)
-    calls = []
-    counted = lambda x: calls.append(np.shape(x)) or f(x)
-    jac = newton._dense_jacobian(counted, x, r0)
-    assert calls == [(len(x), len(x))]
-    np.testing.assert_allclose(jac, column_by_column(f, x, r0), rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(jac(x), column_by_column(f, x, f(x)), rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_crra_and_spending_variants_solve(name):
+    """u'' has a CRRA branch and feasibility a spending term: the variants
+    solve to a KKT point, in the regime of the config they vary."""
+    solution = planner.solve_steady_state(VARIANTS[name])
+    base = planner.solve_steady_state(load_config(CONFIGS / f"{name.rsplit('_', 1)[0]}.cfg")[0])
+    assert solution.foc_residual <= 1e-10
+    assert solution.regime is base.regime
 
 
 @pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
 @pytest.mark.parametrize("name", DESK)
 def test_a_dense_step_is_one_lu_solve(name, active):
     """A dense system's Newton step is the very ``np.linalg.solve`` of its
-    m x m Jacobian, bit for bit: one Newton iteration moves x by that step
-    or by the line search's halving of it."""
-    layout, f, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
+    exact m x m Jacobian, bit for bit: one Newton iteration moves x by that
+    step or by the line search's halving of it."""
+    layout, f, jac, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
     rng = np.random.default_rng(DESK.index(name))
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
-    r0 = f(x)
-    dx = np.linalg.solve(newton._dense_jacobian(f, x, r0), -r0)
-    moved = newton.newton_solve(f, x, max_iter=1).x
+    dx = np.linalg.solve(jac(x), -f(x))
+    moved = newton.newton_solve(f, x, max_iter=1, jac=jac).x
     assert any(np.array_equal(moved, x + 0.5**h * dx) for h in range(newton.MAX_HALVINGS))
 
 

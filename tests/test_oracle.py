@@ -26,7 +26,7 @@ from aitax.errors import (
     OracleIndeterminateError,
 )
 from aitax.oracle import AxisSpec, GridSpec, OracleResult, agreement, grid_bracketing
-from aitax.planner import Regime
+from aitax.planner import TOL_ICC, Regime
 from aitax.preferences import nu_eval, u_eval
 from aitax.production import evaluate
 
@@ -78,8 +78,9 @@ def reference_brute_force(config, grid):
 
     slack_c = (u_cc - nu_lc) - (u_cm - nu_mimic_c)
     slack_m = (u_cm - nu_lm) - (u_cc - nu_mimic_m)
-    ok_c = slack_c >= 0.0
-    ok_m = slack_m >= 0.0
+    floor = -TOL_ICC * (1.0 - prefs.beta)
+    ok_c = slack_c >= floor
+    ok_m = slack_m >= floor
 
     scale = 1.0 / (1.0 - prefs.beta)
     objective = (pi_c * (u_cc - nu_lc) + pi_m * (u_cm - nu_lm)) * scale
@@ -237,7 +238,8 @@ def assert_rescanner_agrees(cfg, grid):
 
     This independently re-derives feasibility, both incentive slacks, the
     objective, and the first-maximum tie-break on a grid small enough to
-    enumerate (4**6 = 4096 candidates).
+    enumerate (4**6 = 4096 candidates).  A constraint holds where its flow
+    slack is at least -TOL_ICC (1 - beta).
     """
     res = brute_force_steady(cfg, grid)
 
@@ -252,17 +254,21 @@ def assert_rescanner_agrees(cfg, grid):
         el_c, el_m = pi_c * z_c * l_c, pi_m * z_m * l_m
         ev = evaluate(cfg.tech, el_c, el_m, k, ai)
         y = ev.y
-        spend = (pi_c * c_c + pi_m * c_m
-                 + cfg.tech.delta_k * k + cfg.tech.delta_ai * ai + cfg.g)
+        # consumption and stock spending summed apart, in the oracle's order:
+        # the two orders of summation disagree on a point within rounding of
+        # the resource constraint
+        spend = ((pi_c * c_c + pi_m * c_m)
+                 + (cfg.tech.delta_k * k + cfg.tech.delta_ai * ai + cfg.g))
         if spend > y:
             continue
         n_feas += 1
         w_c, w_m = ev.f_lc * z_c, ev.f_lm * z_m
         own_c = u_eval(prefs, c_c) - nu_eval(prefs, l_c)
         own_m = u_eval(prefs, c_m) - nu_eval(prefs, l_m)
-        if own_c < u_eval(prefs, c_m) - nu_eval(prefs, l_m * w_m / w_c):
+        floor = -TOL_ICC * (1.0 - prefs.beta)
+        if own_c - (u_eval(prefs, c_m) - nu_eval(prefs, l_m * w_m / w_c)) < floor:
             continue
-        if own_m < u_eval(prefs, c_c) - nu_eval(prefs, l_c * w_c / w_m):
+        if own_m - (u_eval(prefs, c_c) - nu_eval(prefs, l_c * w_c / w_m)) < floor:
             continue
         n_ic += 1
         obj = (pi_c * own_c + pi_m * own_m) / (1.0 - prefs.beta)

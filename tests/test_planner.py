@@ -468,13 +468,22 @@ def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
 
 # exact KKT residual evaluations per solve of each bundled config
 EVALS_PER_SOLVE = {
-    "symmetric": 51, "regime_a": 91, "regime_b": 91, "threshold": 95, "cobb_douglas": 54,
-    "regime_a_t20": 172,
+    "symmetric": 10, "regime_a": 16, "regime_b": 16, "threshold": 18, "cobb_douglas": 11,
+    "regime_a_t20": 97,
 }
-# and the residual calls they take: every Jacobian, dense or grouped, is one call
+# and the residual calls they take: a steady state's Jacobian is exact and
+# costs no residual call, so its calls are its points; a path's grouped
+# Jacobian is one stacked call
 CALLS_PER_SOLVE = {
-    "symmetric": 18, "regime_a": 29, "regime_b": 29, "threshold": 32, "cobb_douglas": 20,
-    "regime_a_t20": 40,
+    "symmetric": 10, "regime_a": 16, "regime_b": 16, "threshold": 18, "cobb_douglas": 11,
+    "regime_a_t20": 27,
+}
+# and the Newton iterations of all their solves, the capital presolve's too:
+# the forward-difference Jacobians they replace took the same (57 for the
+# five desks)
+ITERATIONS_PER_SOLVE = {
+    "symmetric": 8, "regime_a": 13, "regime_b": 13, "threshold": 14, "cobb_douglas": 9,
+    "regime_a_t20": 18,
 }
 
 
@@ -491,6 +500,7 @@ def test_residual_evaluations_per_solve(name, count_evals):
     config, _ = load_config(CONFIGS / f"{name}.cfg")
     evals = count_evals(lambda: solve(config))
     assert (evals, count_evals.calls) == (EVALS_PER_SOLVE[name], CALLS_PER_SOLVE[name])
+    assert count_evals.iterations == ITERATIONS_PER_SOLVE[name]
 
 
 def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
@@ -503,13 +513,15 @@ def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
 
 @pytest.mark.parametrize("horizon", [20, 160])
 def test_one_residual_call_per_path_jacobian(horizon, count_evals):
-    """A path Jacobian's grouped columns are one stacked call, and so are
-    the dense Jacobians of the steady state the path ends at, so the
-    transition's 172 evaluated points take 40 residual calls at any T."""
+    """A path Jacobian's grouped columns are one stacked call, and the
+    steady state the path ends at takes exact Jacobians, so the
+    transition's 97 evaluated points take 27 residual calls in 18 Newton
+    iterations at any T (5 of the calls are the path's Jacobians)."""
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
     evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=horizon)))
     assert (evals, count_evals.calls) == (EVALS_PER_SOLVE["regime_a_t20"],
                                           CALLS_PER_SOLVE["regime_a_t20"])
+    assert count_evals.iterations == ITERATIONS_PER_SOLVE["regime_a_t20"]
 
 
 def test_a_long_path_holds_few_newton_matrices(monkeypatch):
@@ -609,33 +621,36 @@ tech.delta_ai = 0.10021842852087343
 def test_a_refusal_costs_one_start(count_evals):
     """A cold solve with no interior solution fails fast: one capital
     presolve and one Newton start, counted exactly (eight rescaled restarts
-    took 860 evaluations)."""
+    took 860 evaluations, and forward-difference Jacobians 132)."""
     config = parse_config(REFUSED_ECONOMY)
 
     def refused():
         with pytest.raises(NoInteriorSolutionError, match=r"from 1 start\(s\)"):
             solve_steady_state(config)
 
-    assert count_evals(refused) == 132
+    assert count_evals(refused) == 60
 
 
 def test_a_presolve_refusal_names_its_stocks(count_evals, unsolved_end_economy):
     """Where holding AI does not pay, the capital presolve walks AI down to
     the stock floor and stops unconverged.  The solve refuses there, naming
-    the stocks and residual, and tries no other start."""
+    the stocks and residual, and tries no other start.  (With forward-
+    difference Jacobians it took 109 points in 96 calls and stopped at AI =
+    4.894e-10.)"""
     config = parse_config(unsolved_end_economy)
 
     def refused():
         with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve "
-                           r"stopped at K=6\.631e-01, AI=4\.894e-10 \(residual 4\.247e-02\)$"):
+                           r"stopped at K=6\.631e-01, AI=1\.000e-10 \(residual 4\.247e-02\)$"):
             solve_steady_state(config)
 
-    assert count_evals(refused) == 109
-    assert count_evals.calls == 96
+    assert count_evals(refused) == 83
+    assert count_evals.calls == 83
 
 
 # the kernels the planner calls through its module globals
-KERNELS = ("evaluate", "mpl_ratio_gradient", "u_prime", "u_eval", "nu_prime", "nu_eval")
+KERNELS = ("evaluate", "mpl_ratio_gradient", "hessian", "mpl_ratio_hessian", "u_prime",
+           "u_second", "u_eval", "nu_prime", "nu_second", "nu_eval")
 
 
 def test_kernels_only_see_their_domain(monkeypatch, unsolved_end_economy):

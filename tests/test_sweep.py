@@ -112,9 +112,13 @@ def test_find_threshold_stops_at_adjacent_floats():
 
 
 # exact residual evaluations of the bundled threshold run's sweep, and of a
-# cold search over its whole range (the CLI's fallback when there is no single flip)
-SWEEP_EVALS = 1444
-THRESHOLD_EVALS = 702
+# cold search over its whole range (the CLI's fallback when there is no single
+# flip), and their Newton iterations; forward-difference Jacobians took 1,444
+# and 702 evaluations in the same iterations
+SWEEP_EVALS = 219
+THRESHOLD_EVALS = 119
+SWEEP_ITERATIONS = 167
+THRESHOLD_ITERATIONS = 86
 
 
 def test_residual_evaluations_of_the_threshold_run(count_evals):
@@ -125,17 +129,22 @@ def test_residual_evaluations_of_the_threshold_run(count_evals):
     first best."""
     grid = np.geomspace(0.1, 10.0, 25)
     assert count_evals(lambda: sweep(threshold_economy(), "a_AI", grid)) == SWEEP_EVALS
+    assert count_evals.iterations == SWEEP_ITERATIONS
     evals = count_evals(lambda: find_threshold(threshold_economy(), "a_AI", 0.1, 10.0))
-    assert evals == THRESHOLD_EVALS
+    assert (evals, count_evals.iterations) == (THRESHOLD_EVALS, THRESHOLD_ITERATIONS)
 
 
 # the bundled run: ``aitax sweep configs/threshold.cfg`` with these arguments
 THRESHOLD_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "10", "--points", "25", "--log",
                  "--threshold")
 # its exact residual evaluations: the sweep, then bisection of the sweep's own
-# bracket; and the residual calls they take, one per Jacobian and line-search trial
-THRESHOLD_RUN_EVALS = 1606
-THRESHOLD_RUN_CALLS = 433
+# bracket; the residual calls they take, one per line-search trial (every
+# Jacobian is exact and costs none); and their Newton iterations.  Forward-
+# difference Jacobians took 1,606 evaluations in 433 calls, in the same 185
+# iterations.
+THRESHOLD_RUN_EVALS = 248
+THRESHOLD_RUN_CALLS = 248
+THRESHOLD_RUN_ITERATIONS = 185
 # the bracket the bundled run writes, and the trace of sides that led to it
 THRESHOLD_RUN_BRACKET = (0.15260142943252294, 0.1535716798775756)
 THRESHOLD_RUN_TRACE = [
@@ -176,6 +185,7 @@ def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, mon
     outcome = []
     run = lambda: outcome.append(run_sweep(tmp_path, CONFIGS / "threshold.cfg"))
     assert (count_evals(run), count_evals.calls) == (THRESHOLD_RUN_EVALS, THRESHOLD_RUN_CALLS)
+    assert count_evals.iterations == THRESHOLD_RUN_ITERATIONS
     assert len(builds) == 25 + 2
     rc, b = outcome[0]
     assert rc == 0 and b["converged"] and b["iterations"] == 5
