@@ -1,32 +1,24 @@
 """Damped Newton iteration for square nonlinear systems.
 
-A dense system, a steady state's 7-9 unknowns or the capital presolve's
-2, comes with its exact Jacobian: a function of one point that returns
-the m x m matrix.  Its residual is only ever evaluated on one point, and
-its step is one LU solve of that matrix.
+Every system comes with its exact Jacobian, a function of one point, and
+its residual is only ever evaluated on one point: no derivative here is
+a difference of residuals.  A dense system, a steady state's 7-9
+unknowns or the capital presolve's 2, has the m x m matrix as its
+Jacobian, and its step is one LU solve of it.
 
-A finite-horizon path is a ``Band``.  Its Jacobian is a forward
-difference whose columns are grouped (Curtis, Powell & Reid 1974):
-unknowns that share no residual row are perturbed together, so one
-perturbed point fills a whole group, and the groups' points are evaluated
-as one stack, a (points x unknowns) array, in a single residual call; a
-path's residual must take such a stack and return one row of residuals
-per point.  Its residual is *expanded*: it returns more rows than there
-are unknowns, and the band's fold sums them into the Newton rows.  Each
-Jacobian entry is added straight into its Newton row's slot in band
-storage, so neither an expanded Jacobian nor an m x m matrix is built.
-The band gives every unknown, and the Newton row paired with it, a slot
-in a block; the blocks are ordered so that a row of block s touches only
-the unknowns of blocks s - 1, s and s + 1 (one block per period), and the
-unknowns in no block (its multipliers) form a border whose columns and
-rows may be dense.  The step is block Gaussian elimination over the
-blocks with partial pivoting inside each: it eliminates them from both
-ends at once, the two sweeps' blocks solved two at a time in one small LU
-call, solves the middle block where they meet, substitutes back out to
-both ends, and then solves the Schur complement of the border.  Its cost
-grows linearly with the number of blocks; eliminating from both ends
-halves the number of calls, which at a few microseconds each is what a
-7 x 7 block costs.
+A finite-horizon path is a ``Band``: its Jacobian fills band storage, so
+no m x m matrix is built.  The band gives every unknown, and the Newton
+row paired with it, a slot in a block; the blocks are ordered so that a
+row of block s touches only the unknowns of blocks s - 1, s and s + 1
+(one block per period), and the unknowns in no block (its multipliers)
+form a border whose columns and rows may be dense.  The step is block
+Gaussian elimination over the blocks with partial pivoting inside each:
+it eliminates them from both ends at once, the two sweeps' blocks solved
+two at a time in one small LU call, solves the middle block where they
+meet, substitutes back out to both ends, and then solves the Schur
+complement of the border.  Its cost grows linearly with the number of
+blocks; eliminating from both ends halves the number of calls, which at a
+few microseconds each is what a 7 x 7 block costs.
 
 Steps are halved on the residual max-norm, and a fraction-to-boundary rule
 keeps selected components above hard lower bounds.  Everything is
@@ -42,7 +34,6 @@ import numpy as np
 
 MAX_ITER = 200
 MAX_HALVINGS = 40
-JAC_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -54,16 +45,15 @@ class NewtonResult:
 
 
 class Band:
-    """A path's banded Newton system: its Jacobian groups, row fold and blocks.
+    """A path's banded Newton system of ``m`` unknowns: its entries and blocks.
 
-    ``color[j]`` is the group of unknown j; unknowns of one group share no
-    residual row.  ``rows`` and ``owners`` list the entries the groups'
-    evaluations fill, each by its residual row and its unknown.  ``fold[i]``
-    is the Newton row that residual row i is summed into.  ``blocks`` is an
-    (n, b) array of n >= 2 blocks: block s holds unknown ``blocks[s, a]``
-    and its Newton row in slot a, or nothing where it reads -1; the unknowns
-    it leaves out are the border.  An entry's row and unknown must lie in
-    the border or in blocks at most one apart.
+    ``rows`` and ``owners`` list the entries its Jacobian fills, each by its
+    Newton row and its unknown, and ``entry_at`` is each entry's slot in
+    band storage; every other slot holds zero.  ``blocks`` is an (n, b)
+    array of n >= 2 blocks: block s holds unknown ``blocks[s, a]`` and its
+    Newton row in slot a, or nothing where it reads -1; the unknowns it
+    leaves out are the border.  An entry's row and unknown must lie in the
+    border or in blocks at most one apart.
 
     The step eliminates the blocks from both ends at once, two sweeps that
     meet at the middle block k = n // 2: pair i holds block i of the
@@ -78,10 +68,8 @@ class Band:
     identity row and column, so its unknown solves to zero.
     """
 
-    def __init__(self, color: np.ndarray, rows: np.ndarray, owners: np.ndarray,
-                 fold: np.ndarray, blocks: np.ndarray):
-        self.color, self.rows, self.owners, self.fold = color, rows, owners, fold
-        m = len(color)
+    def __init__(self, m: int, rows: np.ndarray, owners: np.ndarray, blocks: np.ndarray):
+        self.rows, self.owners = rows, owners
         n, b = blocks.shape
         k = n // 2
         # the storage block of each block (2s before the middle, 4k + 1 - 2s
@@ -100,7 +88,7 @@ class Band:
         width = 3 * b + 1 + p
         edge = core + p + 1
 
-        i, j = place[fold[rows]], place[owners]
+        i, j = place[rows], place[owners]
         in_core = i < core
         # how far an entry's unknown lies from its row, in the row's sweep
         # direction: the upward sweep's rows (odd storage blocks) are mirrored
@@ -118,24 +106,6 @@ class Band:
         self.empty_at = empty * width + b + empty % b
         self.size = core * width + p * edge
         self.place, self.shape, self.p = place, (k, b, width), p
-
-    def jacobian(self, f: Callable, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        """Forward-difference Newton matrix of ``f`` at x, in band storage.
-
-        Each group's perturbed point is one row of a stack that ``f``
-        evaluates in a single call; each listed entry is read from its own
-        row of its column's group and added, in list order, into its slot
-        of its folded row.  Every other slot stays zero.  Each column has
-        its own step.  ``r0`` is ``f(x)``, expanded rows and all.
-        """
-        color, rows, owners = self.color, self.rows, self.owners
-        steps = JAC_STEP * np.maximum(1.0, np.abs(x))
-        stack = np.tile(x, (color.max() + 1, 1))
-        stack[color, np.arange(len(x))] += steps
-        r = np.asarray(f(stack), dtype=float)
-        storage = np.zeros(self.size)
-        np.add.at(storage, self.entry_at, (r[color[owners], rows] - r0[rows]) / steps[owners])
-        return storage
 
     def solve(self, storage: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """The solution of the stored matrix times dx = ``rhs``.
@@ -186,44 +156,30 @@ def newton_solve(
     f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
+    jac: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
     max_iter: int = MAX_ITER,
     lower: np.ndarray | None = None,
-    jac: Callable[[np.ndarray], np.ndarray] | None = None,
     band: Band | None = None,
 ) -> NewtonResult:
     """Solve f(x) = 0 by damped Newton from x0.
 
+    ``f`` takes one point, a 1-D array, and returns its m residuals.
+    ``jac(x)`` is their exact Jacobian at a point whose residual is finite:
+    the m x m matrix, each step then one LU solve of it, or, for a system
+    with a ``band``, that matrix in the band's storage, each step then one
+    small LU solve per block and one Schur complement for the border.
     ``lower`` gives hard lower bounds per component (-inf where free); steps
     are shortened so iterates keep a 0.5% distance-to-bound margin.
-    Exactly one of ``jac`` and ``band`` is given.  A dense system passes
-    ``jac``, its exact Jacobian: ``jac(x)`` is the m x m matrix at a point
-    whose residual is finite, and each step is one LU solve of it; ``f``
-    then takes one point, a 1-D array.  A path passes its ``band``: the
-    forward-difference Jacobian's column groups, the fold of the rows
-    ``f`` returns into Newton rows, and one block per period, so that a
-    step costs one small LU solve per period and one Schur complement for
-    its border, and no m x m matrix is formed.  A path's ``f`` takes one
-    point and also a stack of points, a 2-D array with one point per row,
-    whose residuals it returns row by row.
 
     ``f`` signals a point outside its domain by a non-finite residual,
     which fails a start and rejects a line-search trial.  An exception
     that ``f`` raises is a bug in ``f``, and it propagates.
     """
-    if (jac is None) == (band is None):
-        raise TypeError("newton_solve takes exactly one of jac and band")
     x = np.asarray(x0, dtype=float).copy()
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
 
-    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The expanded rows and the folded Newton rows at x."""
-        expanded = np.asarray(f(x), dtype=float)
-        if band is None:
-            return expanded, expanded
-        return expanded, np.bincount(band.fold, weights=expanded, minlength=len(x))
-
-    r_exp, r = residual(x)
+    r = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(r)):
         return NewtonResult(x, np.inf, False, 0)
     norm = float(np.max(np.abs(r)))
@@ -231,7 +187,7 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return NewtonResult(x, norm, True, it - 1)
-        matrix = jac(x) if band is None else band.jacobian(f, x, r_exp)
+        matrix = jac(x)
         if not np.all(np.isfinite(matrix)):
             return NewtonResult(x, norm, False, it)
         try:
@@ -252,11 +208,11 @@ def newton_solve(
         for _ in range(MAX_HALVINGS):
             x_try = x + alpha * dx
             with np.errstate(all="ignore"):
-                r_exp_try, r_try = residual(x_try)
+                r_try = np.asarray(f(x_try), dtype=float)
             if np.all(np.isfinite(r_try)):
                 norm_try = float(np.max(np.abs(r_try)))
                 if norm_try < norm:
-                    x, r_exp, r, norm = x_try, r_exp_try, r_try, norm_try
+                    x, r, norm = x_try, r_try, norm_try
                     improved = True
                     break
             alpha *= 0.5

@@ -19,12 +19,14 @@ most-violated first, then the other single constraint, then both.
 One KKT kernel (``_kkt``) writes each first-order condition once, for the
 steady state and the finite-horizon path alike: a steady state is the path
 whose next period is itself.  The Newton residuals and the public
-``foc_residuals`` both evaluate it.  Each kernel call evaluates the
-technology once: ``evaluate`` gives output and the marginal products,
-wages are those times z, and ``mpl_ratio_gradient`` reads the same record.
-A steady state's Newton Jacobian is exact (``_jacobian_fn``), built from
-the closed-form Hessians of the technology and of the wage ratio, and
-costs no residual call; a path's is its band's grouped forward difference.
+``foc_residuals`` both evaluate it, one point per call.  Each kernel call
+evaluates the technology once: ``evaluate`` gives output and the marginal
+products, wages are those times z, and ``mpl_ratio_gradient`` reads the
+same record.  One exact Jacobian (``_jacobian_fn``) is written the same
+way, for both: each period's partials come from the closed-form Hessians
+of the technology and of the wage ratio, and only the rows that link a
+period to the next split into a part in each.  It costs no residual
+call, and nothing in the solver takes a forward difference.
 
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
@@ -207,30 +209,31 @@ def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
     return slack_c, slack_m
 
 
+def _now_next(stationary: bool):
+    """Views without a path's last period (``now``) and without its first
+    (``nxt``), periods on the last axis; a steady state's next period is
+    itself."""
+    if stationary:
+        return (lambda v: v), (lambda v: v)
+    return (lambda v: v[..., :-1]), (lambda v: v[..., 1:])
+
+
 def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     """KKT rows and flow incentive slacks at a candidate.
 
     A path has one stock more than periods: arrays of n periods whose ``k``
-    and ``ai`` hold the n + 1 stocks K_0 .. K_n, or a stack of G paths,
-    each entry with a leading axis of G and the multipliers (G, 1) columns.
-    A steady state is the path whose next period is itself: one point, on
-    scalars (a 1-point array call costs five to eight times a scalar one).
-    So ``now`` drops a path's last period and ``nxt`` its first, and both
-    leave a steady state as it is; every row is then written once.  The
-    stock rows are the Euler equations divided through by next period's
-    lam, which makes a steady state's lam/lam exactly 1.  A stacked path's
-    rows are bit for bit the rows each path gets alone, since every
-    operation is elementwise along the periods.  Returns the seven rows
-    named in ``_ROWS``, the cognitive and manual flow slacks, and the chain
-    terms.
+    and ``ai`` hold the n + 1 stocks K_0 .. K_n.  A steady state is the
+    path whose next period is itself: one point, on scalars (a 1-point
+    array call costs five to eight times a scalar one).  So every row is
+    written once, through ``_now_next``.  The stock rows are the Euler
+    equations divided through by next period's lam, which makes a steady
+    state's lam/lam exactly 1.  Returns the seven rows named in ``_ROWS``,
+    the cognitive and manual flow slacks, and the chain terms.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
-    if np.ndim(lam) == 0:
-        now = nxt = lambda v: v
-    else:
-        now, nxt = (lambda v: v[..., :-1]), (lambda v: v[..., 1:])
+    now, nxt = _now_next(np.ndim(lam) == 0)
     k_now, ai_now = now(k), now(ai)
     ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
     ev = ch.ev
@@ -290,6 +293,7 @@ class _Layout:
     (k_0, ai_0, k_n, ai_n)`` has per-period consumptions, labors and lam,
     and the interior stocks K_1 .. K_{n-1} and AI_1 .. AI_{n-1}.  One
     multiplier per active constraint, cognitive first, closes the vector.
+    A path also has its Newton ``band`` (``_band``); a steady state's is None.
     """
 
     def __init__(self, active: tuple, *, n: int = 1, ends=None):
@@ -303,65 +307,49 @@ class _Layout:
             head + active.index(kind) if kind in active else None
             for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL)
         )
+        self.band, self.stored = (None, None) if self.stationary else self._band()
 
     def unpack(self, x: np.ndarray) -> tuple:
-        """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m).
-
-        A steady state's entries are scalars.  A path's ``x`` may be a
-        stack of points, one per row: its per-period entries then gain the
-        leading axis, and each multiplier is a column, so that it broadcasts
-        across the periods.
-        """
-        mu_c, mu_m = (0.0 if i is None else x[..., i, None] if x.ndim > 1 else x[i]
-                      for i in self.mu_at)
+        """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
+        scalars for a steady state, per-period arrays for a path."""
+        mu_c, mu_m = (0.0 if i is None else x[i] for i in self.mu_at)
         if self.stationary:
             return (*x[:7], mu_c, mu_m)
         n = self.n
-        edge = lambda v: np.full(x.shape[:-1] + (1,), v)
         k_0, ai_0, k_n, ai_n = self.ends
-        k = np.concatenate((edge(k_0), x[..., 4 * n : 5 * n - 1], edge(k_n)), axis=-1)
-        ai = np.concatenate((edge(ai_0), x[..., 5 * n - 1 : 6 * n - 2], edge(ai_n)), axis=-1)
-        return (x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n], x[..., 3 * n : 4 * n], k, ai,
-                x[..., 6 * n - 2 : 7 * n - 2], mu_c, mu_m)
+        k = np.concatenate(([k_0], x[4 * n : 5 * n - 1], [k_n]))
+        ai = np.concatenate(([ai_0], x[5 * n - 1 : 6 * n - 2], [ai_n]))
+        return (x[:n], x[n : 2 * n], x[2 * n : 3 * n], x[3 * n : 4 * n], k, ai,
+                x[6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
-    def band(self) -> Band:
-        """The path's Newton band: its Jacobian column groups, the row fold
-        of its expanded residual and its period blocks.
+    def _band(self) -> tuple[Band, np.ndarray]:
+        """The path's Newton band, and which entries of the period blocks
+        of ``_jacobian_fn`` it stores, in order: none whose row or unknown
+        does not exist (K_0, K_n, an Euler row of the last period).
 
-        Every unknown and every expanded row has a period: a stock K_t's is
-        t, and the Euler row linking t to t + 1 has period t.  A row can
-        depend on an unknown of its own period or of the next one; the
-        multipliers touch every row.  So unknowns of one kind two periods
-        apart share no row: each kind's unknowns go to two groups by the
-        parity of their period, and each multiplier to a group of its own.
-        The fold sums each active slack's n per-period rows into its one
-        Newton row.  Block s holds period s's c_c, c_m, l_c, l_m, K_s, AI_s
-        and lam_s, each with the Newton row it is paired with: the Euler
-        rows linking s - 1 to s sit with K_s and AI_s, so a row touches the
-        blocks next to its own only, and period 0's empty stock slots are
-        padding.  The multipliers are the border.  A steady state has none
-        of this: its Jacobian is exact (``_jacobian_fn``), and its rows are
-        not expanded.
+        Block s holds period s's c_c, c_m, l_c, l_m, K_s, AI_s and lam_s,
+        each with the Newton row of its kind and period, except that the
+        Euler rows linking s - 1 to s sit with K_s and AI_s: so a row
+        touches the blocks next to its own only, and period 0's empty
+        stock slots are padding.  The multipliers are the border.
         """
         n, active = self.n, len(self.active)
-        per, inner = np.arange(n), np.arange(1, n)
         head = 7 * n - 2
         kind = np.repeat(np.arange(7), self.sizes)
-        period = np.concatenate([per] * 4 + [inner] * 2 + [per])
-        row = np.concatenate([per] * 4 + [per[:-1]] * 2 + [per] * (1 + active))
-        # each kind's unknown of each period (-1: none); a row's entries are
-        # those of its own period and of the next, and every multiplier
+        period = np.concatenate([np.arange(n)] * 4 + [np.arange(1, n)] * 2 + [np.arange(n)])
+        # each kind's unknown of each period (-1: none)
         at = np.full((7, n + 1), -1)
         at[kind, period] = np.arange(head)
-        owner = np.concatenate([at[:, row], at[:, row + 1]])
-        hit = owner >= 0
+        row = at[:, :n].copy()
+        row[4:6] = at[4:6, 1:]
         mus = head + np.arange(active)
-        rows = np.concatenate([np.nonzero(hit)[1], np.repeat(np.arange(len(row)), active)])
-        owners = np.concatenate([owner[hit], np.tile(mus, len(row))])
-        _, color = np.unique(2 * kind + period % 2, return_inverse=True)
-        color = np.concatenate([color, color.max() + 1 + np.arange(active)])
-        fold = np.concatenate([np.arange(head), np.repeat(mus, n)])
-        return Band(color, rows, owners, fold, at[:, :n].T)
+        cols = np.concatenate([at[:, :n], np.repeat(mus[:, None], n, axis=1)])
+        blocks = [np.broadcast_arrays(row[:, None], cols[None]),
+                  np.broadcast_arrays(row[:, None], at[None, :, 1:]),
+                  np.broadcast_arrays(mus[:, None, None], at[None, :, :n])]
+        rows, owners = (np.concatenate([b[i].ravel() for b in blocks]) for i in (0, 1))
+        stored = np.flatnonzero((rows >= 0) & (owners >= 0))
+        return Band(head + active, rows[stored], owners[stored], at[:, :n].T), stored
 
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
@@ -431,31 +419,34 @@ def _steady_point(warm: Start) -> tuple:
 
 
 def _residual_fn(config: EconomyConfig, layout: _Layout):
-    """Newton residual: the seven KKT rows, then each active incentive slack.
+    """Newton residual at one point: the seven KKT rows, then each active
+    incentive slack.
 
-    Stationary slack rows stay in flow units, and a steady state's
-    residual takes one point.  A path's slack rows are expanded: n
-    per-period rows beta**t * slack_t, which the layout's fold sums into
-    the lifetime slack.  A path's residual also takes a stack of points,
-    one per row, and returns their residuals row by row.
+    Stationary slack rows stay in flow units; a path's are lifetime slacks.
     """
     imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
-    discount = config.prefs.beta ** np.arange(layout.n)
 
     def f(x: np.ndarray) -> np.ndarray:
         rows, slack_c, slack_m, _ = _kkt(config, *layout.unpack(x))
         slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
         if layout.stationary:
             return np.array(rows + slacks)
-        return np.concatenate(rows + [discount * s for s in slacks], axis=-1)
+        return np.concatenate(rows + [[_lifetime(config.prefs.beta, s)] for s in slacks])
 
     return f
 
 
 def _jacobian_fn(config: EconomyConfig, layout: _Layout):
-    """Exact Jacobian of a steady state's Newton residual (``_residual_fn``):
-    the partials of its rows, the seven KKT rows and each imposed flow
-    slack, in (c_c, c_m, l_c, l_m, K, AI, lam) and each active multiplier.
+    """Exact Jacobian of the Newton residual (``_residual_fn``) at one
+    point: the m x m matrix for a steady state, band storage for a path.
+
+    Each period's partials are written once, on a steady state's scalars or
+    on a path's per-period arrays (periods on the last axis), in three
+    blocks: its seven KKT rows in its own (c_c, c_m, l_c, l_m, K, AI, lam)
+    and the multipliers, the same rows in the next period's unknowns, and
+    each imposed slack's terms (a path's lifetime slack row sums them times
+    beta**t).  A steady state is the path whose next period is itself: all
+    three blocks are its one matrix.
 
     With q = (l_c, l_m, K, AI), a type's mimicking labor is the other
     type's labor times a wage ratio w(q): lt_c = l_m z_m F_Lm / (z_c F_Lc)
@@ -464,38 +455,56 @@ def _jacobian_fn(config: EconomyConfig, layout: _Layout):
     q-partials the labor rows are (and the stock rows, divided by -lam /
     beta).  So their q block is lam d2F/dq2 plus each active mu times
     d2 nu(lt)/dq2, from the closed-form Hessians of the technology and of
-    the wage ratio; the consumption rows take u'' and the labor rows'
-    own disutility nu''.  A steady state's lam/lam is exactly 1, so lam
-    enters the stock rows only through their X-terms.
+    the wage ratio; the consumption rows take u'' and the labor rows' own
+    disutility nu''.  The Euler row linking t to t + 1 takes -beta /
+    lam_{t+1} times period t + 1's q block, and beta X_{t+1} / lam_{t+1}**2
+    in lam_{t+1}.  A path's K_{t+1} - K_t and lam_t / lam_{t+1}, which are
+    0 and 1 in a steady state, add 1 and -1 in K_t and K_{t+1} to
+    feasibility, and 1 / lam_{t+1} and -lam_t / lam_{t+1}**2 in lam_t and
+    lam_{t+1} to the Euler row.
     """
     prefs, tech, beta = config.prefs, config.tech, config.prefs.beta
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
     pi_m, z_m = config.manual.pi, config.manual.z
     zr = z_m / z_c
     d = np.array([pi_c * z_c, pi_m * z_m, 1.0, 1.0])  # d(effective inputs)/dq
-    dd = d[:, None] * d
     spent = np.array([0.0, 0.0, tech.delta_k, tech.delta_ai])
     m = 7 + len(layout.active)
+    now, nxt = _now_next(layout.stationary)
+    if layout.stationary:
+        periods_last = lambda h: h
+    else:
+        n, band, stored = layout.n, layout.band, layout.stored
+        discount = beta ** np.arange(n)
+        d, spent = d[:, None], spent[:, None]
+        periods_last = lambda h: np.moveaxis(h, 0, -1)
+    dd = d[:, None] * d
 
     def jac(x: np.ndarray) -> np.ndarray:
         c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = layout.unpack(x)
+        k, ai = now(k), now(ai)
         el_c, el_m = pi_c * l_c * z_c, pi_m * l_m * z_m
         ev = evaluate(tech, el_c, el_m, k, ai)
         f_q = np.array([ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai]) * d
-        h_q = lam * dd * hessian(tech, ev, el_c, el_m, k, ai)
+        h_q = lam * dd * periods_last(hessian(tech, ev, el_c, el_m, k, ai))
         up_c, up_m = u_prime(prefs, c_c), u_prime(prefs, c_m)
-        j = np.zeros((m, m))
-        j[0, 0] = u_second(prefs, c_c) * (pi_c + mu_c - mu_m)
-        j[1, 1] = u_second(prefs, c_m) * (pi_m + mu_m - mu_c)
-        j[0:2, 6] = j[6, 0:2] = -pi_c, -pi_m
-        j[6, 2:6] = f_q - spent
-        j[2:4, 6] = f_q[:2]
+        if layout.stationary:
+            j_own = j_nxt = j = np.zeros((m, m))
+            j_slack = j[7:]
+        else:  # own period's unknowns and the mus, the next period's, and the slacks'
+            j_own, j_nxt, j_slack = np.zeros((7, m, n)), np.zeros((7, 7, n)), np.zeros((m - 7, 7, n))
+        j_own[0, 0] = u_second(prefs, c_c) * (pi_c + mu_c - mu_m)
+        j_own[1, 1] = u_second(prefs, c_m) * (pi_m + mu_m - mu_c)
+        j_own[0, 6] = j_own[6, 0] = -pi_c
+        j_own[1, 6] = j_own[6, 1] = -pi_m
+        j_own[6, 2:6] = f_q - spent
+        j_own[2:4, 6] = f_q[:2]
         if layout.active:
             grad = mpl_ratio_gradient(tech, ev, el_c, el_m, k, ai)
             ratio = ev.f_lc / ev.f_lm
             g_q = np.array(grad) * d
-            hr_q = dd * mpl_ratio_hessian(tech, ev, grad, el_c, el_m, k, ai)
-            x_q = np.zeros(4)  # the X-terms: each active mu times d nu(lt)/dq
+            hr_q = dd * periods_last(mpl_ratio_hessian(tech, ev, grad, el_c, el_m, k, ai))
+            x_q = 0.0  # the X-terms: each active mu times d nu(lt)/dq
             for col, kind in enumerate(layout.active, 7):
                 if kind is AgentKind.COGNITIVE:  # w = zr / ratio
                     mu, own, other, w = mu_c, 0, 1, zr / ratio
@@ -517,20 +526,30 @@ def _jacobian_fn(config: EconomyConfig, layout: _Layout):
                 d_nu = nup * d_lt
                 h_q += mu * (nu_second(prefs, lt) * (d_lt[:, None] * d_lt) + nup * d2_lt)
                 x_q += mu * d_nu
-                # the slack's row, which is also the multiplier's column in
-                # the consumption and labor rows
-                row = j[col]
+                # the slack's terms, which are also the multiplier's column
+                # in the consumption and labor rows
+                row = j_slack[col - 7]
                 row[0:2] = signs[0] * up_c, signs[1] * up_m
                 row[2:6] = d_nu
                 row[2 + own] -= nu_prime(prefs, (l_c, l_m)[own])
-                j[0:4, col] = row[0:4]
-                j[4:6, col] = -beta / lam * d_nu[2:]
-            j[4:6, 6] = beta / lam**2 * x_q[2:]
-        j[2:4, 2:6] = h_q[:2]
-        j[4:6, 2:6] = -beta / lam * h_q[2:]
-        j[2, 2] -= (pi_c + mu_c) * nu_second(prefs, l_c)
-        j[3, 3] -= (pi_m + mu_m) * nu_second(prefs, l_m)
-        return j
+                j_own[0:4, col] = row[0:4]
+                now(j_own)[4:6, col] = -beta / nxt(lam) * nxt(d_nu)[2:]
+            now(j_nxt)[4:6, 6] = beta / nxt(lam) ** 2 * nxt(x_q)[2:]
+        j_own[2:4, 2:6] = h_q[:2]
+        now(j_nxt)[4:6, 2:6] = -beta / nxt(lam) * nxt(h_q)[2:]
+        j_own[2, 2] -= (pi_c + mu_c) * nu_second(prefs, l_c)
+        j_own[3, 3] -= (pi_m + mu_m) * nu_second(prefs, l_m)
+        if layout.stationary:
+            return j
+        # a path's K_{t+1} - K_t and lam_t / lam_{t+1}
+        j_own[6, 4:6] += 1.0
+        j_nxt[6, 4:6] = -1.0
+        j_own[4:6, 6, :-1] = 1.0 / lam[1:]
+        j_nxt[4:6, 6, :-1] -= lam[:-1] / lam[1:] ** 2
+        storage = np.zeros(band.size)
+        storage[band.entry_at] = np.concatenate(
+            [j_own.ravel(), j_nxt.ravel(), (discount * j_slack).ravel()])[stored]
+        return storage
 
     return jac
 
@@ -542,13 +561,12 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     earlier one failed.
     """
     f = _residual_fn(config, layout)
+    jac = _jacobian_fn(config, layout)
     lower = layout.lower()
-    derivative = ({"jac": _jacobian_fn(config, layout)} if layout.stationary
-                  else {"band": layout.band()})
     for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
-                           **derivative)
+                           jac=jac, band=layout.band)
         if res.converged:
             return _judge(config, layout, res.x)
     raise NoInteriorSolutionError(

@@ -28,12 +28,13 @@ of r from one closed form, :func:`mpl_ratio_gradient`, which reads that
 record's marginal products: no second core pass, no complex input and no
 finite-difference derivative of r.  The solver's exact Jacobians take the
 second derivatives of F and of r the same way, from the marginal products
-and the bundle shares (:func:`hessian`, :func:`mpl_ratio_hessian`, one
-point at a time).  Core evaluation is plain arithmetic on floats and numpy
-arrays.  Nothing here checks its inputs' domain
-(strictly positive): callers keep them there, and values from outside the
-program are checked where they enter (``planner.foc_residuals``, and the
-grid factor and points in :func:`check_assumptions`).
+and the bundle shares (:func:`hessian`, :func:`mpl_ratio_hessian`, at one
+point or at a path's periods at once).  Core evaluation is plain
+arithmetic on floats and numpy arrays.  Nothing here checks its inputs'
+domain (strictly positive): callers keep them there, and values from
+outside the program are checked where they enter
+(``planner.foc_residuals``, and the grid factor and points in
+:func:`check_assumptions`).
 """
 
 from __future__ import annotations
@@ -175,8 +176,23 @@ _NEST_BUNDLES = np.array([0, 1, 0, 1])
 _SUBSTITUTE_BUNDLES = np.array([0, 1, 0, 0])
 
 
+def _vectors(*entries) -> np.ndarray:
+    """Values at arrays of points as one vector per point, on a last axis."""
+    out = np.empty(np.broadcast(*entries).shape + (len(entries),))
+    for i, e in enumerate(entries):
+        out[..., i] = e
+    return out
+
+
+# how values at one point, or at arrays of points, become vectors and
+# factors of matrices: as they are, or on new last axes
+_ONE_POINT = (lambda *entries: np.array(entries)), (lambda v: v)
+_POINTS = _vectors, (lambda v: v[..., None, None])
+
+
 def hessian(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai) -> np.ndarray:
-    """Hessian of F with respect to (L_c, L_m, K, AI), 4 x 4, at one point.
+    """Hessian of F with respect to (L_c, L_m, K, AI), 4 x 4 on the last two
+    axes, at one point or at arrays of points (one matrix each).
 
     ``ev`` is :func:`evaluate` at the same point.  A CES aggregate G of
     exponent rho has G_xy = (1 - rho) G_x G_y / G, so for inputs a != b
@@ -191,25 +207,28 @@ def hessian(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai) -> np.n
     zero count as zero, as in ``_ces``.
     """
     sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
-    f = np.array([ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai])
-    x = np.array([l_c, l_m, k, ai])
+    vector, scale = _POINTS if isinstance(ev.y, np.ndarray) else _ONE_POINT
+    f = vector(ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai)
+    xf = (l_c * ev.f_lc, l_m * ev.f_lm, k * ev.f_k, ai * ev.f_ai)
     if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
         bundle, rho = _SUBSTITUTE_BUNDLES, np.array([rho_c, 1.0])
         via_n = np.array([1.0, 0.0, 0.0, tech.a_ai])
-        own = (1.0 - rho_c) * (ev.f_lc / (l_c + tech.a_ai * ai)) * (via_n[:, None] * via_n)
-        own[2, 2] = (1.0 - rho_c) * ev.f_k / k
+        own = scale((1.0 - rho_c) * (ev.f_lc / (l_c + tech.a_ai * ai))) * (via_n[:, None] * via_n)
+        own[..., 2, 2] = (1.0 - rho_c) * ev.f_k / k
+        share = vector((xf[0] + xf[2] + xf[3]) / ev.y, xf[1] / ev.y)
     else:
         bundle, rho = _NEST_BUNDLES, np.array([rho_c, rho_m])
-        own = np.diag((1.0 - rho[bundle]) * f / x)
-    share = np.bincount(bundle, weights=x * f, minlength=2) / ev.y
-    within = ((sigma - rho) / share)[bundle]
+        own = ((1.0 - rho[bundle]) * f / vector(l_c, l_m, k, ai))[..., None] * np.eye(4)
+        share = vector((xf[0] + xf[2]) / ev.y, (xf[1] + xf[3]) / ev.y)
+    within = ((sigma - rho) / share)[..., None, bundle]
     m = np.where(bundle[:, None] == bundle, within, 0.0) + (1.0 - sigma)
-    return f[:, None] * f / ev.y * m - own
+    return f[..., :, None] * f[..., None, :] / scale(ev.y) * m - own
 
 
 def mpl_ratio_hessian(tech: TechnologyParams, ev: TechEvaluation, grad,
                       l_c, l_m, k, ai) -> np.ndarray:
-    """Hessian of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI), 4 x 4.
+    """Hessian of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI), 4 x 4
+    on the last two axes, at one point or at arrays of points.
 
     ``ev`` is :func:`evaluate` and ``grad`` :func:`mpl_ratio_gradient` at
     the same point.  Each partial is g_a = r e_a / x_a, and the elasticity
@@ -225,54 +244,29 @@ def mpl_ratio_hessian(tech: TechnologyParams, ev: TechEvaluation, grad,
     count as zero, as in :func:`mpl_ratio_gradient`.
     """
     sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
-    g = np.array(grad)
+    vector, scale = _POINTS if isinstance(ev.y, np.ndarray) else _ONE_POINT
+    g = vector(*grad)
     r = ev.f_lc / ev.f_lm
     kf = k * ev.f_k
+    outer = lambda v: v[..., :, None] * v[..., None, :]
     if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
         n = l_c + tech.a_ai * ai
         s_k = kf / (kf + n * ev.f_lc)
-        v = np.array([-1.0 / n, 0.0, 1.0 / k, -tech.a_ai / n])
-        curved = (sigma - rho_c) * rho_c * s_k * (1.0 - s_k) * (v[:, None] * v)
+        v = vector(-1.0 / n, 0.0, 1.0 / k, -tech.a_ai / n)
+        curved = scale((sigma - rho_c) * rho_c * s_k * (1.0 - s_k)) * outer(v)
         via_n = np.array([1.0, 0.0, 0.0, tech.a_ai])
-        own = g[0] / n * (via_n[:, None] * via_n)
-        own[1, 1], own[2, 2] = g[1] / l_m, g[2] / k
+        own = scale(g[..., 0] / n) * (via_n[:, None] * via_n)
+        own[..., 1, 1], own[..., 2, 2] = g[..., 1] / l_m, g[..., 2] / k
     else:
         s_k = kf / (kf + l_c * ev.f_lc)
         af = ai * ev.f_ai
         s_a = af / (af + l_m * ev.f_lm)
-        v_c = np.array([-1.0 / l_c, 0.0, 1.0 / k, 0.0])
-        v_m = np.array([0.0, -1.0 / l_m, 0.0, 1.0 / ai])
-        curved = ((sigma - rho_c) * rho_c * s_k * (1.0 - s_k) * (v_c[:, None] * v_c)
-                  + (rho_m - sigma) * rho_m * s_a * (1.0 - s_a) * (v_m[:, None] * v_m))
-        own = np.diag(g / np.array([l_c, l_m, k, ai]))
-    return g[:, None] * g / r + r * curved - own
-
-
-def grad_check(tech: TechnologyParams, point, step: float) -> float:
-    """Max relative gap between analytic and central-difference marginal products.
-
-    ``point`` is (L_c, L_m, K, AI); the relative gap divides by
-    max(1, |analytic|) per component.
-    """
-    pt = [float(v) for v in point]
-    if len(pt) != 4:
-        raise DomainError(f"point must have 4 coordinates, got {len(pt)}")
-    if not step > 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-    if step >= min(pt):
-        raise DomainError(f"step {step} is too large for point {pt}")
-    ev = evaluate(tech, *pt)
-    analytic = (ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai)
-    worst = 0.0
-    for i in range(4):
-        hi = list(pt)
-        lo = list(pt)
-        hi[i] += step
-        lo[i] -= step
-        numeric = (evaluate(tech, *hi).y - evaluate(tech, *lo).y) / (2.0 * step)
-        err = abs(numeric - analytic[i]) / max(1.0, abs(analytic[i]))
-        worst = max(worst, err)
-    return worst
+        v_c = vector(-1.0 / l_c, 0.0, 1.0 / k, 0.0)
+        v_m = vector(0.0, -1.0 / l_m, 0.0, 1.0 / ai)
+        curved = (scale((sigma - rho_c) * rho_c * s_k * (1.0 - s_k)) * outer(v_c)
+                  + scale((rho_m - sigma) * rho_m * s_a * (1.0 - s_a)) * outer(v_m))
+        own = (g / vector(l_c, l_m, k, ai))[..., None] * np.eye(4)
+    return outer(g) / scale(r) + scale(r) * curved - own
 
 
 @dataclass(frozen=True)

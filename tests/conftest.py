@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from aitax import (
@@ -59,20 +58,18 @@ def count_evals(monkeypatch):
     """``count_evals(call)``: the residual evaluations ``call()`` makes,
     counted exactly through ``planner.newton_solve``.
 
-    An evaluation is one point: a call on a stack of G points counts G.
-    ``count_evals.calls`` holds the residual calls the last ``call()`` made,
-    and ``count_evals.iterations`` the sum of its solves' Newton iterations.
+    Every evaluation is one call on one point.  ``count_evals.iterations``
+    holds the sum of the last ``call()``'s solves' Newton iterations.
     """
-    evals = calls = iterations = 0
+    evals = iterations = 0
     newton_solve = planner.newton_solve
 
     def counted(f, x0, **kw):
         nonlocal iterations
 
         def residual(x):
-            nonlocal evals, calls
-            evals += len(x) if np.ndim(x) > 1 else 1
-            calls += 1
+            nonlocal evals
+            evals += 1
             return f(x)
         result = newton_solve(residual, x0, **kw)
         iterations += result.iterations
@@ -81,10 +78,10 @@ def count_evals(monkeypatch):
     monkeypatch.setattr(planner, "newton_solve", counted)
 
     def count(call) -> int:
-        nonlocal evals, calls, iterations
-        evals = calls = iterations = 0
+        nonlocal evals, iterations
+        evals = iterations = 0
         call()
-        count.calls, count.iterations = calls, iterations
+        count.iterations = iterations
         return evals
 
     return count

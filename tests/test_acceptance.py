@@ -30,9 +30,10 @@ from aitax import (
     wedge_via_multipliers,
 )
 from aitax.economy import AgentKind, SolveMode
+from aitax.errors import DomainError
 from aitax.oracle import agreement, grid_bracketing
 from aitax.planner import TOL_ICC, Regime
-from aitax.production import check_assumptions, evaluate, grad_check
+from aitax.production import check_assumptions, evaluate
 
 TOL_SIGN = 1e-6
 TOL_EQUIV = 1e-8
@@ -140,6 +141,33 @@ def test_criterion_05_grid_oracle_agrees_on_all_desks():
         print(f"\n[5] {preset.__name__}: gap = {ag['objective_gap']:.3e} "
               f"(allowance {oracle.gap_allowance:.2e}), regime {oracle.regime.value}, "
               f"{elapsed:.2f}s")
+
+
+def grad_check(tech, point, step: float) -> float:
+    """Max relative gap between analytic and central-difference marginal products.
+
+    ``point`` is (L_c, L_m, K, AI); the relative gap divides by
+    max(1, |analytic|) per component.
+    """
+    pt = [float(v) for v in point]
+    if len(pt) != 4:
+        raise DomainError(f"point must have 4 coordinates, got {len(pt)}")
+    if not step > 0.0:
+        raise DomainError(f"step must be positive, got {step}")
+    if step >= min(pt):
+        raise DomainError(f"step {step} is too large for point {pt}")
+    ev = evaluate(tech, *pt)
+    analytic = (ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai)
+    worst = 0.0
+    for i in range(4):
+        hi = list(pt)
+        lo = list(pt)
+        hi[i] += step
+        lo[i] -= step
+        numeric = (evaluate(tech, *hi).y - evaluate(tech, *lo).y) / (2.0 * step)
+        err = abs(numeric - analytic[i]) / max(1.0, abs(analytic[i]))
+        worst = max(worst, err)
+    return worst
 
 
 def test_criterion_06_analytic_gradients_match_finite_differences():

@@ -30,8 +30,9 @@ from aitax.errors import (
     SolverError,
 )
 from aitax.planner import TOL_ICC, violated_side
-from aitax.preferences import icc_slack, nu_eval, u_eval
+from aitax.preferences import nu_eval, u_eval
 from aitax.production import evaluate
+from incentives import icc_slack
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -466,17 +467,13 @@ def test_path_rows_repeat_the_stationary_rows(regime_a_solution):
                                           rel=1e-12, abs=1e-12)
 
 
-# exact KKT residual evaluations per solve of each bundled config
+# exact KKT residual evaluations per solve of each bundled config, one
+# point per call: every Jacobian is exact and costs none.  The path's
+# grouped forward-difference Jacobians took 97 points in 27 calls, 5 of
+# them its Jacobians, in the same iterations.
 EVALS_PER_SOLVE = {
     "symmetric": 10, "regime_a": 16, "regime_b": 16, "threshold": 18, "cobb_douglas": 11,
-    "regime_a_t20": 97,
-}
-# and the residual calls they take: a steady state's Jacobian is exact and
-# costs no residual call, so its calls are its points; a path's grouped
-# Jacobian is one stacked call
-CALLS_PER_SOLVE = {
-    "symmetric": 10, "regime_a": 16, "regime_b": 16, "threshold": 18, "cobb_douglas": 11,
-    "regime_a_t20": 27,
+    "regime_a_t20": 22,
 }
 # and the Newton iterations of all their solves, the capital presolve's too:
 # the forward-difference Jacobians they replace took the same (57 for the
@@ -498,37 +495,76 @@ def test_residual_evaluations_per_solve(name, count_evals):
     """Solver work, counted exactly: a change to the residuals or the start
     schedule that moves the Newton path shows up here."""
     config, _ = load_config(CONFIGS / f"{name}.cfg")
-    evals = count_evals(lambda: solve(config))
-    assert (evals, count_evals.calls) == (EVALS_PER_SOLVE[name], CALLS_PER_SOLVE[name])
+    assert count_evals(lambda: solve(config)) == EVALS_PER_SOLVE[name]
     assert count_evals.iterations == ITERATIONS_PER_SOLVE[name]
 
 
 def test_residual_evaluations_do_not_grow_with_the_horizon(count_evals):
-    """The grouped Jacobian costs the same number of evaluations at any T
-    (T = 160 took 5727 with one evaluation per unknown)."""
+    """A path's exact Jacobian costs no evaluation at any T, so T = 160
+    takes the evaluations and Newton iterations of T = 20 (a forward
+    difference with one evaluation per unknown took 5727)."""
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
     evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=160)))
     assert evals == EVALS_PER_SOLVE["regime_a_t20"]
+    assert count_evals.iterations == ITERATIONS_PER_SOLVE["regime_a_t20"]
 
 
 @pytest.mark.parametrize("horizon", [20, 160])
-def test_one_residual_call_per_path_jacobian(horizon, count_evals):
-    """A path Jacobian's grouped columns are one stacked call, and the
-    steady state the path ends at takes exact Jacobians, so the
-    transition's 97 evaluated points take 27 residual calls in 18 Newton
-    iterations at any T (5 of the calls are the path's Jacobians)."""
+def test_one_residual_call_per_path_jacobian(horizon, monkeypatch):
+    """A path Jacobian is exact and evaluates no KKT residual, and every
+    residual call is one point of a path's unknowns, so at any T the
+    transition takes one Jacobian per Newton iteration and its 22 residual
+    calls in 18 iterations (a grouped forward difference took 27 calls on
+    97 points, 5 of them its Jacobians)."""
+    kkt, newton_solve = planner._kkt, planner.newton_solve
+    kkt_calls = residual_calls = 0
+    in_path_jac, path_sizes, path_iterations, iterations = [], set(), [], []
+
+    def counted_kkt(*args):
+        nonlocal kkt_calls
+        kkt_calls += 1
+        return kkt(*args)
+
+    def counted_newton(f, x0, *, jac, band=None, **kw):
+        def residual(x):
+            nonlocal residual_calls
+            residual_calls += 1
+            if band is not None:
+                path_sizes.add(np.shape(x))
+            return f(x)
+
+        def jacobian(x):
+            before = kkt_calls
+            storage = jac(x)
+            in_path_jac.append(kkt_calls - before)
+            return storage
+
+        result = newton_solve(residual, x0, jac=jac if band is None else jacobian,
+                              band=band, **kw)
+        iterations.append(result.iterations)
+        if band is not None:
+            path_iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(planner, "_kkt", counted_kkt)
+    monkeypatch.setattr(planner, "newton_solve", counted_newton)
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
-    evals = count_evals(lambda: solve(dataclasses.replace(config, horizon=horizon)))
-    assert (evals, count_evals.calls) == (EVALS_PER_SOLVE["regime_a_t20"],
-                                          CALLS_PER_SOLVE["regime_a_t20"])
-    assert count_evals.iterations == ITERATIONS_PER_SOLVE["regime_a_t20"]
+    solve(dataclasses.replace(config, horizon=horizon))
+    # periods 0 .. T of five flows and lam, the interior stocks, then the mus
+    n = horizon + 1
+    assert path_sizes and path_sizes <= {(7 * n - 2 + a,) for a in range(3)}
+    assert in_path_jac and set(in_path_jac) == {0}
+    assert len(in_path_jac) == sum(path_iterations)
+    assert (residual_calls, sum(iterations)) == (EVALS_PER_SOLVE["regime_a_t20"],
+                                                 ITERATIONS_PER_SOLVE["regime_a_t20"])
 
 
 def test_a_long_path_holds_few_newton_matrices(monkeypatch):
     """A path solve's traced peak grows linearly with T and holds no m x m
     float matrix, m the path's unknowns: Jacobian entries go into band
-    storage, and the step eliminates period blocks.  Measured: 1.99 MB at
-    T = 160 (0.20 of one m x m matrix) and 3.95 MB at T = 320.  A complex-
+    storage, and the step eliminates period blocks.  Measured: 2.11 MB at
+    T = 160 (0.21 of one m x m matrix) and 4.19 MB at T = 320 (1.99 and
+    3.95 MB with a grouped forward-difference Jacobian).  A complex-
     step ratio gradient peaked at 3.79 MB at T = 160, 2.8 MB of it in one
     stacked residual evaluation, and the dense LU at 2.1 m x m matrices."""
     config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
@@ -580,9 +616,9 @@ def test_only_a_path_builds_a_band(monkeypatch):
     built = []
     band = planner.Band
 
-    def counted(*args):
-        built.append(len(args[0]))
-        return band(*args)
+    def counted(m, *args):
+        built.append(m)
+        return band(m, *args)
 
     monkeypatch.setattr(planner, "Band", counted)
     for name in ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas"):
@@ -645,7 +681,6 @@ def test_a_presolve_refusal_names_its_stocks(count_evals, unsolved_end_economy):
             solve_steady_state(config)
 
     assert count_evals(refused) == 83
-    assert count_evals.calls == 83
 
 
 # the kernels the planner calls through its module globals

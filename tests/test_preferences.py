@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from aitax.economy import PreferenceParams, UtilityForm
 from aitax.errors import DomainError
-from aitax.preferences import (
-    lifetime_utility,
-    mimic_labor,
-    nu_eval,
-    nu_prime,
-    u_eval,
-    u_prime,
-)
+from aitax.preferences import nu_eval, nu_prime, u_eval, u_prime
+from incentives import lifetime_utility, mimic_labor
 
 LOG = PreferenceParams(beta=0.96)
 CRRA2 = PreferenceParams(beta=0.96, u_form=UtilityForm.CRRA, gamma=2.0)

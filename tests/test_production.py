@@ -19,7 +19,8 @@ from aitax.configio import parse_config
 from aitax.economy import TechForm, TechnologyParams
 from aitax import production
 from aitax.errors import DomainError
-from aitax.production import check_assumptions, evaluate, grad_check, mpl_ratio_gradient
+from aitax.production import check_assumptions, evaluate, mpl_ratio_gradient
+from test_acceptance import grad_check
 
 COMPLEMENTS = symmetric_economy().tech
 SUBSTITUTE = threshold_economy().tech
@@ -215,6 +216,24 @@ def test_hessians_are_central_differences_of_the_partials(tech):
             assert np.array_equal(exact, exact.T)
             np.testing.assert_allclose(exact, central_jacobian(partials, point), rtol=0.0,
                                        atol=1e-8 * np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("tech", REFERENCE_TECHS.values(), ids=REFERENCE_TECHS.keys())
+def test_hessians_at_arrays_of_points_are_the_per_point_ones(tech):
+    """Both Hessians take a path's periods at once, one matrix per point
+    on the last two axes, each bit for bit the one that point's values
+    give alone."""
+    points = np.exp(np.random.default_rng(12).uniform(-1.0, 1.0, size=(6, 4)))
+    inputs = tuple(points.T)
+    ev = evaluate(tech, *inputs)
+    grad = mpl_ratio_gradient(tech, ev, *inputs)
+    batched = (production.hessian(tech, ev, *inputs),
+               production.mpl_ratio_hessian(tech, ev, grad, *inputs))
+    for i, point in enumerate(points):
+        ev_i = production.TechEvaluation(*(getattr(ev, f.name)[i] for f in dataclasses.fields(ev)))
+        grad_i = tuple(g[i] for g in grad)
+        assert np.array_equal(batched[0][i], production.hessian(tech, ev_i, *point))
+        assert np.array_equal(batched[1][i], production.mpl_ratio_hessian(tech, ev_i, grad_i, *point))
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
