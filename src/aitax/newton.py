@@ -27,6 +27,7 @@ deterministic: no randomness, fixed iteration order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,21 +175,24 @@ def newton_solve(
 
     ``f`` signals a point outside its domain by a non-finite residual,
     which fails a start and rejects a line-search trial.  An exception
-    that ``f`` raises is a bug in ``f``, and it propagates.
+    that ``f`` raises is a bug in ``f``, and it propagates.  Each residual
+    is reduced once, to its max-norm; a residual with an inf or a nan has
+    a non-finite norm, and that is how it is told apart.
     """
     x = np.asarray(x0, dtype=float).copy()
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    has_lower = np.isfinite(lo)
 
     r = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    norm = float(np.abs(r).max())
+    if not math.isfinite(norm):
         return NewtonResult(x, np.inf, False, 0)
-    norm = float(np.max(np.abs(r)))
 
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return NewtonResult(x, norm, True, it - 1)
         matrix = jac(x)
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             return NewtonResult(x, norm, False, it)
         try:
             dx = np.linalg.solve(matrix, -r) if band is None else band.solve(matrix, -r)
@@ -197,10 +201,10 @@ def newton_solve(
 
         # fraction-to-boundary: keep bounded components strictly inside
         alpha = 1.0
-        bounded = np.isfinite(lo) & (dx < 0.0)
-        if np.any(bounded):
+        bounded = has_lower & (dx < 0.0)
+        if bounded.any():
             gap = x[bounded] - lo[bounded]
-            alpha = min(1.0, float(np.min(-0.995 * gap / dx[bounded])))
+            alpha = min(1.0, float((-0.995 * gap / dx[bounded]).min()))
         if alpha <= 0.0:
             return NewtonResult(x, norm, False, it)
 
@@ -209,12 +213,11 @@ def newton_solve(
             x_try = x + alpha * dx
             with np.errstate(all="ignore"):
                 r_try = np.asarray(f(x_try), dtype=float)
-            if np.all(np.isfinite(r_try)):
-                norm_try = float(np.max(np.abs(r_try)))
-                if norm_try < norm:
-                    x, r, norm = x_try, r_try, norm_try
-                    improved = True
-                    break
+            norm_try = float(np.abs(r_try).max())
+            if norm_try < norm:  # false for a nan or inf norm too
+                x, r, norm = x_try, r_try, norm_try
+                improved = True
+                break
             alpha *= 0.5
         if not improved:
             return NewtonResult(x, norm, False, it)

@@ -26,14 +26,19 @@ same record.  One exact Jacobian (``_jacobian_fn``) is written the same
 way, for both: each period's partials come from the closed-form Hessians
 of the technology and of the wage ratio, and only the rows that link a
 period to the next split into a part in each.  It costs no residual
-call, and nothing in the solver takes a forward difference.
+call, and nothing in the solver takes a forward difference.  Each point
+Newton accepts costs one kernel pass: the residual keeps its pass
+(``_LastPass``), and the Jacobian at that point, and the judging of the
+vector Newton converges to, read it.  A steady state's Newton residual
+runs on Python floats; ``_periods`` and so ``foc_residuals`` run on numpy
+scalars, with the same bits.
 
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
 (the first best's vector, or a cold start from a capital presolve), and
 fails fast when neither converges; a presolve that finds no interior
 stocks refuses the economy, naming where it stopped.  A converged vector
-is judged from its multipliers and lifetime slacks (one kernel call); only
+is judged from its multipliers and lifetime slacks (the kept pass); only
 the attempt a solver returns is built into a PlannerSolution with its
 assumption report, KKT residuals and objective, and a steady state's keeps
 the point of the first best it was judged from.  All solves are
@@ -104,6 +109,11 @@ _BINDING = {
 _REGIME = {active: regime for regime, active in _BINDING.items()}
 
 
+def _regime(mu_c: float, mu_m: float) -> Regime:
+    """The regime of multipliers mu_c, mu_m: the types whose mu exceeds TOL_ICC bind."""
+    return _REGIME[tuple(kind for kind, mu in zip(AgentKind, (mu_c, mu_m)) if mu > TOL_ICC)]
+
+
 @dataclass(frozen=True)
 class Multipliers:
     """Shadow values attached to a planner solution.
@@ -152,6 +162,7 @@ class _ChainTerms:
     """Wage-ratio pieces of the FOCs at one point (scalar or per-period arrays)."""
 
     ev: TechEvaluation
+    grad: tuple  # the wage ratio F_Lc / F_Lm's gradient in (L_c, L_m, K, AI)
     el_c: object  # effective labor pi * l * z
     el_m: object
     w_c: object  # competitive wages z * F_L
@@ -196,7 +207,7 @@ def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTe
     cross_m = mu_c * nup_lt_c * (r_mc + l_m * g_mc[1] * pi_m * z_m)
 
     return _ChainTerms(
-        ev=ev, el_c=el_c, el_m=el_m, w_c=ev.f_lc * z_c, w_m=ev.f_lm * z_m,
+        ev=ev, grad=grad, el_c=el_c, el_m=el_m, w_c=ev.f_lc * z_c, w_m=ev.f_lm * z_m,
         lt_c=lt_c, lt_m=lt_m, x_k=x_k, x_ai=x_ai, y_c=y_c, y_m=y_m,
         cross_c=cross_c, cross_m=cross_m,
     )
@@ -209,13 +220,15 @@ def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
     return slack_c, slack_m
 
 
+_ITSELF = (lambda v: v), (lambda v: v)
+_SHIFTED = (lambda v: v[..., :-1]), (lambda v: v[..., 1:])
+
+
 def _now_next(stationary: bool):
     """Views without a path's last period (``now``) and without its first
     (``nxt``), periods on the last axis; a steady state's next period is
     itself."""
-    if stationary:
-        return (lambda v: v), (lambda v: v)
-    return (lambda v: v[..., :-1]), (lambda v: v[..., 1:])
+    return _ITSELF if stationary else _SHIFTED
 
 
 def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
@@ -223,17 +236,22 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
 
     A path has one stock more than periods: arrays of n periods whose ``k``
     and ``ai`` hold the n + 1 stocks K_0 .. K_n.  A steady state is the
-    path whose next period is itself: one point, on scalars (a 1-point
-    array call costs five to eight times a scalar one).  So every row is
-    written once, through ``_now_next``.  The stock rows are the Euler
-    equations divided through by next period's lam, which makes a steady
-    state's lam/lam exactly 1.  Returns the seven rows named in ``_ROWS``,
-    the cognitive and manual flow slacks, and the chain terms.
+    path whose next period is itself: one point, on scalars.  So every row
+    is written once, through ``_now_next``.  The Newton residual hands a
+    steady state Python floats, on which a residual costs about a third
+    less than on numpy scalars (and a 1-point array five to eight times a
+    scalar); ``_periods`` hands ``foc_residuals`` numpy scalars, and both
+    give the same bits.  On floats, a point whose arithmetic overflows or
+    divides by zero raises OverflowError or ZeroDivisionError where numpy
+    would give inf.  The stock rows are the Euler equations divided
+    through by next period's lam, which makes a steady state's lam/lam
+    exactly 1.  Returns the seven rows named in ``_ROWS``, the cognitive
+    and manual flow slacks, and the chain terms.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     beta = prefs.beta
-    now, nxt = _now_next(np.ndim(lam) == 0)
+    now, nxt = _now_next(isinstance(lam, float))  # numpy scalars are floats too
     k_now, ai_now = now(k), now(ai)
     ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
     ev = ch.ev
@@ -264,8 +282,8 @@ def _lifetime(beta: float, flow) -> float:
 
 def _periods(*arrays):
     """Stored per-period arrays as the kernel takes them: numpy scalars for a
-    steady state, the one-point form the Newton residual evaluates (the
-    closed-form ratio gradient gives Python floats the same bits)."""
+    steady state, whose arithmetic gives the bits of the Python floats the
+    Newton residual evaluates."""
     if len(arrays[0]) == 1:
         return tuple(v[0] for v in arrays)
     return arrays
@@ -311,7 +329,9 @@ class _Layout:
 
     def unpack(self, x: np.ndarray) -> tuple:
         """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
-        scalars for a steady state, per-period arrays for a path."""
+        Python floats for a steady state, per-period arrays for a path."""
+        if self.stationary:
+            x = x.tolist()
         mu_c, mu_m = (0.0 if i is None else x[i] for i in self.mu_at)
         if self.stationary:
             return (*x[:7], mu_c, mu_m)
@@ -374,9 +394,11 @@ class _Attempt:
     """A converged Newton vector, judged before anything is built from it.
 
     ``point`` is the kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam,
-    mu_c, mu_m) and ``chain`` its chain terms; the slacks are lifetime
-    values.  That is all admissibility, ``violated_side`` and a warm start
-    read; ``_build`` turns the one attempt a solver returns into a solution.
+    mu_c, mu_m), Python floats for a steady state, and ``chain`` its chain
+    terms; the slacks are lifetime values.  All of it comes from the pass
+    the residual made at the vector (``_LastPass``).  That is all
+    admissibility, ``violated_side`` and a warm start read; ``_build``
+    turns the one attempt a solver returns into a solution.
     """
 
     layout: _Layout
@@ -393,10 +415,34 @@ class _Attempt:
         return self.layout.stationary
 
 
-def _judge(config: EconomyConfig, layout: _Layout, x: np.ndarray) -> _Attempt:
-    """The attempt at a converged Newton vector: one KKT kernel call."""
+class _LastPass:
+    """What a residual's kernel pass gave at the last vector it evaluated,
+    keyed by the vector's bytes.
+
+    Newton takes the Jacobian at each point it accepts, and the solver
+    judges the point it converges to; both read the pass kept at that
+    vector instead of making one of their own, so each accepted point
+    costs one pass.
+    """
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def keep(self, x: np.ndarray, value) -> None:
+        self.key, self.value = x.tobytes(), value
+
+    def at(self, x: np.ndarray):
+        """The value kept at ``x`` when it is the kept vector, else None."""
+        return self.value if self.key == x.tobytes() else None
+
+
+def _judge(config: EconomyConfig, layout: _Layout, x: np.ndarray,
+           last: _LastPass | None = None) -> _Attempt:
+    """The attempt at a converged Newton vector: read from the residual's
+    pass that ``last`` kept at ``x``, else one KKT kernel call."""
     point = layout.unpack(x)
-    _, flow_c, flow_m, ch = _kkt(config, *point)
+    kept = last and last.at(x)
+    flow_c, flow_m, ch = _kkt(config, *point)[1:] if kept is None else kept
     beta = config.prefs.beta
     return _Attempt(layout=layout, x=x, point=point, chain=ch,
                     mu_c=float(point[7]), mu_m=float(point[8]),
@@ -418,16 +464,29 @@ def _steady_point(warm: Start) -> tuple:
     return (a.c_c[0], a.c_m[0], a.l_c[0], a.l_m[0], a.k[0], a.ai[0], m.lam[0], m.mu_c, m.mu_m)
 
 
-def _residual_fn(config: EconomyConfig, layout: _Layout):
+# what Python floats raise where numpy arithmetic gives inf
+_FLOAT_ERRORS = (ZeroDivisionError, OverflowError)
+
+
+def _residual_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None = None):
     """Newton residual at one point: the seven KKT rows, then each active
     incentive slack.
 
     Stationary slack rows stay in flow units; a path's are lifetime slacks.
+    A steady state's point whose float arithmetic raises (an overflow, a
+    division by zero) has an all-inf residual, the non-finite one Newton
+    takes for a point outside the domain.  Each pass is kept in ``last``
+    when given.
     """
     imposed = tuple(kind in layout.active for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL))
 
     def f(x: np.ndarray) -> np.ndarray:
-        rows, slack_c, slack_m, _ = _kkt(config, *layout.unpack(x))
+        try:
+            rows, slack_c, slack_m, ch = _kkt(config, *layout.unpack(x))
+        except _FLOAT_ERRORS:
+            return np.full(len(x), np.inf)
+        if last is not None:
+            last.keep(x, (slack_c, slack_m, ch))
         slacks = [s for s, on in zip((slack_c, slack_m), imposed) if on]
         if layout.stationary:
             return np.array(rows + slacks)
@@ -436,9 +495,13 @@ def _residual_fn(config: EconomyConfig, layout: _Layout):
     return f
 
 
-def _jacobian_fn(config: EconomyConfig, layout: _Layout):
+def _jacobian_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None = None):
     """Exact Jacobian of the Newton residual (``_residual_fn``) at one
     point: the m x m matrix for a steady state, band storage for a path.
+    At the vector whose pass ``last`` kept it reads that pass's technology
+    evaluation and ratio gradient; at any other it makes its own.  A
+    steady state's point whose float arithmetic raises has an all-nan
+    matrix, which Newton refuses to step on.
 
     Each period's partials are written once, on a steady state's scalars or
     on a path's per-period arrays (periods on the last axis), in three
@@ -481,10 +544,16 @@ def _jacobian_fn(config: EconomyConfig, layout: _Layout):
     dd = d[:, None] * d
 
     def jac(x: np.ndarray) -> np.ndarray:
-        c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = layout.unpack(x)
+        try:
+            return fill(x, *layout.unpack(x))
+        except _FLOAT_ERRORS:
+            return np.full((m, m), np.nan)
+
+    def fill(x, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
         k, ai = now(k), now(ai)
-        el_c, el_m = pi_c * l_c * z_c, pi_m * l_m * z_m
-        ev = evaluate(tech, el_c, el_m, k, ai)
+        kept = last and last.at(x)
+        ch = _chain_terms(config, l_c, l_m, k, ai, mu_c, mu_m) if kept is None else kept[2]
+        ev, el_c, el_m = ch.ev, ch.el_c, ch.el_m
         f_q = np.array([ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai]) * d
         h_q = lam * dd * periods_last(hessian(tech, ev, el_c, el_m, k, ai))
         up_c, up_m = u_prime(prefs, c_c), u_prime(prefs, c_m)
@@ -500,7 +569,7 @@ def _jacobian_fn(config: EconomyConfig, layout: _Layout):
         j_own[6, 2:6] = f_q - spent
         j_own[2:4, 6] = f_q[:2]
         if layout.active:
-            grad = mpl_ratio_gradient(tech, ev, el_c, el_m, k, ai)
+            grad = ch.grad
             ratio = ev.f_lc / ev.f_lm
             g_q = np.array(grad) * d
             hr_q = dd * periods_last(mpl_ratio_hessian(tech, ev, grad, el_c, el_m, k, ai))
@@ -560,15 +629,16 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     ``starts`` may be a generator: a start is then only built when every
     earlier one failed.
     """
-    f = _residual_fn(config, layout)
-    jac = _jacobian_fn(config, layout)
+    last = _LastPass()
+    f = _residual_fn(config, layout, last)
+    jac = _jacobian_fn(config, layout, last)
     lower = layout.lower()
     for tried, x0 in enumerate(starts, 1):
         # the fraction-to-boundary rule needs every start strictly inside the bounds
         res = newton_solve(f, np.maximum(x0, lower + 1e-12), tol=TOL_NEWTON, lower=lower,
                            jac=jac, band=layout.band)
         if res.converged:
-            return _judge(config, layout, res.x)
+            return _judge(config, layout, res.x, last)
     raise NoInteriorSolutionError(
         f"{_label(layout.active)}: Newton did not converge from {tried} start(s) "
         f"(last residual {res.residual_norm:.3e})"
@@ -597,16 +667,19 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     el_c = config.cognitive.pi * l0 * config.cognitive.z
     el_m = config.manual.pi * l0 * config.manual.z
 
+    last = _LastPass()  # each accepted point's evaluation, for its Jacobian
+
     def f(u):
         stocks = np.exp(u)
         if not np.all(stocks < np.inf):
             return np.full(2, np.inf)
         ev = evaluate(tech, el_c, el_m, *stocks)
+        last.keep(u, ev)
         return np.array([beta * ev.fw_k - 1.0, beta * ev.fw_ai - 1.0])
 
     def jac(u):
         stocks = np.exp(u)
-        ev = evaluate(tech, el_c, el_m, *stocks)
+        ev = last.at(u) or evaluate(tech, el_c, el_m, *stocks)
         return beta * hessian(tech, ev, el_c, el_m, *stocks)[2:, 2:] * stocks
 
     grid = np.linspace(np.log(1e-3), np.log(1e4), 25)
@@ -670,7 +743,7 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
         warnings.append(f"mu_m = {mu_m:.6g} is not below pi_c = {pi_c:.6g}")
     return PlannerSolution(
         config=config,
-        regime=_REGIME[tuple(kind for kind, mu in zip(AgentKind, (mu_c, mu_m)) if mu > TOL_ICC)],
+        regime=_regime(mu_c, mu_m),
         allocation=alloc,
         multipliers=mults,
         wages_c=per_period(ch.w_c),
@@ -774,16 +847,23 @@ def solve_steady_state(config: EconomyConfig, *, warm: Start | None = None,
     the first best instead.  Only the returned attempt is built into a
     solution, which keeps its first best's point.
     """
+    return _build(config, *_steady_attempt(config, warm, warm_first_best))
+
+
+def _steady_attempt(config: EconomyConfig, warm: Start | None,
+                    warm_first_best: Start | None) -> tuple[_Attempt, _Attempt]:
+    """The steady state's admissible attempt and its first best's, unbuilt:
+    ``solve_steady_state`` without the solution."""
     fb = _first_best(config, warm=warm if warm_first_best is None else warm_first_best)
     reason = _rejection(fb, ())
     if reason is None:
-        return _build(config, fb, fb)
+        return fb, fb
 
     first = violated_side(fb)
     ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
-    return _build(config, _first_admissible(
+    return _first_admissible(
         ladder, lambda active: _solve_steady(config, active, warm, fb.x), [reason]
-    ), fb)
+    ), fb
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +911,12 @@ def foc_residuals(config: EconomyConfig, alloc: Allocation, mults: Multipliers) 
 
 def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
     """Direct transcription of the T-period problem, terminal stocks pinned
-    to the steady state of the same economy."""
+    to the steady state of the same economy.
+
+    That steady state is solved as an attempt and never built: the path
+    reads only its stocks, its regime and its point, which starts every
+    regime's Newton.
+    """
     require_valid(config)
     if config.mode is not SolveMode.FINITE_HORIZON or config.horizon is None:
         raise ConfigError("solve_finite_horizon needs mode = finite_horizon with T set")
@@ -839,10 +924,11 @@ def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
         raise ConfigError("finite horizon requires strictly positive initial stocks k0, ai0")
     n = config.horizon + 1
 
-    ss = solve_steady_state(replace(config, mode=SolveMode.STEADY_STATE, horizon=None))
-    ends = (config.k0, config.ai0, float(ss.allocation.k[0]), float(ss.allocation.ai[0]))
+    ss, _ = _steady_attempt(replace(config, mode=SolveMode.STEADY_STATE, horizon=None), None, None)
+    k, ai = ss.point[4:6]
+    ends = (config.k0, config.ai0, k, ai)
     # the steady state's regime first, then the others in a fixed order
-    ss_active = _BINDING[ss.regime]
+    ss_active = _BINDING[_regime(ss.mu_c, ss.mu_m)]
     ladder = sorted(_BINDING.values(), key=lambda active: active != ss_active)
 
     def solve(active: tuple) -> _Attempt:

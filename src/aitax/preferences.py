@@ -2,7 +2,10 @@
 
 u, u', u'', nu, nu' and nu'' are plain formulas with no domain check:
 consumption must be strictly positive and labor nonnegative, which their
-callers ensure.
+callers ensure.  They take Python floats, numpy scalars or arrays and give
+the same bits on each.  Only log utility is a numpy call (``np.log``); on
+Python floats the others raise ZeroDivisionError or OverflowError where numpy
+would return inf.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def u_eval(prefs: PreferenceParams, c):
 def u_prime(prefs: PreferenceParams, c):
     """Marginal utility u'(c)."""
     if prefs.u_form is UtilityForm.LOG:
-        return 1.0 / np.asarray(c, dtype=float)
+        return 1.0 / c
     return c ** (-prefs.gamma)
 
 

@@ -257,3 +257,85 @@ def test_an_entry_outside_the_band_is_refused():
     rows, owners = np.divmod(np.arange(9), 3)
     with pytest.raises(ValueError, match="outside"):
         newton.Band(3, rows, owners, np.arange(3)[:, None])
+
+
+def same_bits(a, b) -> bool:
+    """Whether two kernel values are equal bit for bit: floats and arrays by
+    their bytes, tuples and dataclasses entry by entry, anything else by
+    identity."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, (float, np.ndarray)):
+        return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return a is b
+
+
+@pytest.mark.parametrize("name", DESK + tuple(sorted(VARIANTS)) + ("regime_a_t20",))
+def test_the_kept_pass_is_exact(monkeypatch, name):
+    """At every Newton iterate of a solve, the Jacobian read from the pass
+    the residual kept is bit for bit the one a fresh evaluation gives, in
+    band storage for a path, and every converged vector's attempt is
+    field by field the one ``_judge`` makes afresh."""
+    jacobian_fn, judge = planner._jacobian_fn, planner._judge
+    jacobians, attempts = [], []
+
+    def checked_jacobian_fn(config, layout, last=None):
+        kept, fresh = jacobian_fn(config, layout, last), jacobian_fn(config, layout)
+
+        def jac(x):
+            matrix = kept(x)
+            jacobians.append(last is not None and matrix.tobytes() == fresh(x).tobytes())
+            return matrix
+        return jac
+
+    def checked_judge(config, layout, x, last=None):
+        att = judge(config, layout, x, last)
+        attempts.append(last is not None and same_bits(att, judge(config, layout, x)))
+        return att
+
+    monkeypatch.setattr(planner, "_jacobian_fn", checked_jacobian_fn)
+    monkeypatch.setattr(planner, "_judge", checked_judge)
+    solve(config_of(name))
+    assert jacobians and all(jacobians)
+    assert attempts and all(attempts)
+
+
+@pytest.mark.parametrize("kind", ["steady", "path"])
+def test_a_jacobian_away_from_the_kept_pass_evaluates_afresh(paths, kind):
+    """A Jacobian at a point other than the one the residual last
+    evaluated, or at that vector changed in place since, evaluates the
+    point afresh and is exact."""
+    if kind == "steady":
+        layout, _, _, x = steady_layout("regime_a", ACTIVE_SETS["cognitive"])
+        config = config_of("regime_a")
+    else:
+        layout, _, _, x = path_system(paths, "regime_a_t20", ACTIVE_SETS["cognitive"], 20)
+        config = config_of("regime_a_t20")
+    last = planner._LastPass()
+    f, jac = planner._residual_fn(config, layout, last), planner._jacobian_fn(config, layout, last)
+    fresh = planner._jacobian_fn(config, layout)
+    y = x * 1.01
+    assert fresh(y).tobytes() != fresh(x).tobytes()
+    f(x)
+    assert jac(y).tobytes() == fresh(y).tobytes()
+    assert jac(x).tobytes() == fresh(x).tobytes()
+    x[2] *= 1.01
+    assert jac(x).tobytes() == fresh(x).tobytes()
+
+
+def test_a_jacobian_that_overflows_is_non_finite():
+    """With CRRA gamma = 30 at c_c = 1e-10, u'(c_c) = 1e300 leaves the
+    residual finite while u''(c_c) overflows a float: the Jacobian reads
+    as non-finite, which Newton refuses to step on, and raises nothing."""
+    config = config_of("regime_a")
+    config = dataclasses.replace(config, prefs=dataclasses.replace(
+        config.prefs, u_form=UtilityForm.CRRA, gamma=30.0))
+    layout = planner._Layout(())
+    x = layout.start((1e-10, 1.0, 0.3, 0.3, 1.0, 1.0, 1.0, 0.0, 0.0))
+    assert np.all(np.isfinite(planner._residual_fn(config, layout)(x)))
+    assert not np.any(np.isfinite(planner._jacobian_fn(config, layout)(x)))

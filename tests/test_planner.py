@@ -727,28 +727,70 @@ def test_kernels_only_see_their_domain(monkeypatch, unsolved_end_economy):
 def test_a_residual_call_makes_one_core_pass(monkeypatch, name):
     """Every residual call Newton makes evaluates the technology once: the
     ratio gradient reads the marginal products of the KKT rows' own
-    evaluation, and the capital presolve's stock FOCs need one pass too."""
-    passes, per_call = 0, set()
-    core, newton_solve = production._core, planner.newton_solve
+    evaluation, and the capital presolve's stock FOCs need one pass too.
+    A Jacobian, taken at the point the residual has just evaluated, and the
+    judging of a converged vector read that pass and make none."""
+    passes, per_call, per_jacobian, per_judge = 0, set(), set(), set()
+    core, newton_solve, judge = production._core, planner.newton_solve, planner._judge
 
     def counted_core(*args):
         nonlocal passes
         passes += 1
         return core(*args)
 
-    def counted_newton(f, x0, **kw):
-        def residual(x):
+    def counting(call, seen):
+        def counted(*args):
             nonlocal passes
             passes = 0
-            r = f(x)
-            per_call.add(passes)
-            return r
-        return newton_solve(residual, x0, **kw)
+            out = call(*args)
+            seen.add(passes)
+            return out
+        return counted
+
+    def counted_newton(f, x0, *, jac, **kw):
+        return newton_solve(counting(f, per_call), x0, jac=counting(jac, per_jacobian), **kw)
 
     monkeypatch.setattr(production, "_core", counted_core)
     monkeypatch.setattr(planner, "newton_solve", counted_newton)
+    monkeypatch.setattr(planner, "_judge", counting(judge, per_judge))
     solve(load_config(CONFIGS / f"{name}.cfg")[0])
-    assert per_call == {1}
+    assert (per_call, per_jacobian, per_judge) == ({1}, {0}, {0})
+
+
+# far outside the domain: (index in the steady Newton vector, value)
+OUT_OF_RANGE = ((2, 1e200), (5, 1e300), (2, 1e-300), (3, 1e-300))
+
+
+@pytest.mark.parametrize("active", [(), (AgentKind.COGNITIVE,)], ids=["first_best", "cognitive"])
+@pytest.mark.parametrize("name", ["threshold", "regime_a", "cobb_douglas"])
+def test_out_of_range_points_read_as_non_finite(name, active):
+    """A steady state's residual runs on Python floats, which raise
+    OverflowError or ZeroDivisionError where numpy scalars give inf or
+    nan.  At l_c = 1e200, AI = 1e300, l_c = 1e-300 and l_m = 1e-300 the
+    residual raises nothing: it is the numpy-scalar kernel's, bit for bit,
+    where that is finite, and non-finite where that is not, which is at
+    three of the four points here."""
+    config = load_config(CONFIGS / f"{name}.cfg")[0]
+    layout = planner._Layout(active)
+    f = planner._residual_fn(config, layout)
+    start = layout.start(solve_steady_state(config))
+    non_finite = 0
+    for i, value in OUT_OF_RANGE:
+        x = start.copy()
+        x[i] = value
+        point = layout.unpack(x)
+        assert {type(v) for v in point} == {float}
+        r = f(x)
+        with np.errstate(all="ignore"):
+            rows, slack_c, slack_m, _ = planner._kkt(config, *(np.float64(v) for v in point))
+            want = np.array(rows + [s for s, kind in zip((slack_c, slack_m), AgentKind)
+                                    if kind in active])
+        if np.all(np.isfinite(want)):
+            assert r.tobytes() == want.tobytes()
+        else:
+            assert not np.all(np.isfinite(r))
+            non_finite += 1
+    assert non_finite == 3
 
 
 @pytest.mark.parametrize("field,value", [
