@@ -22,16 +22,20 @@ whose next period is itself.  The Newton residuals and the public
 ``foc_residuals`` both evaluate it, one point per call.  Each kernel call
 evaluates the technology once: ``evaluate`` gives output and the marginal
 products, wages are those times z, and ``mpl_ratio_gradient`` reads the
-same record.  One exact Jacobian (``_jacobian_fn``) is written the same
-way, for both: each period's partials come from the closed-form Hessians
-of the technology and of the wage ratio, and only the rows that link a
-period to the next split into a part in each.  It costs no residual
-call, and nothing in the solver takes a forward difference.  Each point
-Newton accepts costs one kernel pass: the residual keeps its pass
-(``_LastPass``), and the Jacobian at that point, and the judging of the
-vector Newton converges to, read it.  A steady state's Newton residual
-runs on Python floats; ``_periods`` and so ``foc_residuals`` run on numpy
-scalars, with the same bits.
+same record.  One exact Jacobian is written the same way, for both
+(``_jacobian_entries``): each partial is one straight-line entry
+expression, from the closed-form Hessians of the technology and of the
+wage ratio (each symmetric entry once), run on a steady state's Python
+floats or on a path's per-period arrays, and only the rows that link a
+period to the next have entries in the next period.  ``_entries`` lists
+where they lie, only those that can be nonzero; ``_jacobian_fn`` turns
+a steady state's into its m x m array and scatters a path's into band
+storage.  It costs no residual call, and nothing in the solver takes a
+forward difference.  Each point Newton accepts costs one kernel pass:
+the residual keeps its pass (``_LastPass``), and the Jacobian at that
+point, and the judging of the vector Newton converges to, read it.  A
+steady state's Newton residual runs on Python floats; ``_periods`` and
+so ``foc_residuals`` run on numpy scalars, with the same bits.
 
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
@@ -311,7 +315,9 @@ class _Layout:
     (k_0, ai_0, k_n, ai_n)`` has per-period consumptions, labors and lam,
     and the interior stocks K_1 .. K_{n-1} and AI_1 .. AI_{n-1}.  One
     multiplier per active constraint, cognitive first, closes the vector.
-    A path also has its Newton ``band`` (``_band``); a steady state's is None.
+    ``entries`` lists where the exact Jacobian's entries lie (``_entries``):
+    a steady state keeps each one's cell of its m x m matrix, and a path
+    its Newton ``band`` (``_band``), None for a steady state.
     """
 
     def __init__(self, active: tuple, *, n: int = 1, ends=None):
@@ -325,7 +331,14 @@ class _Layout:
             head + active.index(kind) if kind in active else None
             for kind in (AgentKind.COGNITIVE, AgentKind.MANUAL)
         )
-        self.band, self.stored = (None, None) if self.stationary else self._band()
+        self.entries = _entries(len(active), not self.stationary)
+        if self.stationary:
+            m = head + len(active)
+            # each entry's cell of the flattened m x m matrix
+            self.cells = np.array([row * m + unknown for _, row, unknown in self.entries])
+            self.band = self.stored = None
+        else:
+            self.band, self.stored = self._band()
 
     def unpack(self, x: np.ndarray) -> tuple:
         """The kernel's candidate (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
@@ -343,9 +356,10 @@ class _Layout:
                 x[6 * n - 2 : 7 * n - 2], mu_c, mu_m)
 
     def _band(self) -> tuple[Band, np.ndarray]:
-        """The path's Newton band, and which entries of the period blocks
-        of ``_jacobian_fn`` it stores, in order: none whose row or unknown
-        does not exist (K_0, K_n, an Euler row of the last period).
+        """The path's Newton band, and which (entry, period) slots of the
+        entries ``_jacobian_fn`` writes (``self.entries``, each over the n
+        periods) it stores, in order: none whose row or unknown does not
+        exist (K_0, K_n, an Euler row of the last period).
 
         Block s holds period s's c_c, c_m, l_c, l_m, K_s, AI_s and lam_s,
         each with the Newton row of its kind and period, except that the
@@ -360,14 +374,13 @@ class _Layout:
         # each kind's unknown of each period (-1: none)
         at = np.full((7, n + 1), -1)
         at[kind, period] = np.arange(head)
-        row = at[:, :n].copy()
+        mus = np.repeat(head + np.arange(active)[:, None], n, axis=1)
+        row = np.concatenate([at[:, :n], mus])
         row[4:6] = at[4:6, 1:]
-        mus = head + np.arange(active)
-        cols = np.concatenate([at[:, :n], np.repeat(mus[:, None], n, axis=1)])
-        blocks = [np.broadcast_arrays(row[:, None], cols[None]),
-                  np.broadcast_arrays(row[:, None], at[None, :, 1:]),
-                  np.broadcast_arrays(mus[:, None, None], at[None, :, :n])]
-        rows, owners = (np.concatenate([b[i].ravel() for b in blocks]) for i in (0, 1))
+        # each kind's unknown, then each multiplier, in a period (lag 0) and the next (lag 1)
+        unknown = np.stack([np.concatenate([at[:, :n], mus]), np.concatenate([at[:, 1:], mus])])
+        lag, r, c = np.array(self.entries).T
+        rows, owners = row[r].ravel(), unknown[lag, c].ravel()
         stored = np.flatnonzero((rows >= 0) & (owners >= 0))
         return Band(head + active, rows[stored], owners[stored], at[:, :n].T), stored
 
@@ -495,21 +508,42 @@ def _residual_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None 
     return f
 
 
-def _jacobian_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None = None):
-    """Exact Jacobian of the Newton residual (``_residual_fn``) at one
-    point: the m x m matrix for a steady state, band storage for a path.
-    At the vector whose pass ``last`` kept it reads that pass's technology
-    evaluation and ratio gradient; at any other it makes its own.  A
-    steady state's point whose float arithmetic raises has an all-nan
-    matrix, which Newton refuses to step on.
+# the ten entries of a symmetric 4 x 4 matrix in (l_c, l_m, K, AI), in
+# ``production.PAIRS`` order, read with l_c and l_m swapped
+_SWAP = (4, 1, 5, 6, 0, 2, 3, 7, 8, 9)
 
-    Each period's partials are written once, on a steady state's scalars or
-    on a path's per-period arrays (periods on the last axis), in three
-    blocks: its seven KKT rows in its own (c_c, c_m, l_c, l_m, K, AI, lam)
-    and the multipliers, the same rows in the next period's unknowns, and
-    each imposed slack's terms (a path's lifetime slack row sums them times
-    beta**t).  A steady state is the path whose next period is itself: all
-    three blocks are its one matrix.
+
+def _outer(a, b, c, e) -> tuple:
+    """The ten entries of v v' for v = (a, b, c, e), in ``production.PAIRS`` order."""
+    return (a * a, a * b, a * c, a * e, b * b, b * c, b * e, c * c, c * e, e * e)
+
+
+def _entries(active: int, path: bool) -> list:
+    """Where the entries of ``_jacobian_entries`` lie, in its order, as
+    (lag, row, unknown): rows and unknowns by kind, (c_c, c_m, l_c, l_m, K,
+    AI, lam), then the ``active`` multipliers (a multiplier's row is its
+    slack's); lag 1 is the row's next period, a steady state's itself.
+    Only entries that can be nonzero are listed; a path adds its Euler
+    rows' own lam and its feasibility row's next stocks.
+    """
+    out = [(0, 0, 0), (0, 0, 6), (0, 1, 1), (0, 1, 6)]
+    out += [(0, row, c) for row in (2, 3) for c in range(2, 7)]
+    out += [(0, 6, c) for c in range(6)]
+    out += [(1, row, c) for row in (4, 5) for c in range(2, 7)]
+    if path:
+        out += [(0, 4, 6), (0, 5, 6), (1, 6, 4), (1, 6, 5)]
+    for mu in range(7, 7 + active):
+        out += [(0, row, mu) for row in range(6)] + [(0, mu, c) for c in range(6)]
+    return out
+
+
+def _jacobian_entries(config: EconomyConfig, active: tuple, path: bool,
+                      c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m, ch: _ChainTerms) -> list:
+    """The exact Jacobian's entries at a candidate, in the order of
+    ``_entries(len(active), path)``: on a steady state's Python floats, or
+    on a path's per-period arrays (an Euler row, which links a period to
+    the next, has one period fewer).  ``ch`` holds the candidate's chain
+    terms.  Each partial is one entry expression, written once for both.
 
     With q = (l_c, l_m, K, AI), a type's mimicking labor is the other
     type's labor times a wage ratio w(q): lt_c = l_m z_m F_Lm / (z_c F_Lc)
@@ -518,106 +552,135 @@ def _jacobian_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None 
     q-partials the labor rows are (and the stock rows, divided by -lam /
     beta).  So their q block is lam d2F/dq2 plus each active mu times
     d2 nu(lt)/dq2, from the closed-form Hessians of the technology and of
-    the wage ratio; the consumption rows take u'' and the labor rows' own
-    disutility nu''.  The Euler row linking t to t + 1 takes -beta /
-    lam_{t+1} times period t + 1's q block, and beta X_{t+1} / lam_{t+1}**2
-    in lam_{t+1}.  A path's K_{t+1} - K_t and lam_t / lam_{t+1}, which are
-    0 and 1 in a steady state, add 1 and -1 in K_t and K_{t+1} to
-    feasibility, and 1 / lam_{t+1} and -lam_t / lam_{t+1}**2 in lam_t and
-    lam_{t+1} to the Euler row.
+    the wage ratio, each symmetric entry once; a binding type's terms are
+    written with its own labor first (``_SWAP`` for the manual type).  The
+    consumption rows take u'' and the labor rows' own disutility nu''.  The
+    Euler row linking t to t + 1 takes -beta / lam_{t+1} times period
+    t + 1's q block, and beta X_{t+1} / lam_{t+1}**2 in lam_{t+1}.  A
+    path's K_{t+1} - K_t and lam_t / lam_{t+1}, which are 0 and 1 in a
+    steady state, add 1 and -1 in K_t and K_{t+1} to feasibility, and
+    1 / lam_{t+1} and -lam_t / lam_{t+1}**2 in lam_t and lam_{t+1} to the
+    Euler row.
     """
     prefs, tech, beta = config.prefs, config.tech, config.prefs.beta
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
     pi_m, z_m = config.manual.pi, config.manual.z
-    zr = z_m / z_c
-    d = np.array([pi_c * z_c, pi_m * z_m, 1.0, 1.0])  # d(effective inputs)/dq
-    spent = np.array([0.0, 0.0, tech.delta_k, tech.delta_ai])
+    d_c, d_m = pi_c * z_c, pi_m * z_m  # d(effective labor)/d(labor)
+    dd = _outer(d_c, d_m, 1.0, 1.0)
+    now, nxt = _now_next(not path)
+    k, ai = now(k), now(ai)
+    ev, el_c, el_m = ch.ev, ch.el_c, ch.el_m
+    f_lc, f_lm = ev.f_lc * d_c, ev.f_lm * d_m
+    # the q block: lam d2F/dq2, then each active mu times d2 nu(lt)/dq2
+    h = [lam * a * e for a, e in zip(dd, hessian(tech, ev, el_c, el_m, k, ai))]
+    eu = -beta / nxt(lam)  # an Euler row's factor on next period's partials
+    x_k = x_ai = 0.0  # the X-terms: each active mu times d nu(lt)/dK and /dAI
+    columns = []  # each active multiplier's column, then its slack's row
+    if active:
+        up_c, up_m = u_prime(prefs, c_c), u_prime(prefs, c_m)
+        ratio = ev.f_lc / ev.f_lm
+        zr = z_m / z_c
+        g_lc, g_lm, g_k, g_ai = ch.grad
+        g_q = (g_lc * d_c, g_lm * d_m, g_k, g_ai)
+        hr = [a * e for a, e in zip(dd, mpl_ratio_hessian(tech, ev, ch.grad, el_c, el_m, k, ai))]
+    for kind in active:
+        # w and its partials, own labor first, then the other's, K and AI
+        if kind is AgentKind.COGNITIVE:  # w = zr / ratio
+            mu, l_own, l_other, w = mu_c, l_c, l_m, zr / ratio
+            slope = -w / ratio
+            dw = [slope * g for g in g_q]
+            bend, twice = w / ratio, 2.0 / ratio
+            d2w = [bend * (twice * gg - e) for gg, e in zip(_outer(*g_q), hr)]
+        else:  # w = ratio / zr
+            mu, l_own, l_other, w = mu_m, l_m, l_c, ratio / zr
+            dw = [g_q[1] / zr, g_q[0] / zr, g_q[2] / zr, g_q[3] / zr]
+            d2w = [hr[i] / zr for i in _SWAP]
+            h = [h[i] for i in _SWAP]
+        # lt = l_other w: its partials and second partials
+        lt = l_other * w
+        d_lt = [l_other * v for v in dw]
+        d_lt[1] += w
+        d2_lt = [l_other * v for v in d2w]
+        d2_lt[1] += dw[0]
+        d2_lt[4] = d2_lt[4] + dw[1] + dw[1]
+        d2_lt[5] += dw[2]
+        d2_lt[6] += dw[3]
+        nup, nus = nu_prime(prefs, lt), nu_second(prefs, lt)
+        h = [q + mu * (nus * a + nup * e) for q, a, e in zip(h, _outer(*d_lt), d2_lt)]
+        d_own, d_other, d_k, d_ai = (nup * v for v in d_lt)
+        d_own -= nu_prime(prefs, l_own)
+        if kind is AgentKind.COGNITIVE:
+            slack = [up_c, -up_m, d_own, d_other, d_k, d_ai]
+        else:
+            h = [h[i] for i in _SWAP]
+            slack = [-up_c, up_m, d_other, d_own, d_k, d_ai]
+        x_k += mu * d_k
+        x_ai += mu * d_ai
+        columns += slack[:4] + [eu * nxt(d_k), eu * nxt(d_ai)] + slack
+    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = h
+    stock_k, stock_ai = ev.f_k - tech.delta_k, ev.f_ai - tech.delta_ai
+    lam_k = lam_ai = 0.0  # the Euler rows in next period's lam
+    if active:
+        lam_k, lam_ai = beta / nxt(lam) ** 2 * nxt(x_k), beta / nxt(lam) ** 2 * nxt(x_ai)
+    if path:  # K_{t+1} - K_t and lam_t / lam_{t+1}
+        stock_k, stock_ai = stock_k + 1.0, stock_ai + 1.0
+        tilt = now(lam) / nxt(lam) ** 2
+        lam_k, lam_ai = lam_k - tilt, lam_ai - tilt
+    values = [
+        u_second(prefs, c_c) * (pi_c + mu_c - mu_m), -pi_c,
+        u_second(prefs, c_m) * (pi_m + mu_m - mu_c), -pi_m,
+        q00 - (pi_c + mu_c) * nu_second(prefs, l_c), q01, q02, q03, f_lc,
+        q01, q11 - (pi_m + mu_m) * nu_second(prefs, l_m), q12, q13, f_lm,
+        -pi_c, -pi_m, f_lc, f_lm, stock_k, stock_ai,
+        eu * nxt(q02), eu * nxt(q12), eu * nxt(q22), eu * nxt(q23), lam_k,
+        eu * nxt(q03), eu * nxt(q13), eu * nxt(q23), eu * nxt(q33), lam_ai,
+    ]
+    if path:
+        values += [1.0 / nxt(lam), 1.0 / nxt(lam), -1.0, -1.0]
+    return values + columns
+
+
+def _jacobian_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None = None):
+    """Exact Jacobian of the Newton residual (``_residual_fn``) at one
+    point: the m x m matrix for a steady state, band storage for a path.
+    At the vector whose pass ``last`` kept it reads that pass's chain
+    terms (technology evaluation and ratio gradient); at any other it
+    makes its own.  A steady state's point whose float arithmetic raises
+    has an all-nan matrix, which Newton refuses to step on.
+
+    The entries are ``_jacobian_entries``.  A steady state's floats
+    become its m x m array.  A path's are stacked, one row over the
+    periods each and each slack row times beta**t (a path's lifetime
+    slack row sums them), and scattered into band storage in one step.
+    """
     m = 7 + len(layout.active)
-    now, nxt = _now_next(layout.stationary)
-    if layout.stationary:
-        periods_last = lambda h: h
-    else:
+    path = not layout.stationary
+    now = _now_next(layout.stationary)[0]
+    if path:
         n, band, stored = layout.n, layout.band, layout.stored
-        discount = beta ** np.arange(n)
-        d, spent = d[:, None], spent[:, None]
-        periods_last = lambda h: np.moveaxis(h, 0, -1)
-    dd = d[:, None] * d
+        discount = config.prefs.beta ** np.arange(n)
+        # the rows that link a period to the next have one period fewer
+        periods = [n - 1 if row in (4, 5) else n for _, row, _ in layout.entries]
+        slacks = [i for i, (_, row, _) in enumerate(layout.entries) if row >= 7]
 
     def jac(x: np.ndarray) -> np.ndarray:
+        c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = point = layout.unpack(x)
+        kept = last and last.at(x)
         try:
-            return fill(x, *layout.unpack(x))
+            ch = kept[2] if kept else _chain_terms(config, l_c, l_m, now(k), now(ai), mu_c, mu_m)
+            values = _jacobian_entries(config, layout.active, path, *point, ch)
         except _FLOAT_ERRORS:
             return np.full((m, m), np.nan)
-
-    def fill(x, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
-        k, ai = now(k), now(ai)
-        kept = last and last.at(x)
-        ch = _chain_terms(config, l_c, l_m, k, ai, mu_c, mu_m) if kept is None else kept[2]
-        ev, el_c, el_m = ch.ev, ch.el_c, ch.el_m
-        f_q = np.array([ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai]) * d
-        h_q = lam * dd * periods_last(hessian(tech, ev, el_c, el_m, k, ai))
-        up_c, up_m = u_prime(prefs, c_c), u_prime(prefs, c_m)
-        if layout.stationary:
-            j_own = j_nxt = j = np.zeros((m, m))
-            j_slack = j[7:]
-        else:  # own period's unknowns and the mus, the next period's, and the slacks'
-            j_own, j_nxt, j_slack = np.zeros((7, m, n)), np.zeros((7, 7, n)), np.zeros((m - 7, 7, n))
-        j_own[0, 0] = u_second(prefs, c_c) * (pi_c + mu_c - mu_m)
-        j_own[1, 1] = u_second(prefs, c_m) * (pi_m + mu_m - mu_c)
-        j_own[0, 6] = j_own[6, 0] = -pi_c
-        j_own[1, 6] = j_own[6, 1] = -pi_m
-        j_own[6, 2:6] = f_q - spent
-        j_own[2:4, 6] = f_q[:2]
-        if layout.active:
-            grad = ch.grad
-            ratio = ev.f_lc / ev.f_lm
-            g_q = np.array(grad) * d
-            hr_q = dd * periods_last(mpl_ratio_hessian(tech, ev, grad, el_c, el_m, k, ai))
-            x_q = 0.0  # the X-terms: each active mu times d nu(lt)/dq
-            for col, kind in enumerate(layout.active, 7):
-                if kind is AgentKind.COGNITIVE:  # w = zr / ratio
-                    mu, own, other, w = mu_c, 0, 1, zr / ratio
-                    dw = -w / ratio * g_q
-                    d2w = w / ratio * (2.0 / ratio * (g_q[:, None] * g_q) - hr_q)
-                    signs = (1.0, -1.0)
-                else:  # w = ratio / zr
-                    mu, own, other, w = mu_m, 1, 0, ratio / zr
-                    dw, d2w = g_q / zr, hr_q / zr
-                    signs = (-1.0, 1.0)
-                l_other = (l_c, l_m)[other]
-                lt = l_other * w
-                d_lt = l_other * dw
-                d_lt[other] += w
-                d2_lt = l_other * d2w
-                d2_lt[other] += dw
-                d2_lt[:, other] += dw
-                nup = nu_prime(prefs, lt)
-                d_nu = nup * d_lt
-                h_q += mu * (nu_second(prefs, lt) * (d_lt[:, None] * d_lt) + nup * d2_lt)
-                x_q += mu * d_nu
-                # the slack's terms, which are also the multiplier's column
-                # in the consumption and labor rows
-                row = j_slack[col - 7]
-                row[0:2] = signs[0] * up_c, signs[1] * up_m
-                row[2:6] = d_nu
-                row[2 + own] -= nu_prime(prefs, (l_c, l_m)[own])
-                j_own[0:4, col] = row[0:4]
-                now(j_own)[4:6, col] = -beta / nxt(lam) * nxt(d_nu)[2:]
-            now(j_nxt)[4:6, 6] = beta / nxt(lam) ** 2 * nxt(x_q)[2:]
-        j_own[2:4, 2:6] = h_q[:2]
-        now(j_nxt)[4:6, 2:6] = -beta / nxt(lam) * nxt(h_q)[2:]
-        j_own[2, 2] -= (pi_c + mu_c) * nu_second(prefs, l_c)
-        j_own[3, 3] -= (pi_m + mu_m) * nu_second(prefs, l_m)
-        if layout.stationary:
-            return j
-        # a path's K_{t+1} - K_t and lam_t / lam_{t+1}
-        j_own[6, 4:6] += 1.0
-        j_nxt[6, 4:6] = -1.0
-        j_own[4:6, 6, :-1] = 1.0 / lam[1:]
-        j_nxt[4:6, 6, :-1] -= lam[:-1] / lam[1:] ** 2
+        if not path:
+            j = np.zeros(m * m)
+            j[layout.cells] = values
+            return j.reshape(m, m)
+        stack = np.zeros((len(values), n))
+        for row, value, size in zip(stack, values, periods):
+            row[:size] = value
+        stack[slacks] *= discount
         storage = np.zeros(band.size)
-        storage[band.entry_at] = np.concatenate(
-            [j_own.ravel(), j_nxt.ravel(), (discount * j_slack).ravel()])[stored]
+        storage[band.entry_at] = stack.ravel()[stored]
         return storage
 
     return jac
@@ -680,7 +743,8 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     def jac(u):
         stocks = np.exp(u)
         ev = last.at(u) or evaluate(tech, el_c, el_m, *stocks)
-        return beta * hessian(tech, ev, el_c, el_m, *stocks)[2:, 2:] * stocks
+        h = hessian(tech, ev, el_c, el_m, *stocks)
+        return beta * np.array([[h[7], h[8]], [h[8], h[9]]]) * stocks
 
     grid = np.linspace(np.log(1e-3), np.log(1e4), 25)
     kk, aa = np.meshgrid(grid, grid, indexing="ij")

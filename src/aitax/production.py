@@ -28,8 +28,10 @@ of r from one closed form, :func:`mpl_ratio_gradient`, which reads that
 record's marginal products: no second core pass, no complex input and no
 finite-difference derivative of r.  The solver's exact Jacobians take the
 second derivatives of F and of r the same way, from the marginal products
-and the bundle shares (:func:`hessian`, :func:`mpl_ratio_hessian`, at one
-point or at a path's periods at once).  Core evaluation is plain
+and the bundle shares (:func:`hessian`, :func:`mpl_ratio_hessian`): each
+symmetric Hessian is its ten entries, one per pair of inputs (``PAIRS``),
+each one straight-line expression that runs on a steady state's Python
+floats and on a path's per-period arrays alike.  Core evaluation is plain
 arithmetic on floats and numpy arrays.  Nothing here checks its inputs'
 domain (strictly positive): callers keep them there, and values from
 outside the program are checked where they enter
@@ -171,28 +173,14 @@ def mpl_ratio_gradient(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, 
     )
 
 
-# the bundle (0 cognitive, 1 manual) of each input (L_c, L_m, K, AI)
-_NEST_BUNDLES = np.array([0, 1, 0, 1])
-_SUBSTITUTE_BUNDLES = np.array([0, 1, 0, 0])
+# the entries of a symmetric 4 x 4 matrix in (L_c, L_m, K, AI), each pair
+# of inputs once: row by row from the diagonal
+PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
-def _vectors(*entries) -> np.ndarray:
-    """Values at arrays of points as one vector per point, on a last axis."""
-    out = np.empty(np.broadcast(*entries).shape + (len(entries),))
-    for i, e in enumerate(entries):
-        out[..., i] = e
-    return out
-
-
-# how values at one point, or at arrays of points, become vectors and
-# factors of matrices: as they are, or on new last axes
-_ONE_POINT = (lambda *entries: np.array(entries)), (lambda v: v)
-_POINTS = _vectors, (lambda v: v[..., None, None])
-
-
-def hessian(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai) -> np.ndarray:
-    """Hessian of F with respect to (L_c, L_m, K, AI), 4 x 4 on the last two
-    axes, at one point or at arrays of points (one matrix each).
+def hessian(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai) -> tuple:
+    """Hessian of F with respect to (L_c, L_m, K, AI): its ten entries in
+    ``PAIRS`` order, on floats at one point or on arrays of points.
 
     ``ev`` is :func:`evaluate` at the same point.  A CES aggregate G of
     exponent rho has G_xy = (1 - rho) G_x G_y / G, so for inputs a != b
@@ -202,33 +190,40 @@ def hessian(tech: TechnologyParams, ev: TechEvaluation, l_c, l_m, k, ai) -> np.n
     s being that bundle's share of output, and an input's own curvature
     adds -(1 - rho) F_a / a on the diagonal.  Everything is read off the
     marginal products.  In ``nest_substitute_cognitive`` L_c and AI enter
-    as one input N = L_c + a_ai AI, and L_m is the manual bundle by itself
-    (exponent 1: no curvature of its own).  Exponents within LOG_LIMIT of
-    zero count as zero, as in ``_ces``.
+    as one input N = L_c + a_ai AI, so their entries share N's curvature,
+    and L_m is the manual bundle by itself (exponent 1: no curvature of its
+    own).  Exponents within LOG_LIMIT of zero count as zero, as in
+    ``_ces``.  Each entry is straight-line arithmetic, the same on floats
+    and on arrays.
     """
     sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
-    vector, scale = _POINTS if isinstance(ev.y, np.ndarray) else _ONE_POINT
-    f = vector(ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai)
-    xf = (l_c * ev.f_lc, l_m * ev.f_lm, k * ev.f_k, ai * ev.f_ai)
+    y, f_lc, f_lm, f_k, f_ai = ev.y, ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai
+    across = 1.0 - sigma
     if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
-        bundle, rho = _SUBSTITUTE_BUNDLES, np.array([rho_c, 1.0])
-        via_n = np.array([1.0, 0.0, 0.0, tech.a_ai])
-        own = scale((1.0 - rho_c) * (ev.f_lc / (l_c + tech.a_ai * ai))) * (via_n[:, None] * via_n)
-        own[..., 2, 2] = (1.0 - rho_c) * ev.f_k / k
-        share = vector((xf[0] + xf[2] + xf[3]) / ev.y, xf[1] / ev.y)
-    else:
-        bundle, rho = _NEST_BUNDLES, np.array([rho_c, rho_m])
-        own = ((1.0 - rho[bundle]) * f / vector(l_c, l_m, k, ai))[..., None] * np.eye(4)
-        share = vector((xf[0] + xf[2]) / ev.y, (xf[1] + xf[3]) / ev.y)
-    within = ((sigma - rho) / share)[..., None, bundle]
-    m = np.where(bundle[:, None] == bundle, within, 0.0) + (1.0 - sigma)
-    return f[..., :, None] * f[..., None, :] / scale(ev.y) * m - own
+        a_ai = tech.a_ai
+        curved = (1.0 - rho_c) * (f_lc / (l_c + a_ai * ai))  # N's own curvature
+        cog = (sigma - rho_c) / ((l_c * f_lc + k * f_k + ai * f_ai) / y) + across
+        man = (sigma - 1.0) / (l_m * f_lm / y) + across
+        return (f_lc * f_lc / y * cog - curved, f_lc * f_lm / y * across,
+                f_lc * f_k / y * cog, f_lc * f_ai / y * cog - curved * a_ai,
+                f_lm * f_lm / y * man, f_lm * f_k / y * across, f_lm * f_ai / y * across,
+                f_k * f_k / y * cog - (1.0 - rho_c) * f_k / k, f_k * f_ai / y * cog,
+                f_ai * f_ai / y * cog - curved * (a_ai * a_ai))
+    cog = (sigma - rho_c) / ((l_c * f_lc + k * f_k) / y) + across
+    man = (sigma - rho_m) / ((l_m * f_lm + ai * f_ai) / y) + across
+    return (f_lc * f_lc / y * cog - (1.0 - rho_c) * f_lc / l_c, f_lc * f_lm / y * across,
+            f_lc * f_k / y * cog, f_lc * f_ai / y * across,
+            f_lm * f_lm / y * man - (1.0 - rho_m) * f_lm / l_m, f_lm * f_k / y * across,
+            f_lm * f_ai / y * man,
+            f_k * f_k / y * cog - (1.0 - rho_c) * f_k / k, f_k * f_ai / y * across,
+            f_ai * f_ai / y * man - (1.0 - rho_m) * f_ai / ai)
 
 
 def mpl_ratio_hessian(tech: TechnologyParams, ev: TechEvaluation, grad,
-                      l_c, l_m, k, ai) -> np.ndarray:
-    """Hessian of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI), 4 x 4
-    on the last two axes, at one point or at arrays of points.
+                      l_c, l_m, k, ai) -> tuple:
+    """Hessian of r = F_Lc / F_Lm with respect to (L_c, L_m, K, AI): its
+    ten entries in ``PAIRS`` order, on floats at one point or on arrays of
+    points.
 
     ``ev`` is :func:`evaluate` and ``grad`` :func:`mpl_ratio_gradient` at
     the same point.  Each partial is g_a = r e_a / x_a, and the elasticity
@@ -241,32 +236,39 @@ def mpl_ratio_hessian(tech: TechnologyParams, ev: TechEvaluation, grad,
     the stock.  In ``nest_substitute_cognitive`` the cognitive bundle's
     second input is N = L_c + a_ai AI, so L_c and AI share N's terms, and
     the manual bundle L_m has no share.  Exponents within LOG_LIMIT of zero
-    count as zero, as in :func:`mpl_ratio_gradient`.
+    count as zero, as in :func:`mpl_ratio_gradient`.  A pair in no common
+    bundle has only its g g' / r entry.
     """
     sigma, rho_c, rho_m = (0.0 if abs(e) < LOG_LIMIT else e for e in _exponents(tech))
-    vector, scale = _POINTS if isinstance(ev.y, np.ndarray) else _ONE_POINT
-    g = vector(*grad)
+    g_lc, g_lm, g_k, g_ai = grad
     r = ev.f_lc / ev.f_lm
     kf = k * ev.f_k
-    outer = lambda v: v[..., :, None] * v[..., None, :]
     if tech.form is TechForm.NEST_SUBSTITUTE_COGNITIVE:
-        n = l_c + tech.a_ai * ai
+        a_ai = tech.a_ai
+        n = l_c + a_ai * ai
         s_k = kf / (kf + n * ev.f_lc)
-        v = vector(-1.0 / n, 0.0, 1.0 / k, -tech.a_ai / n)
-        curved = scale((sigma - rho_c) * rho_c * s_k * (1.0 - s_k)) * outer(v)
-        via_n = np.array([1.0, 0.0, 0.0, tech.a_ai])
-        own = scale(g[..., 0] / n) * (via_n[:, None] * via_n)
-        own[..., 1, 1], own[..., 2, 2] = g[..., 1] / l_m, g[..., 2] / k
-    else:
-        s_k = kf / (kf + l_c * ev.f_lc)
-        af = ai * ev.f_ai
-        s_a = af / (af + l_m * ev.f_lm)
-        v_c = vector(-1.0 / l_c, 0.0, 1.0 / k, 0.0)
-        v_m = vector(0.0, -1.0 / l_m, 0.0, 1.0 / ai)
-        curved = (scale((sigma - rho_c) * rho_c * s_k * (1.0 - s_k)) * outer(v_c)
-                  + scale((rho_m - sigma) * rho_m * s_a * (1.0 - s_a)) * outer(v_m))
-        own = (g / vector(l_c, l_m, k, ai))[..., None] * np.eye(4)
-    return outer(g) / scale(r) + scale(r) * curved - own
+        bent = (sigma - rho_c) * rho_c * s_k * (1.0 - s_k)
+        v_n, v_k, v_ai = -1.0 / n, 1.0 / k, -a_ai / n
+        own = g_lc / n  # N's own term
+        return (g_lc * g_lc / r + r * (bent * (v_n * v_n)) - own, g_lc * g_lm / r,
+                g_lc * g_k / r + r * (bent * (v_n * v_k)),
+                g_lc * g_ai / r + r * (bent * (v_n * v_ai)) - own * a_ai,
+                g_lm * g_lm / r - g_lm / l_m, g_lm * g_k / r, g_lm * g_ai / r,
+                g_k * g_k / r + r * (bent * (v_k * v_k)) - g_k / k,
+                g_k * g_ai / r + r * (bent * (v_k * v_ai)),
+                g_ai * g_ai / r + r * (bent * (v_ai * v_ai)) - own * (a_ai * a_ai))
+    s_k = kf / (kf + l_c * ev.f_lc)
+    af = ai * ev.f_ai
+    s_a = af / (af + l_m * ev.f_lm)
+    bent_c = (sigma - rho_c) * rho_c * s_k * (1.0 - s_k)
+    bent_m = (rho_m - sigma) * rho_m * s_a * (1.0 - s_a)
+    v_lc, v_k, v_lm, v_ai = -1.0 / l_c, 1.0 / k, -1.0 / l_m, 1.0 / ai
+    return (g_lc * g_lc / r + r * (bent_c * (v_lc * v_lc)) - g_lc / l_c, g_lc * g_lm / r,
+            g_lc * g_k / r + r * (bent_c * (v_lc * v_k)), g_lc * g_ai / r,
+            g_lm * g_lm / r + r * (bent_m * (v_lm * v_lm)) - g_lm / l_m, g_lm * g_k / r,
+            g_lm * g_ai / r + r * (bent_m * (v_lm * v_ai)),
+            g_k * g_k / r + r * (bent_c * (v_k * v_k)) - g_k / k, g_k * g_ai / r,
+            g_ai * g_ai / r + r * (bent_m * (v_ai * v_ai)) - g_ai / ai)
 
 
 @dataclass(frozen=True)

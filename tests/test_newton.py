@@ -10,6 +10,7 @@ import pytest
 from aitax import newton, planner
 from aitax.configio import load_config
 from aitax.economy import AgentKind, SolveMode, UtilityForm
+import reference_jacobian
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -339,3 +340,94 @@ def test_a_jacobian_that_overflows_is_non_finite():
     x = layout.start((1e-10, 1.0, 0.3, 0.3, 1.0, 1.0, 1.0, 0.0, 0.0))
     assert np.all(np.isfinite(planner._residual_fn(config, layout)(x)))
     assert not np.any(np.isfinite(planner._jacobian_fn(config, layout)(x)))
+
+
+def ulps(a, b):
+    """Each entry's distance between two arrays in units in the last place
+    of the larger magnitude; 0 where both are equal."""
+    gap = np.abs(a - b)
+    return np.where(gap == 0.0, 0.0, gap / np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
+# the steady-state and path Jacobians against their matrix-form reference:
+# at most this many ulps apart per entry (measured: 0, bit for bit)
+REFERENCE_ULPS = 2
+
+
+@pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
+@pytest.mark.parametrize("name", STEADY)
+def test_steady_jacobian_is_the_matrix_form_one(name, active):
+    """The entry expressions give the Jacobian the matrix-form reference
+    (``tests/reference_jacobian.py``) gives, at the start a solved steady
+    state gives and at a perturbed point: bit for bit on threshold.cfg,
+    whose solves the headline threshold reads, and within REFERENCE_ULPS
+    per entry on the other desks and on the CRRA and spending variants."""
+    config = config_of(name)
+    layout, _, jac, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
+    rng = np.random.default_rng(STEADY.index(name))
+    for x in (x0, x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))):
+        got, want = jac(x), reference_jacobian.jacobian(config, layout, x)
+        if name == "threshold":
+            assert got.tobytes() == want.tobytes()
+        assert np.max(ulps(got, want)) <= REFERENCE_ULPS
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 20])
+@pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
+@pytest.mark.parametrize("name", PATHS)
+def test_path_jacobian_is_the_matrix_form_one(paths, name, active, horizon):
+    """A path's entries, read back from band storage, are the matrix-form
+    reference's within REFERENCE_ULPS per entry, for every active set,
+    on regime_a_t20 and its CRRA and spending variants."""
+    layout, _, jac, x = path_system(paths, name, ALL_ACTIVE_SETS[active], horizon)
+    got = unbanded(layout.band, jac(x))
+    assert np.max(ulps(got, reference_jacobian.jacobian(paths[name][0], layout, x))) <= REFERENCE_ULPS
+
+
+def one_element_arrays(value):
+    """A kernel value with every float replaced by a 1-element array:
+    floats, tuples and dataclasses entry by entry."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(*(one_element_arrays(getattr(value, f.name))
+                             for f in dataclasses.fields(value)))
+    if isinstance(value, tuple):
+        return tuple(map(one_element_arrays, value))
+    return np.array([value])
+
+
+@pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
+@pytest.mark.parametrize("name", STEADY)
+def test_jacobian_entries_are_one_set_of_formulas(name, active):
+    """The entries a steady state evaluates on Python floats are bit for
+    bit the ones the same expressions give on 1-element arrays, a path's
+    number type, from the same chain terms at a perturbed point.  Only a
+    power could round apart on the two (libm on floats, numpy's vector
+    loops on arrays); none does at these points."""
+    config = config_of(name)
+    layout, _, _, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
+    rng = np.random.default_rng(STEADY.index(name))
+    point = layout.unpack(x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0))))
+    c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = point
+    ch = planner._chain_terms(config, l_c, l_m, k, ai, mu_c, mu_m)
+    on_floats = planner._jacobian_entries(config, layout.active, False, *point, ch)
+    on_arrays = planner._jacobian_entries(config, layout.active, False,
+                                          *one_element_arrays(point), one_element_arrays(ch))
+    assert len(on_floats) == len(on_arrays) == len(layout.entries)
+    assert {type(v) for v in on_floats} == {float}
+    assert (np.array(on_floats).tobytes()
+            == np.array([np.reshape(v, -1)[0] for v in on_arrays]).tobytes())
+
+
+@pytest.mark.parametrize("horizon", [20, 640])
+@pytest.mark.parametrize("active", sorted(ALL_ACTIVE_SETS))
+def test_the_band_stores_only_entries_that_can_be_nonzero(paths, active, horizon):
+    """A path's band stores 34 entries per period plus 12 per active
+    multiplier (its column and its slack's row), less 20 + 4 per
+    multiplier at the two ends, where K_0, K_n and the last period's Euler
+    rows do not exist: 942 at T = 20 and 29,462 at T = 640 with one
+    constraint, where storing each period's whole 7 x 7 next-period block
+    took 2,271 and 71,711."""
+    layout = path_system(paths, "regime_a_t20", ALL_ACTIVE_SETS[active], horizon)[0]
+    a, n = len(layout.active), layout.n
+    assert len(layout.entries) == 34 + 12 * a
+    assert len(layout.band.rows) == (34 + 12 * a) * n - (20 + 4 * a)

@@ -198,31 +198,46 @@ def marginal_products(tech, point):
     return ev.f_lc, ev.f_lm, ev.f_k, ev.f_ai
 
 
+def symmetric(entries):
+    """The 4 x 4 matrix whose entries in ``production.PAIRS`` order are ``entries``."""
+    assert len(entries) == len(production.PAIRS)
+    matrix = np.empty((4, 4))
+    for value, (a, b) in zip(entries, production.PAIRS):
+        matrix[a, b] = matrix[b, a] = value
+    return matrix
+
+
+def bits(values) -> bytes:
+    """The bytes of a sequence of floats, numpy scalars or 1-element arrays."""
+    return np.array([np.float64(np.reshape(v, -1)[0]) for v in values]).tobytes()
+
+
 @pytest.mark.parametrize("tech", REFERENCE_TECHS.values(), ids=REFERENCE_TECHS.keys())
 def test_hessians_are_central_differences_of_the_partials(tech):
     """The technology's Hessian is the central difference of ``evaluate``'s
     marginal products, and the wage ratio's that of ``mpl_ratio_gradient``,
     to 1e-8 of the matrix's largest entry at random points over a box of
-    e^-1 to e^1 (measured: 2.9e-10 and 4.3e-10 at most).  Both are exactly
-    symmetric."""
+    e^-1 to e^1 (measured: 2.9e-10 and 4.3e-10 at most).  Both give each
+    pair of inputs one entry, so both are symmetric by construction."""
     rng = np.random.default_rng(11)
     for point in np.exp(rng.uniform(-1.0, 1.0, size=(20, 4))):
         ev = evaluate(tech, *point)
         grad = mpl_ratio_gradient(tech, ev, *point)
-        for exact, partials in (
+        for entries, partials in (
             (production.hessian(tech, ev, *point), lambda p: marginal_products(tech, p)),
             (production.mpl_ratio_hessian(tech, ev, grad, *point), lambda p: gradient(tech, *p)),
         ):
-            assert np.array_equal(exact, exact.T)
+            exact = symmetric(entries)
             np.testing.assert_allclose(exact, central_jacobian(partials, point), rtol=0.0,
                                        atol=1e-8 * np.max(np.abs(exact)))
 
 
 @pytest.mark.parametrize("tech", REFERENCE_TECHS.values(), ids=REFERENCE_TECHS.keys())
 def test_hessians_at_arrays_of_points_are_the_per_point_ones(tech):
-    """Both Hessians take a path's periods at once, one matrix per point
-    on the last two axes, each bit for bit the one that point's values
-    give alone."""
+    """Both Hessians are one set of entry expressions for every number
+    type: at a path's periods at once, each entry an array over the
+    points, every point's entries are bit for bit the ones that point's
+    values give alone, as numpy scalars and as Python floats."""
     points = np.exp(np.random.default_rng(12).uniform(-1.0, 1.0, size=(6, 4)))
     inputs = tuple(points.T)
     ev = evaluate(tech, *inputs)
@@ -230,10 +245,16 @@ def test_hessians_at_arrays_of_points_are_the_per_point_ones(tech):
     batched = (production.hessian(tech, ev, *inputs),
                production.mpl_ratio_hessian(tech, ev, grad, *inputs))
     for i, point in enumerate(points):
-        ev_i = production.TechEvaluation(*(getattr(ev, f.name)[i] for f in dataclasses.fields(ev)))
-        grad_i = tuple(g[i] for g in grad)
-        assert np.array_equal(batched[0][i], production.hessian(tech, ev_i, *point))
-        assert np.array_equal(batched[1][i], production.mpl_ratio_hessian(tech, ev_i, grad_i, *point))
+        for number in (np.float64, float):
+            ev_i = production.TechEvaluation(*(number(getattr(ev, f.name)[i])
+                                               for f in dataclasses.fields(ev)))
+            grad_i = tuple(number(g[i]) for g in grad)
+            point_i = tuple(number(v) for v in point)
+            alone = (production.hessian(tech, ev_i, *point_i),
+                     production.mpl_ratio_hessian(tech, ev_i, grad_i, *point_i))
+            for at_once, one in zip(batched, alone):
+                assert {type(v) for v in one} == {number}
+                assert bits(e[i] for e in at_once) == bits(one)
 
 
 @pytest.mark.parametrize("tech", ALL_FORMS, ids=lambda t: t.form.value)
