@@ -18,9 +18,7 @@ Exit codes are a stable contract:
     5  threshold requested but the endpoints share a regime
     6  oracle disagreement, or a solution file that fails re-verification
 
-The environment variable PLANNER_SEED is reserved and recorded in the run
-manifest when set, but never read by the algorithms: every solve is
-deterministic.
+Every solve is deterministic: nothing is seeded.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 import time
 from dataclasses import replace
@@ -48,7 +45,14 @@ from .errors import (
     ThresholdRangeError,
 )
 from .oracle import agreement, brute_force_steady, grid_bracketing
-from .planner import Regime, _objective, foc_residuals, solve_finite_horizon, solve_steady_state
+from .planner import (
+    TOL_NEWTON,
+    Regime,
+    _objective,
+    foc_residuals,
+    solve_finite_horizon,
+    solve_steady_state,
+)
 from .production import check_assumptions
 from .reporting import (
     RunManifest,
@@ -74,7 +78,6 @@ EXIT_BOTH_BIND = 4
 EXIT_NO_FLIP = 5
 EXIT_ORACLE = 6
 
-_ROUNDTRIP_TOL = 1e-6
 # relative; a file written by this program matches its recomputed objective exactly
 _OBJECTIVE_TOL = 1e-12
 
@@ -85,9 +88,6 @@ def _digest(raw: bytes) -> str:
 
 def _manifest(subcommand: str, digest: str, params: dict, started: float,
               outcome: str) -> RunManifest:
-    seed = os.environ.get("PLANNER_SEED")
-    if seed is not None:
-        params = {**params, "planner_seed": seed}
     return RunManifest(
         config_digest=digest,
         subcommand=subcommand,
@@ -228,7 +228,8 @@ def _cmd_sweep(args) -> int:
 def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
     """Re-check a stored steady state against ``config``.
 
-    Checks the KKT residuals, that the stored objective is the one the
+    Checks the KKT residuals against ``TOL_NEWTON``, the tolerance every
+    solve stops at, that the stored objective is the one the
     stored allocation gives, and that the grid oracle finds nothing better
     and the same regime.  ``foc_residuals`` goes first, so a stored value
     outside the kernels' domain raises DomainError naming it before
@@ -248,11 +249,11 @@ def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
     oracle = brute_force_steady(config, grid)
     gap = oracle.objective - objective
     objective_ok = stored_ok and gap <= oracle.gap_allowance
-    ok = worst <= _ROUNDTRIP_TOL and objective_ok and loaded.regime == oracle.regime
+    ok = worst <= TOL_NEWTON and objective_ok and loaded.regime == oracle.regime
     report = {
         "source": "file",
         "kkt_residual": worst,
-        "kkt_ok": worst <= _ROUNDTRIP_TOL,
+        "kkt_ok": worst <= TOL_NEWTON,
         "objective_file": stored,
         "objective_oracle": oracle.objective,
         "objective_gap": gap,

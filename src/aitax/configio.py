@@ -15,74 +15,57 @@ in any order.  Unknown and duplicated keys are hard errors: a silently
 dropped typo in an economics parameter would change the economy being
 solved.  Values are parsed by the declared type of the target field;
 enums accept their string values.
+
+The format is read off ``economy.py``'s config dataclasses at import: each
+field is a key, in declaration order, and a field without a default is a
+required key.  The dict form of a config (``config_to_dict``) walks the
+same keys.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable, get_args, get_type_hints
 
-from .economy import (
-    AgentKind,
-    AgentTypeParams,
-    EconomyConfig,
-    PreferenceParams,
-    SECTION_PREFIXES,
-    SolveMode,
-    TechForm,
-    TechnologyParams,
-    UtilityForm,
-)
+from .economy import AgentKind, AgentTypeParams, EconomyConfig, SECTION_PREFIXES
 from .errors import ConfigError
 
 # dotted key -> (EconomyConfig section, None for a top-level field; field
-# name; value type).  Registration order is the order every writer uses.
+# name; value type) in declaration order, the order every writer uses; the
+# required keys; each section's constructor.  ``_register`` fills all three.
 _SCHEMA: dict[str, tuple[str | None, str, type]] = {}
+_REQUIRED: list[str] = []
+_SECTIONS: dict[str, Callable] = {}
 
 
-def _register(section: str | None, fields: dict[str, type]) -> None:
-    for name, kind in fields.items():
-        _SCHEMA[f"{SECTION_PREFIXES[section]}{name}"] = (section, name, kind)
+def _value_type(hint) -> type:
+    """The type a field's text parses to: ``X`` for a field declared ``X | None``."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
 
 
-_register("cognitive", {"pi": float, "z": float})
-_register("manual", {"pi": float, "z": float})
-_register("prefs", {
-    "beta": float,
-    "u_form": UtilityForm,
-    "gamma": float,
-    "psi": float,
-    "phi": float,
-})
-_register("tech", {
-    "form": TechForm,
-    "a": float,
-    "mu_top": float,
-    "lambda_c": float,
-    "theta_m": float,
-    "sigma_top": float,
-    "rho_c": float,
-    "rho_m": float,
-    "a_ai": float,
-    "delta_k": float,
-    "delta_ai": float,
-})
-_register(None, {"g": float, "k0": float, "ai0": float, "mode": SolveMode})
-_SCHEMA["T"] = (None, "horizon", int)
+def _register(section: str | None, cls: type) -> None:
+    """Each field of ``cls`` as a key of ``section``; a field that is itself
+    a dataclass is a section, registered in turn.  An agent section's
+    ``kind`` is no key but its slot's name, and the horizon's key is ``T``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        typ = _value_type(hints[f.name])
+        if is_dataclass(typ):
+            _SECTIONS[f.name] = (partial(typ, kind=AgentKind(f.name))
+                                 if typ is AgentTypeParams else typ)
+            _register(f.name, typ)
+        elif f.name != "kind":
+            key = SECTION_PREFIXES[section] + ("T" if f.name == "horizon" else f.name)
+            _SCHEMA[key] = (section, f.name, typ)
+            if f.default is MISSING:
+                _REQUIRED.append(key)
 
-_REQUIRED = (
-    "agents.cognitive.pi", "agents.cognitive.z",
-    "agents.manual.pi", "agents.manual.z",
-    "prefs.beta", "tech.form",
-)
 
-_SECTIONS = {
-    "cognitive": partial(AgentTypeParams, kind=AgentKind.COGNITIVE),
-    "manual": partial(AgentTypeParams, kind=AgentKind.MANUAL),
-    "prefs": PreferenceParams,
-    "tech": TechnologyParams,
-}
+_register(None, EconomyConfig)
 
 
 def _parse(key: str, text: str):
@@ -199,13 +182,3 @@ def config_from_dict(data: dict) -> EconomyConfig:
         })
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config dict: {exc!r}") from None
-
-
-def dump_config(config: EconomyConfig) -> str:
-    """Render a config in the canonical file format (round-trips exactly)."""
-    lines = []
-    for key in _SCHEMA:
-        value = _value(config, key)
-        if value is not None:
-            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
-    return "\n".join(lines) + "\n"

@@ -3,6 +3,8 @@
 The economy has two worker types (cognitive and manual), two reproducible
 stocks (traditional capital and AI capital), and a single final good.  All
 configuration objects are frozen dataclasses; solver code never mutates them.
+Their fields, in declaration order and with their types and defaults, are
+the config file's keys (``configio``).
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ from .errors import (
 from .newton import Band, newton_solve
 from .preferences import nu_eval, nu_prime, nu_second, u_eval, u_prime, u_second
 from .production import (
+    PAIRS,
     AssumptionReport,
     TechEvaluation,
     check_assumptions,
@@ -508,9 +509,11 @@ def _residual_fn(config: EconomyConfig, layout: _Layout, last: _LastPass | None 
     return f
 
 
-# the ten entries of a symmetric 4 x 4 matrix in (l_c, l_m, K, AI), in
-# ``production.PAIRS`` order, read with l_c and l_m swapped
-_SWAP = (4, 1, 5, 6, 0, 2, 3, 7, 8, 9)
+# for each labor input i of q = (l_c, l_m, K, AI), each (n, j) whose pair
+# ``PAIRS[n]`` is (i, j) read either way, (i, i) twice: the second partials
+# of l_i w(q) add dw/dq_j to entry n
+_HOLDING = tuple(tuple((n, b) for n, pair in enumerate(PAIRS) for a, b in (pair, pair[::-1])
+                       if a == i) for i in (0, 1))
 
 
 def _outer(a, b, c, e) -> tuple:
@@ -552,15 +555,14 @@ def _jacobian_entries(config: EconomyConfig, active: tuple, path: bool,
     q-partials the labor rows are (and the stock rows, divided by -lam /
     beta).  So their q block is lam d2F/dq2 plus each active mu times
     d2 nu(lt)/dq2, from the closed-form Hessians of the technology and of
-    the wage ratio, each symmetric entry once; a binding type's terms are
-    written with its own labor first (``_SWAP`` for the manual type).  The
-    consumption rows take u'' and the labor rows' own disutility nu''.  The
-    Euler row linking t to t + 1 takes -beta / lam_{t+1} times period
-    t + 1's q block, and beta X_{t+1} / lam_{t+1}**2 in lam_{t+1}.  A
-    path's K_{t+1} - K_t and lam_t / lam_{t+1}, which are 0 and 1 in a
-    steady state, add 1 and -1 in K_t and K_{t+1} to feasibility, and
-    1 / lam_{t+1} and -lam_t / lam_{t+1}**2 in lam_t and lam_{t+1} to the
-    Euler row.
+    the wage ratio, each symmetric entry once, for both types in q's
+    order.  The consumption rows take u'' and the labor rows' own
+    disutility nu''.  The Euler row linking t to t + 1 takes -beta /
+    lam_{t+1} times period t + 1's q block, and beta X_{t+1} /
+    lam_{t+1}**2 in lam_{t+1}.  A path's K_{t+1} - K_t and lam_t /
+    lam_{t+1}, which are 0 and 1 in a steady state, add 1 and -1 in K_t
+    and K_{t+1} to feasibility, and 1 / lam_{t+1} and -lam_t /
+    lam_{t+1}**2 in lam_t and lam_{t+1} to the Euler row.
     """
     prefs, tech, beta = config.prefs, config.tech, config.prefs.beta
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
@@ -584,36 +586,30 @@ def _jacobian_entries(config: EconomyConfig, active: tuple, path: bool,
         g_q = (g_lc * d_c, g_lm * d_m, g_k, g_ai)
         hr = [a * e for a, e in zip(dd, mpl_ratio_hessian(tech, ev, ch.grad, el_c, el_m, k, ai))]
     for kind in active:
-        # w and its partials, own labor first, then the other's, K and AI
+        # w and its partials; l_other w is the type's mimicking labor
         if kind is AgentKind.COGNITIVE:  # w = zr / ratio
-            mu, l_own, l_other, w = mu_c, l_c, l_m, zr / ratio
+            mu, own, other, w, signs = mu_c, 0, 1, zr / ratio, (up_c, -up_m)
             slope = -w / ratio
             dw = [slope * g for g in g_q]
             bend, twice = w / ratio, 2.0 / ratio
             d2w = [bend * (twice * gg - e) for gg, e in zip(_outer(*g_q), hr)]
         else:  # w = ratio / zr
-            mu, l_own, l_other, w = mu_m, l_m, l_c, ratio / zr
-            dw = [g_q[1] / zr, g_q[0] / zr, g_q[2] / zr, g_q[3] / zr]
-            d2w = [hr[i] / zr for i in _SWAP]
-            h = [h[i] for i in _SWAP]
+            mu, own, other, w, signs = mu_m, 1, 0, ratio / zr, (-up_c, up_m)
+            dw = [g / zr for g in g_q]
+            d2w = [e / zr for e in hr]
+        l_other = (l_c, l_m)[other]
         # lt = l_other w: its partials and second partials
         lt = l_other * w
         d_lt = [l_other * v for v in dw]
-        d_lt[1] += w
+        d_lt[other] += w
         d2_lt = [l_other * v for v in d2w]
-        d2_lt[1] += dw[0]
-        d2_lt[4] = d2_lt[4] + dw[1] + dw[1]
-        d2_lt[5] += dw[2]
-        d2_lt[6] += dw[3]
+        for n, j in _HOLDING[other]:
+            d2_lt[n] += dw[j]
         nup, nus = nu_prime(prefs, lt), nu_second(prefs, lt)
         h = [q + mu * (nus * a + nup * e) for q, a, e in zip(h, _outer(*d_lt), d2_lt)]
-        d_own, d_other, d_k, d_ai = (nup * v for v in d_lt)
-        d_own -= nu_prime(prefs, l_own)
-        if kind is AgentKind.COGNITIVE:
-            slack = [up_c, -up_m, d_own, d_other, d_k, d_ai]
-        else:
-            h = [h[i] for i in _SWAP]
-            slack = [-up_c, up_m, d_other, d_own, d_k, d_ai]
+        slack = [*signs, *(nup * v for v in d_lt)]
+        slack[2 + own] -= nu_prime(prefs, (l_c, l_m)[own])
+        d_k, d_ai = slack[4:]
         x_k += mu * d_k
         x_ai += mu * d_ai
         columns += slack[:4] + [eu * nxt(d_k), eu * nxt(d_ai)] + slack

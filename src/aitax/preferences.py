@@ -2,10 +2,12 @@
 
 u, u', u'', nu, nu' and nu'' are plain formulas with no domain check:
 consumption must be strictly positive and labor nonnegative, which their
-callers ensure.  They take Python floats, numpy scalars or arrays and give
-the same bits on each.  Only log utility is a numpy call (``np.log``); on
-Python floats the others raise ZeroDivisionError or OverflowError where numpy
-would return inf.
+callers ensure.  They take Python floats, numpy scalars or arrays, and
+give the same bits on floats and on numpy scalars, which lets
+``foc_residuals`` reproduce the Newton residual; on arrays a power can
+round a last bit apart (numpy's vector loop is not libm).  Only log utility
+is a numpy call (``np.log``); on Python floats the others raise
+ZeroDivisionError or OverflowError where numpy would return inf.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aitax import cli
+from aitax import cli, planner
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -377,12 +377,23 @@ def test_oracle_verify_refuses_a_misshapen_solution(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_planner_seed_is_recorded_not_used(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLANNER_SEED", "1234")
-    out = tmp_path / "checks.json"
-    assert cli.main(["check-assumptions", cfg("regime_a.cfg"), "--out", str(out)]) == 0
-    manifest = json.loads(out.read_text())["manifest"]
-    assert manifest["parameters"]["planner_seed"] == "1234"
+def test_a_stored_kkt_point_meets_the_newton_tolerance(tmp_path):
+    """A stored multiplier moved by 1e-8 leaves a KKT residual of about
+    1.5e-8, above the tolerance every solve stops at (``TOL_NEWTON``), so
+    the file fails re-verification."""
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    multipliers = doc["payload"]["multipliers"]
+    multipliers["lam"] = [v * (1.0 + 1e-8) for v in multipliers["lam"]]
+    sol.write_text(json.dumps(doc))
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle-verify", cfg("regime_a.cfg"), "--solution", str(sol),
+                     "--out", str(out)]) == 6
+    report = json.loads(out.read_text())["payload"]
+    assert planner.TOL_NEWTON < report["kkt_residual"] < 1e-6
+    assert report["kkt_ok"] is False
+    assert report["objective_ok"] is True and report["regime_ok"] is True
 
 
 def test_oracle_verify_checks_the_solution_against_config(tmp_path):

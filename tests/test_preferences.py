@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from aitax.economy import PreferenceParams, UtilityForm
 from aitax.errors import DomainError
-from aitax.preferences import nu_eval, nu_prime, u_eval, u_prime
+from aitax.preferences import nu_eval, nu_prime, nu_second, u_eval, u_prime, u_second
 from incentives import lifetime_utility, mimic_labor
 
 LOG = PreferenceParams(beta=0.96)
@@ -77,3 +77,21 @@ def test_lifetime_utility_finite_sum():
     prefs = PreferenceParams(beta=0.5)
     got = lifetime_utility(prefs, np.array([1.0, math.e]), np.zeros(2))
     assert got == pytest.approx(0.0 + 0.5 * 1.0)
+
+
+@pytest.mark.parametrize("phi", [1.0, 1.7636])
+@pytest.mark.parametrize("u_form", ["log", "crra"])
+def test_floats_and_numpy_scalars_give_the_same_bits(u_form, phi):
+    """A steady state's Newton residual runs on Python floats and
+    ``foc_residuals`` on numpy scalars; both reproduce the same residual
+    because each of the six formulas gives the same bits on either.  Arrays
+    are not held to it: numpy's vector power loop can round a last bit
+    apart from libm's."""
+    prefs = PreferenceParams(beta=0.96, u_form=UtilityForm(u_form),
+                             gamma=2.0 if u_form == "crra" else None, psi=0.7, phi=phi)
+    rng = np.random.default_rng(0)
+    points = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2000)).tolist()
+    for fn in (u_eval, u_prime, u_second, nu_eval, nu_prime, nu_second):
+        on_floats = [fn(prefs, x) for x in points]
+        on_scalars = [fn(prefs, np.float64(x)) for x in points]
+        assert np.array(on_floats).tobytes() == np.array(on_scalars).tobytes(), fn.__name__
