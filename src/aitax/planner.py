@@ -3,12 +3,13 @@
 The planner maximizes population-weighted lifetime utility subject to the
 resource constraint and, when they bind, incentive-compatibility
 constraints (each type must prefer its own bundle to mimicking the other's
-labor income).  Binding constraints put wage-ratio terms into the
-first-order conditions:
-
-* stock FOCs gain X-terms, mu * nu'(mimic labor) * l_other * d(wage ratio)/d(stock),
-  which generate the capital and AI wedges;
-* labor FOCs gain Y-terms from the same wage-ratio channel.
+labor income).  A mimicking type supplies lt = l_other * w, the other
+type's labor times a wage ratio w, and a binding constraint adds
+mu * nu'(lt) * dlt/dq to the FOC of each q in (l_c, l_m, K, AI): the
+X-terms of the stock FOCs, which generate the capital and AI wedges, and
+the incentive terms of the labor FOCs.  ``_chain_terms`` derives them
+once per point, one ``_Mimicry`` record per type, and the KKT rows, the
+slacks, a solution's multipliers and the exact Jacobian all read it.
 
 Solution method: active-set Newton.  Solve without constraints; if an
 incentive constraint is violated impose it as an equality with its
@@ -162,9 +163,25 @@ class PlannerSolution:
         return self.allocation.n_periods == 1
 
 
-@dataclass(frozen=True)
+# _Mimicry and _ChainTerms take slots and are not frozen: each Newton
+# residual builds three of them, and a frozen __init__ costs about twice as much
+@dataclass(slots=True)
+class _Mimicry:
+    """One type's mimicking labor lt = l_other w at a point, the labor that
+    earns the other type's income, with first partials in q = (l_c, l_m, K, AI)."""
+
+    w: object  # z_m F_Lm / (z_c F_Lc) for the cognitive type, its inverse for the manual
+    dw: tuple  # dw/dq
+    lt: object
+    d_lt: tuple  # dlt/dq
+    nup: object  # nu'(lt)
+    d_nu: tuple  # nu'(lt) dlt/dq, the q-partials of the type's slack beyond its own disutility
+
+
+@dataclass(slots=True)
 class _ChainTerms:
-    """Wage-ratio pieces of the FOCs at one point (scalar or per-period arrays)."""
+    """Wage-ratio pieces of the FOCs at one point (scalar or per-period
+    arrays), each type's mimicking record among them, derived once."""
 
     ev: TechEvaluation
     grad: tuple  # the wage ratio F_Lc / F_Lm's gradient in (L_c, L_m, K, AI)
@@ -172,18 +189,24 @@ class _ChainTerms:
     el_m: object
     w_c: object  # competitive wages z * F_L
     w_m: object
-    lt_c: object  # labor the cognitive type supplies when mimicking
-    lt_m: object
-    x_k: object
-    x_ai: object
-    y_c: object  # ICC_c wage term in the l_c FOC (the Y-term when cognitive binds)
-    y_m: object
-    cross_c: object  # ICC_m terms entering the l_c FOC
-    cross_m: object
+    ratio: object  # F_Lc / F_Lm
+    d_ratio: tuple  # its gradient in q = (l_c, l_m, K, AI)
+    mimic: tuple  # each type's _Mimicry, cognitive first
+    # mu_c d_nu_c + mu_m d_nu_m over q: the l_c and l_m rows' incentive
+    # terms, then the X-terms of the K and AI rows
+    incentive: tuple
+
+
+def _mimicry(prefs, l_other, other: int, w, dw: tuple) -> _Mimicry:
+    """The record of lt = l_other w, l_other being unknown ``other`` of q."""
+    lt = l_other * w
+    d_lt = [l_other * v for v in dw]
+    d_lt[other] += w
+    nup = nu_prime(prefs, lt)
+    return _Mimicry(w, dw, lt, tuple(d_lt), nup, tuple([nup * v for v in d_lt]))
 
 
 def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTerms:
-    prefs = config.prefs
     pi_c, z_c = config.cognitive.pi, config.cognitive.z
     pi_m, z_m = config.manual.pi, config.manual.z
     el_c = pi_c * l_c * z_c
@@ -192,36 +215,23 @@ def _chain_terms(config: EconomyConfig, l_c, l_m, k, ai, mu_c, mu_m) -> _ChainTe
 
     ratio = ev.f_lc / ev.f_lm
     grad = mpl_ratio_gradient(config.tech, ev, el_c, el_m, k, ai)
+    d_ratio = (grad[0] * (pi_c * z_c), grad[1] * (pi_m * z_m), *grad[2:])
     zr = z_m / z_c
-    r_mc = zr / ratio
-    g_mc = tuple(-zr * g / ratio**2 for g in grad)
-    r_cm = 1.0 / r_mc
-    g_cm = tuple(g / zr for g in grad)
-
-    lt_c = l_m * r_mc
-    lt_m = l_c * r_cm
-    nup_lt_c = nu_prime(prefs, lt_c)
-    nup_lt_m = nu_prime(prefs, lt_m)
-
-    x_k = mu_c * nup_lt_c * l_m * g_mc[2] + mu_m * nup_lt_m * l_c * g_cm[2]
-    x_ai = mu_c * nup_lt_c * l_m * g_mc[3] + mu_m * nup_lt_m * l_c * g_cm[3]
-
-    y_c = mu_c * nup_lt_c * l_m * g_mc[0] * pi_c * z_c
-    y_m = mu_m * nup_lt_m * l_c * g_cm[1] * pi_m * z_m
-    cross_c = mu_m * nup_lt_m * (r_cm + l_c * g_cm[0] * pi_c * z_c)
-    cross_m = mu_c * nup_lt_c * (r_mc + l_m * g_mc[1] * pi_m * z_m)
-
+    w = zr / ratio
+    slope = -w / ratio
+    cognitive = _mimicry(config.prefs, l_m, 1, w, tuple([slope * g for g in d_ratio]))
+    manual = _mimicry(config.prefs, l_c, 0, ratio / zr, tuple([g / zr for g in d_ratio]))
     return _ChainTerms(
         ev=ev, grad=grad, el_c=el_c, el_m=el_m, w_c=ev.f_lc * z_c, w_m=ev.f_lm * z_m,
-        lt_c=lt_c, lt_m=lt_m, x_k=x_k, x_ai=x_ai, y_c=y_c, y_m=y_m,
-        cross_c=cross_c, cross_m=cross_m,
+        ratio=ratio, d_ratio=d_ratio, mimic=(cognitive, manual),
+        incentive=tuple([mu_c * a + mu_m * b for a, b in zip(cognitive.d_nu, manual.d_nu)]),
     )
 
 
-def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, lt_c, lt_m):
+def _flow_slacks(prefs, ct_c, ct_m, l_c, l_m, mimic: tuple):
     u_c, u_m = u_eval(prefs, ct_c), u_eval(prefs, ct_m)
-    slack_c = (u_c - nu_eval(prefs, l_c)) - (u_m - nu_eval(prefs, lt_c))
-    slack_m = (u_m - nu_eval(prefs, l_m)) - (u_c - nu_eval(prefs, lt_m))
+    slack_c = (u_c - nu_eval(prefs, l_c)) - (u_m - nu_eval(prefs, mimic[0].lt))
+    slack_m = (u_m - nu_eval(prefs, l_m)) - (u_c - nu_eval(prefs, mimic[1].lt))
     return slack_c, slack_m
 
 
@@ -261,19 +271,20 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     ch = _chain_terms(config, l_c, l_m, k_now, ai_now, mu_c, mu_m)
     ev = ch.ev
     lam_ratio = now(lam) / nxt(lam)
+    pull_c, pull_m, x_k, x_ai = ch.incentive
     rows = [
         u_prime(prefs, c_c) * (pi_c + mu_c - mu_m) - lam * pi_c,
         u_prime(prefs, c_m) * (pi_m + mu_m - mu_c) - lam * pi_m,
-        -(pi_c + mu_c) * nu_prime(prefs, l_c) + ch.y_c + ch.cross_c + lam * pi_c * ch.w_c,
-        -(pi_m + mu_m) * nu_prime(prefs, l_m) + ch.y_m + ch.cross_m + lam * pi_m * ch.w_m,
-        lam_ratio - beta * nxt(ev.fw_k) - beta * nxt(ch.x_k) / nxt(lam),
-        lam_ratio - beta * nxt(ev.fw_ai) - beta * nxt(ch.x_ai) / nxt(lam),
+        -(pi_c + mu_c) * nu_prime(prefs, l_c) + pull_c + lam * pi_c * ch.w_c,
+        -(pi_m + mu_m) * nu_prime(prefs, l_m) + pull_m + lam * pi_m * ch.w_m,
+        lam_ratio - beta * nxt(ev.fw_k) - beta * nxt(x_k) / nxt(lam),
+        lam_ratio - beta * nxt(ev.fw_ai) - beta * nxt(x_ai) / nxt(lam),
         ev.y - pi_c * c_c - pi_m * c_m
         - (nxt(k) - k_now + tech.delta_k * k_now)
         - (nxt(ai) - ai_now + tech.delta_ai * ai_now)
         - config.g,
     ]
-    slack_c, slack_m = _flow_slacks(prefs, c_c, c_m, l_c, l_m, ch.lt_c, ch.lt_m)
+    slack_c, slack_m = _flow_slacks(prefs, c_c, c_m, l_c, l_m, ch.mimic)
     return rows, slack_c, slack_m, ch
 
 
@@ -553,11 +564,12 @@ def _jacobian_entries(config: EconomyConfig, active: tuple, path: bool,
     and lt_m = l_c z_c F_Lc / (z_m F_Lm).  Its disutility nu(lt) enters
     the type's slack and, times its multiplier, the Lagrangian whose
     q-partials the labor rows are (and the stock rows, divided by -lam /
-    beta).  So their q block is lam d2F/dq2 plus each active mu times
-    d2 nu(lt)/dq2, from the closed-form Hessians of the technology and of
-    the wage ratio, each symmetric entry once, for both types in q's
-    order.  The consumption rows take u'' and the labor rows' own
-    disutility nu''.  The Euler row linking t to t + 1 takes -beta /
+    beta).  Its first partials, a slack row, its multiplier's column and the
+    X-terms, are the chain terms' record.  The q block is lam d2F/dq2 plus
+    each active mu times d2 nu(lt)/dq2, from the closed-form Hessians of
+    the technology and of the wage ratio, each symmetric entry once, for
+    both types in q's order.  The consumption rows take u'' and the labor
+    rows' own disutility nu''.  The Euler row linking t to t + 1 takes -beta /
     lam_{t+1} times period t + 1's q block, and beta X_{t+1} /
     lam_{t+1}**2 in lam_{t+1}.  A path's K_{t+1} - K_t and lam_t /
     lam_{t+1}, which are 0 and 1 in a steady state, add 1 and -1 in K_t
@@ -576,47 +588,35 @@ def _jacobian_entries(config: EconomyConfig, active: tuple, path: bool,
     # the q block: lam d2F/dq2, then each active mu times d2 nu(lt)/dq2
     h = [lam * a * e for a, e in zip(dd, hessian(tech, ev, el_c, el_m, k, ai))]
     eu = -beta / nxt(lam)  # an Euler row's factor on next period's partials
-    x_k = x_ai = 0.0  # the X-terms: each active mu times d nu(lt)/dK and /dAI
     columns = []  # each active multiplier's column, then its slack's row
     if active:
         up_c, up_m = u_prime(prefs, c_c), u_prime(prefs, c_m)
-        ratio = ev.f_lc / ev.f_lm
-        zr = z_m / z_c
-        g_lc, g_lm, g_k, g_ai = ch.grad
-        g_q = (g_lc * d_c, g_lm * d_m, g_k, g_ai)
+        ratio, zr, g_q = ch.ratio, z_m / z_c, ch.d_ratio
         hr = [a * e for a, e in zip(dd, mpl_ratio_hessian(tech, ev, ch.grad, el_c, el_m, k, ai))]
     for kind in active:
-        # w and its partials; l_other w is the type's mimicking labor
+        # the type's mimicking record, and the second partials of its w
         if kind is AgentKind.COGNITIVE:  # w = zr / ratio
-            mu, own, other, w, signs = mu_c, 0, 1, zr / ratio, (up_c, -up_m)
-            slope = -w / ratio
-            dw = [slope * g for g in g_q]
-            bend, twice = w / ratio, 2.0 / ratio
+            mu, own, other, signs, mim = mu_c, 0, 1, (up_c, -up_m), ch.mimic[0]
+            bend, twice = mim.w / ratio, 2.0 / ratio
             d2w = [bend * (twice * gg - e) for gg, e in zip(_outer(*g_q), hr)]
         else:  # w = ratio / zr
-            mu, own, other, w, signs = mu_m, 1, 0, ratio / zr, (-up_c, up_m)
-            dw = [g / zr for g in g_q]
+            mu, own, other, signs, mim = mu_m, 1, 0, (-up_c, up_m), ch.mimic[1]
             d2w = [e / zr for e in hr]
         l_other = (l_c, l_m)[other]
-        # lt = l_other w: its partials and second partials
-        lt = l_other * w
-        d_lt = [l_other * v for v in dw]
-        d_lt[other] += w
         d2_lt = [l_other * v for v in d2w]
         for n, j in _HOLDING[other]:
-            d2_lt[n] += dw[j]
-        nup, nus = nu_prime(prefs, lt), nu_second(prefs, lt)
-        h = [q + mu * (nus * a + nup * e) for q, a, e in zip(h, _outer(*d_lt), d2_lt)]
-        slack = [*signs, *(nup * v for v in d_lt)]
-        slack[2 + own] -= nu_prime(prefs, (l_c, l_m)[own])
-        d_k, d_ai = slack[4:]
-        x_k += mu * d_k
-        x_ai += mu * d_ai
-        columns += slack[:4] + [eu * nxt(d_k), eu * nxt(d_ai)] + slack
+            d2_lt[n] += mim.dw[j]
+        nus = nu_second(prefs, mim.lt)
+        h = [q + mu * (nus * a + mim.nup * e) for q, a, e in zip(h, _outer(*mim.d_lt), d2_lt)]
+        slack = [*signs, *mim.d_nu]
+        # not in place: on a path the entry is the record's array
+        slack[2 + own] = slack[2 + own] - nu_prime(prefs, (l_c, l_m)[own])
+        columns += slack[:4] + [eu * nxt(slack[4]), eu * nxt(slack[5])] + slack
     q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = h
     stock_k, stock_ai = ev.f_k - tech.delta_k, ev.f_ai - tech.delta_ai
     lam_k = lam_ai = 0.0  # the Euler rows in next period's lam
     if active:
+        x_k, x_ai = ch.incentive[2:]
         lam_k, lam_ai = beta / nxt(lam) ** 2 * nxt(x_k), beta / nxt(lam) ** 2 * nxt(x_ai)
     if path:  # K_{t+1} - K_t and lam_t / lam_{t+1}
         stock_k, stock_ai = stock_k + 1.0, stock_ai + 1.0
@@ -787,8 +787,8 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
     )
     mults = Multipliers(
         lam=per_period(lam), mu_c=mu_c, mu_m=mu_m,
-        x_k=per_period(ch.x_k), x_ai=per_period(ch.x_ai),
-        y_term=per_period(ch.y_c if mu_c > 0.0 else ch.y_m),
+        x_k=per_period(ch.incentive[2]), x_ai=per_period(ch.incentive[3]),
+        y_term=per_period(mu_c * ch.mimic[0].d_nu[0] if mu_c > 0.0 else mu_m * ch.mimic[1].d_nu[1]),
     )
     res = foc_residuals(config, alloc, mults)
     if layout.stationary:

@@ -42,8 +42,6 @@ from .economy import (
 
 REGIME_B_A_AI = 0.2
 SWEEP_LO = 0.1
-SWEEP_HI = 10.0
-SWEEP_POINTS = 25
 
 
 def symmetric_economy() -> EconomyConfig:

@@ -38,7 +38,6 @@ from .preferences import nu_prime, u_prime
 from .production import evaluate
 
 TOL_SIGN = 1e-6
-TOL_EQUIV = 1e-8
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"

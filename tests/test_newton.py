@@ -23,6 +23,9 @@ ACTIVE_SETS = {
 ALL_ACTIVE_SETS = {**ACTIVE_SETS, "manual": (AgentKind.MANUAL,)}
 
 DESK = ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas")
+# the desks whose two types are identical, so that their two incentive
+# constraints are one and the both-bind Newton matrix is singular
+SINGULAR_BOTH = ("symmetric", "cobb_douglas")
 # the step of the reference forward difference, relative to max(1, |x_j|)
 STEP = 1e-7
 
@@ -187,7 +190,13 @@ def test_path_jacobian_is_the_column_by_column_one(paths, name, active, horizon)
 def test_a_steady_stack_is_evaluated_row_by_row(name, active):
     """A steady state's points are evaluated one by one: from a perturbed
     start, Newton hands its residual one point per call and its exact
-    Jacobian one point per iteration, and no call makes a stack."""
+    Jacobian one point per iteration, and no call makes a stack.
+
+    Newton must converge wherever the Newton matrix is nonsingular.  Where
+    it is singular (both constraints on the desks of ``SINGULAR_BOTH``),
+    whether it converges from a perturbed start is luck: on cobb_douglas
+    it does from 16 of 100 seeded 5% perturbations, and which ones moves
+    with the residual's last bits."""
     layout, f, jac, x0 = steady_layout(name, ALL_ACTIVE_SETS[active])
     rng = np.random.default_rng(DESK.index(name))
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
@@ -195,9 +204,11 @@ def test_a_steady_stack_is_evaluated_row_by_row(name, active):
     res = newton.newton_solve(lambda x: points.append(np.shape(x)) or f(x), x,
                               jac=lambda x: jacobians.append(np.shape(x)) or jac(x),
                               lower=layout.lower())
-    assert res.converged
+    assert res.converged or (active == "both" and name in SINGULAR_BOTH)
     assert set(points) == set(jacobians) == {(len(x),)}
-    assert len(jacobians) == res.iterations and len(points) >= res.iterations + 1
+    # each Jacobian at a point the residual evaluated; a converged solve
+    # also evaluated the point it stops at
+    assert len(jacobians) == res.iterations and len(points) >= res.iterations + res.converged
 
 
 @pytest.mark.parametrize("name", DESK)
@@ -207,12 +218,13 @@ def test_which_desks_both_bind_newton_matrices_are_singular(name):
     identical, so that their two incentive constraints are one (condition
     numbers 3.8e18 on symmetric and 7.4e19 on cobb_douglas), and well
     conditioned on the other three (5.4e3 at most).  From 5% perturbations
-    of that start, Newton converges on cobb_douglas for 17 of 100 seeds,
-    the one ``test_a_steady_stack_is_evaluated_row_by_row`` draws among
-    them, so a change to the residual's last bits can fail that test."""
+    of that start, Newton converges on cobb_douglas for 16 of 100 seeds
+    (symmetric: 100 of 100), so
+    ``test_a_steady_stack_is_evaluated_row_by_row`` requires convergence
+    with both constraints only on the other three."""
     layout, _, jac, x0 = steady_layout(name, ALL_ACTIVE_SETS["both"])
     singular = np.linalg.svd(jac(x0), compute_uv=False)
-    if name in ("symmetric", "cobb_douglas"):
+    if name in SINGULAR_BOTH:
         assert singular[0] > 1e15 * singular[-1]
     else:
         assert singular[0] < 1e4 * singular[-1]
