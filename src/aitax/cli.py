@@ -234,20 +234,24 @@ def _verify_loaded(args, config, loaded) -> tuple[dict, bool]:
     and the same regime.  ``foc_residuals`` goes first, so a stored value
     outside the kernels' domain raises DomainError naming it before
     anything else uses it.  Finite-horizon files raise DomainError: the
-    oracle grid is built around stationary solutions only.
+    oracle grid is built around stationary solutions only.  The stored
+    numbers are evaluated with numpy's floating-point warnings off: a value
+    that overflows the kernels gives a non-finite residual, objective or
+    grid, which fails its check without a warning.
     """
-    residuals = foc_residuals(config, loaded.allocation, loaded.multipliers)
-    grid = grid_bracketing(loaded, frac=args.frac, points=args.grid_points)
-    worst = max(float(np.max(np.abs(np.atleast_1d(v)))) for v in residuals.values())
-    stored = float(loaded.payload["objective"])
-    objective = _objective(config, loaded.allocation)
-    stored_ok = abs(stored - objective) <= _OBJECTIVE_TOL * max(1.0, abs(objective))
-    if not stored_ok:
-        print(f"stored objective {render_float(stored)} differs from "
-              f"{render_float(objective)}, recomputed from the stored allocation",
-              file=sys.stderr)
-    oracle = brute_force_steady(config, grid)
-    gap = oracle.objective - objective
+    with np.errstate(all="ignore"):
+        residuals = foc_residuals(config, loaded.allocation, loaded.multipliers)
+        grid = grid_bracketing(loaded, frac=args.frac, points=args.grid_points)
+        worst = max(float(np.max(np.abs(np.atleast_1d(v)))) for v in residuals.values())
+        stored = float(loaded.payload["objective"])
+        objective = _objective(config, loaded.allocation)
+        stored_ok = abs(stored - objective) <= _OBJECTIVE_TOL * max(1.0, abs(objective))
+        if not stored_ok:
+            print(f"stored objective {render_float(stored)} differs from "
+                  f"{render_float(objective)}, recomputed from the stored allocation",
+                  file=sys.stderr)
+        oracle = brute_force_steady(config, grid)
+        gap = oracle.objective - objective
     objective_ok = stored_ok and gap <= oracle.gap_allowance
     ok = worst <= TOL_NEWTON and objective_ok and loaded.regime == oracle.regime
     report = {

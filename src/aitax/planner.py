@@ -35,8 +35,10 @@ storage.  It costs no residual call, and nothing in the solver takes a
 forward difference.  Each point Newton accepts costs one kernel pass:
 the residual keeps its pass (``_LastPass``), and the Jacobian at that
 point, and the judging of the vector Newton converges to, read it.  A
-steady state's Newton residual runs on Python floats; ``_periods`` and
-so ``foc_residuals`` run on numpy scalars, with the same bits.
+steady state's Newton residual and ``foc_residuals`` run on Python
+floats, which give the bits of numpy scalars; where float arithmetic
+raises, ``foc_residuals`` runs again on numpy scalars, which give inf or
+nan there.
 
 A regime's steady state gets at most two Newton starts, a warm one (a
 solution, an attempt or a bare predicted point) and then one base start
@@ -53,6 +55,7 @@ deterministic: no randomness.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -255,13 +258,13 @@ def _kkt(config: EconomyConfig, c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m):
     is written once, through ``_now_next``.  The Newton residual hands a
     steady state Python floats, on which a residual costs about a third
     less than on numpy scalars (and a 1-point array five to eight times a
-    scalar); ``_periods`` hands ``foc_residuals`` numpy scalars, and both
-    give the same bits.  On floats, a point whose arithmetic overflows or
-    divides by zero raises OverflowError or ZeroDivisionError where numpy
-    would give inf.  The stock rows are the Euler equations divided
-    through by next period's lam, which makes a steady state's lam/lam
-    exactly 1.  Returns the seven rows named in ``_ROWS``, the cognitive
-    and manual flow slacks, and the chain terms.
+    scalar), and so does ``foc_residuals``; numpy scalars give the same
+    bits.  On floats, a point whose arithmetic overflows or divides by zero
+    raises OverflowError or ZeroDivisionError where numpy would give inf.
+    The stock rows are the Euler equations divided through by next
+    period's lam, which makes a steady state's lam/lam exactly 1.  Returns
+    the seven rows named in ``_ROWS``, the cognitive and manual flow
+    slacks, and the chain terms.
     """
     prefs, tech = config.prefs, config.tech
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
@@ -296,19 +299,15 @@ def _lifetime(beta: float, flow) -> float:
     return float(np.dot(beta ** np.arange(len(flow)), flow))
 
 
-def _periods(*arrays):
-    """Stored per-period arrays as the kernel takes them: numpy scalars for a
-    steady state, whose arithmetic gives the bits of the Python floats the
-    Newton residual evaluates."""
-    if len(arrays[0]) == 1:
-        return tuple(v[0] for v in arrays)
-    return arrays
-
-
 def _objective(config: EconomyConfig, alloc: Allocation) -> float:
-    """Population-weighted lifetime utility of an allocation."""
+    """Population-weighted lifetime utility of an allocation.  A steady
+    state's runs on numpy scalars: the bits of Python floats, and inf or
+    nan where a stored allocation overflows them."""
     prefs = config.prefs
-    c_c, c_m, l_c, l_m = _periods(alloc.c_c, alloc.c_m, alloc.l_c, alloc.l_m)
+    per_period = (alloc.c_c, alloc.c_m, alloc.l_c, alloc.l_m)
+    if alloc.n_periods == 1:
+        per_period = [v[0] for v in per_period]
+    c_c, c_m, l_c, l_m = per_period
     flows = config.cognitive.pi * (u_eval(prefs, c_c) - nu_eval(prefs, l_c)) + config.manual.pi * (
         u_eval(prefs, c_m) - nu_eval(prefs, l_m)
     )
@@ -811,7 +810,8 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
         slack_c=att.slack_c,
         slack_m=att.slack_m,
         objective=_objective(config, alloc),
-        foc_residual=max(float(np.max(np.abs(v))) for v in res.values()),
+        foc_residual=max(abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
+                         for v in res.values()),
         assumptions=check_assumptions(config.tech, center),
         warnings=tuple(warnings),
         first_best=None if fb is None else fb.point,
@@ -943,26 +943,34 @@ def foc_residuals(config: EconomyConfig, alloc: Allocation, mults: Multipliers) 
 
     The kernels check no domain, so the candidate is checked here: an
     allocation entry or ``lam`` that is not finite and strictly positive
-    raises DomainError naming it.
+    raises DomainError naming it.  A stationary candidate runs the kernel
+    on Python floats, as the Newton residual does; where their arithmetic
+    raises (an overflow, a division by zero) it runs again on numpy
+    scalars, which give the same bits where the floats do not raise and
+    inf or nan where they do.
     """
     a = alloc
     inputs = {"c_c": a.c_c, "c_m": a.c_m, "l_c": a.l_c, "l_m": a.l_m,
               "k": a.k, "ai": a.ai, "lam": mults.lam}
+    entries = []
     for name, v in inputs.items():
-        if not (np.all(np.isfinite(v)) and np.all(v > 0.0)):
+        entries.append(np.ravel(v).tolist())
+        if not all(0.0 < x < math.inf for x in entries[-1]):  # False on nan
             raise DomainError(f"{name} must be finite and strictly positive, got {v}")
-    rows, slack_c, slack_m, _ = _kkt(config, *_periods(*inputs.values()), mults.mu_c, mults.mu_m)
-    beta = config.prefs.beta
-    if a.n_periods == 1:
-        rows = [float(r) for r in rows]
-        total = float
-    else:
-        total = lambda flow: _lifetime(beta, flow)
-    return {
-        **dict(zip(_ROWS, rows)),
-        "comp_slack_c": total(mults.mu_c * slack_c),
-        "comp_slack_m": total(mults.mu_m * slack_m),
-    }
+    mu_c, mu_m = mults.mu_c, mults.mu_m
+    if a.n_periods > 1:
+        rows, slack_c, slack_m, _ = _kkt(config, *inputs.values(), mu_c, mu_m)
+        beta = config.prefs.beta
+        return {**dict(zip(_ROWS, rows)),
+                "comp_slack_c": _lifetime(beta, mu_c * slack_c),
+                "comp_slack_m": _lifetime(beta, mu_m * slack_m)}
+    point = [v[0] for v in entries]
+    try:
+        rows, slack_c, slack_m, _ = _kkt(config, *point, mu_c, mu_m)
+    except _FLOAT_ERRORS:
+        rows, slack_c, slack_m, _ = _kkt(config, *map(np.float64, point), mu_c, mu_m)
+    return {**dict(zip(_ROWS, map(float, rows))),
+            "comp_slack_c": float(mu_c * slack_c), "comp_slack_m": float(mu_m * slack_m)}
 
 
 # ---------------------------------------------------------------------------

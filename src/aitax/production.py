@@ -296,29 +296,11 @@ class AssumptionReport:
         return (self.a1, self.a2, self.a3)
 
 
-def _judge(conditions, axes) -> tuple[str, float, tuple, str]:
-    """Combine signed derivative conditions into one verdict.
-
-    ``conditions`` is a list of (axis_name, derivative_array, required_sign),
-    each array over the product of the four grid ``axes``.  The worst point
-    is the one with the smallest signed margin.
-    """
-    verdict = VERDICT_PASS
-    worst_margin = np.inf
-    worst = (0.0, (np.nan,) * 4, conditions[0][0])
-    for axis_name, deriv, sign in conditions:
-        margin = sign * deriv
-        idx = np.unravel_index(np.argmin(margin), margin.shape)
-        m = float(margin[idx])
-        if m < worst_margin:
-            worst_margin = m
-            point = tuple(float(ax[i]) for ax, i in zip(axes, idx))
-            worst = (float(deriv[idx]), point, axis_name)
-        if np.any(margin < -TOL_STRICT):
-            verdict = VERDICT_FAIL
-        elif verdict != VERDICT_FAIL and np.any(np.abs(deriv) <= TOL_STRICT):
-            verdict = VERDICT_NON_STRICT
-    return verdict, worst[0], worst[1], worst[2]
+# the sign each partial of r must have, in (L_c, L_m, K, AI) order, and
+# each assumption's conditions as (partial, axis name)
+_SIGNS = np.array([[-1.0], [+1.0], [+1.0], [-1.0]])
+_PARTIALS = np.arange(4)
+_ASSUMPTIONS = (("A1", ((2, "K"),)), ("A2", ((3, "AI"),)), ("A3", ((0, "L_c"), (1, "L_m"))))
 
 
 def check_assumptions(tech: TechnologyParams, center=(1.0, 1.0, 1.0, 1.0), factor: float = 2.0,
@@ -331,24 +313,43 @@ def check_assumptions(tech: TechnologyParams, center=(1.0, 1.0, 1.0, 1.0), facto
     :func:`mpl_ratio_gradient`, applied at every grid point.  A wrong sign
     beyond TOL_STRICT anywhere fails; magnitudes within TOL_STRICT make the
     verdict ``non_strict`` (the Cobb-Douglas control lands here for A1/A2,
-    whose partials are exactly 0).  A factor that is not finite or not
-    above 1, fewer than 3 points, or a grid on which a derivative is not
-    finite raises DomainError.
+    whose partials are exactly 0).  An assumption's worst point is where
+    its signed margin is smallest, the first such grid point in C order,
+    and the first condition's on a tie.  All four partials are judged in
+    one stacked pass.  A factor that is not finite or not above 1, fewer
+    than 3 points, or a grid on which a derivative is not finite raises
+    DomainError.
     """
     if not (np.isfinite(factor) and factor > 1.0):
         raise DomainError(f"grid factor must be finite and exceed 1, got {factor}")
     if points < 3:
         raise DomainError(f"grid points must be at least 3, got {points}")
+    shape = (points,) * 4
+    derivs = np.empty((4, points**4))
     with np.errstate(all="ignore"):
         axes = np.geomspace(np.divide(center, factor), np.multiply(center, factor), points, axis=-1)
         mesh = np.ix_(*axes)
-        diffs = d_lc, d_lm, d_k, d_ai = mpl_ratio_gradient(tech, evaluate(tech, *mesh), *mesh)
-    if not all(np.isfinite(d).all() for d in diffs):
+        derivs.reshape(4, *shape)[...] = mpl_ratio_gradient(tech, evaluate(tech, *mesh), *mesh)
+    if not np.isfinite(derivs).all():
         spans = ", ".join(f"{name} [{axis.min():g}, {axis.max():g}]" for name, axis in
                           zip(("L_c", "L_m", "K", "AI"), axes))
         raise DomainError(f"ratio derivatives must be finite on the grid {spans}")
 
-    a1 = AssumptionCheck("A1", *_judge([("K", d_k, +1.0)], axes))
-    a2 = AssumptionCheck("A2", *_judge([("AI", d_ai, -1.0)], axes))
-    a3 = AssumptionCheck("A3", *_judge([("L_c", d_lc, -1.0), ("L_m", d_lm, +1.0)], axes))
-    return AssumptionReport(a1=a1, a2=a2, a3=a3)
+    margin = _SIGNS * derivs
+    worst = np.argmin(margin, axis=1)  # each partial's first smallest margin
+    low = margin[_PARTIALS, worst].tolist()
+    value = derivs[_PARTIALS, worst].tolist()
+    where = axes[_PARTIALS[:, None], np.unravel_index(worst, shape)].T.tolist()
+    checks = []
+    for name, conditions in _ASSUMPTIONS:
+        i, axis = min(conditions, key=lambda c: low[c[0]])  # the first on a tie
+        # the smallest margin decides: below -TOL_STRICT a wrong sign somewhere,
+        # else within TOL_STRICT a partial within TOL_STRICT of zero somewhere
+        if low[i] < -TOL_STRICT:
+            verdict = VERDICT_FAIL
+        elif low[i] <= TOL_STRICT:
+            verdict = VERDICT_NON_STRICT
+        else:
+            verdict = VERDICT_PASS
+        checks.append(AssumptionCheck(name, verdict, value[i], tuple(where[i]), axis))
+    return AssumptionReport(*checks)

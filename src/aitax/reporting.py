@@ -19,6 +19,7 @@ import csv
 import enum
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -35,11 +36,11 @@ from .wedges import WedgeReport
 
 def render_float(x: float) -> str:
     """17-significant-digit decimal rendering; bit-faithful for doubles."""
-    if math.isnan(x):
+    if math.isfinite(x):
+        return format(x, ".17g")
+    if x != x:
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def render_value(v) -> str:
@@ -57,45 +58,53 @@ def render_value(v) -> str:
     return str(v)
 
 
-def _emit(obj, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
-        out.append(render_float(float(obj)))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, enum.Enum):
-        out.append(json.dumps(obj.value))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, out)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(f"{pad}  {json.dumps(str(k))}: ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+# a container renders its float entries, the common kind, without a dispatch
+def _dict(obj: dict, pad: str) -> str:
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    entries = [f"{inner}{_quote(str(k))}: "
+               f"{render_float(v) if type(v) is float else _emit(v, inner)}"
+               for k, v in obj.items()]
+    return "{\n" + ",\n".join(entries) + "\n" + pad + "}"
+
+
+def _list(obj, pad: str) -> str:
+    if not obj:
+        return "[]"
+    inner = pad + "  "
+    entries = [render_float(v) if type(v) is float else _emit(v, inner) for v in obj]
+    return "[\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "]"
+
+
+# what a value of each kind renders as, at indentation ``pad``: the first
+# kind a value belongs to decides, so a bool is no int, and a str enum
+# (such as Regime) renders as a str
+_KINDS = (
+    (type(None), lambda obj, pad: "null"),
+    (bool, lambda obj, pad: "true" if obj else "false"),
+    ((float, np.floating), lambda obj, pad: render_float(float(obj))),
+    ((int, np.integer), lambda obj, pad: str(int(obj))),
+    (str, lambda obj, pad: _quote(obj)),
+    (enum.Enum, lambda obj, pad: json.dumps(obj.value)),
+    (np.ndarray, lambda obj, pad: _emit(obj.tolist(), pad)),
+    (dict, _dict),
+    ((list, tuple), _list),
+)
+# the renderer of each type _KINDS names, looked up by a value's exact type
+_EXACT = {kind: render for kinds, render in _KINDS
+          for kind in (kinds if isinstance(kinds, tuple) else (kinds,))}
+
+
+def _emit(obj, pad: str) -> str:
+    """The JSON text of ``obj``, its nested lines indented by ``pad`` and
+    two spaces per level; a value of no kind raises TypeError."""
+    render = _EXACT.get(type(obj))
+    if render is None:
+        render = next((fn for kinds, fn in _KINDS if isinstance(obj, kinds)), None)
+        if render is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return render(obj, pad)
 
 
 def _record(obj) -> dict:
@@ -105,10 +114,7 @@ def _record(obj) -> dict:
 
 def dumps(obj) -> str:
     """Serialize to JSON text with the shared float rendering."""
-    out: list[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _emit(obj, "") + "\n"
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .economy import AgentKind, EconomyConfig, validate_config, with_param
 from .errors import ConfigError, DomainError, SolverError, ThresholdRangeError, UbiInfeasibleError
 from .planner import (EPS_C, PlannerSolution, Regime, _first_best, _rejection, _steady_point,
                       solve_steady_state, violated_side)
-from .wedges import compute_wedge_report
+from .wedges import _wedge_table
 
 _FLIP_REGIMES = (Regime.COGNITIVE_BINDS, Regime.MANUAL_BINDS)
 _SIDE = {AgentKind.COGNITIVE: Regime.COGNITIVE_BINDS, AgentKind.MANUAL: Regime.MANUAL_BINDS}
@@ -59,14 +59,17 @@ class SweepPoint:
 
 
 def _metrics(value: float, solution: PlannerSolution) -> SweepPoint:
-    report = compute_wedge_report(solution)
+    """The point's row: its four wedges read from the wedge table, whose
+    verdicts the sweep does not write."""
+    table = _wedge_table(solution)
+    cog, man = AgentKind.COGNITIVE, AgentKind.MANUAL
     return SweepPoint(
         value=value,
         regime=solution.regime.value,
-        tau_k=report.tau_k[AgentKind.COGNITIVE],
-        tau_ai=report.tau_ai[AgentKind.COGNITIVE],
-        tau_y_c=report.tau_y[AgentKind.COGNITIVE],
-        tau_y_m=report.tau_y[AgentKind.MANUAL],
+        tau_k=float(table.tau[cog, "k"][0]),
+        tau_ai=float(table.tau[cog, "ai"][0]),
+        tau_y_c=float(table.tau_y[cog][0]),
+        tau_y_m=float(table.tau_y[man][0]),
         wage_ratio=float(solution.wages_c[0] / solution.wages_m[0]),
         objective=solution.objective,
     )

@@ -33,7 +33,7 @@ import numpy as np
 
 from .economy import AgentKind
 from .errors import DomainError, OutOfHorizonError
-from .planner import PlannerSolution, Regime, _periods
+from .planner import PlannerSolution, Regime, _now_next
 from .preferences import nu_prime, u_prime
 from .production import evaluate
 
@@ -81,36 +81,41 @@ def _wedge_table(solution: PlannerSolution) -> _WedgeTable:
     a, m = solution.allocation, solution.multipliers
     prefs = solution.config.prefs
     n = a.n_periods
-    now = np.arange(max(n - 1, 1))
-    nxt = now + (n > 1)
+    # the one technology evaluation stays on arrays: a power on an array can
+    # round a last bit apart from one on a scalar
     ev = evaluate(solution.config.tech, a.eff_l_c[:n], a.eff_l_m[:n], a.k[:n], a.ai[:n])
-    fw = {"k": ev.fw_k[nxt], "ai": ev.fw_ai[nxt]}
-    x = {"k": m.x_k[nxt], "ai": m.x_ai[nxt]}
-    lam = m.lam[nxt]
-    # a steady state stays on scalars: ** on arrays can differ in the last bit
-    c = dict(zip(AgentKind, _periods(a.c_c, a.c_m)))
-    l = dict(zip(AgentKind, _periods(a.l_c, a.l_m)))
-    w = {AgentKind.COGNITIVE: solution.wages_c, AgentKind.MANUAL: solution.wages_m}
-    up = {h: np.atleast_1d(u_prime(prefs, c[h])) for h in AgentKind}
+    per_period = (a.c_c, a.c_m, a.l_c, a.l_m, solution.wages_c, solution.wages_m,
+                  ev.fw_k, ev.fw_ai, m.x_k, m.x_ai, m.lam)
+    if n == 1:
+        # a steady state's one transition on numpy scalars: the bits of
+        # 1-element arrays, without an array operation per value
+        per_period = [v[0] for v in per_period]
+    now, nxt = _now_next(n == 1)
+    c_c, c_m, l_c, l_m, w_c, w_m, fw_k, fw_ai, x_k, x_ai, lam = per_period
+    fw, x, lam = (nxt(fw_k), nxt(fw_ai)), (nxt(x_k), nxt(x_ai)), nxt(lam)
+    up = (u_prime(prefs, c_c), u_prime(prefs, c_m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau_mult = {s: -x[s] / (lam * fw[s]) for s in _STOCKS}
+        tau_mult = [-x_s / (lam * fw_s) for x_s, fw_s in zip(x, fw)]
+    values = (
+        *(intertemporal_wedge_formula(now(up_h), nxt(up_h), prefs.beta, fw_s)
+          for up_h in up for fw_s in fw),
+        *tau_mult, *fw, lam,
+        *(np.where(l_h > 0.0, intratemporal_wedge_formula(nu_prime(prefs, l_h), w_h, up_h),
+                   math.nan)
+          for l_h, w_h, up_h in zip((l_c, l_m), (w_c, w_m), up)),
+    )
+    if n == 1:
+        values = np.array(values)[:, None]  # each a 1-element array again
+    tau_k_c, tau_ai_c, tau_k_m, tau_ai_m, mult_k, mult_ai, fw_k, fw_ai, lam, tau_y_c, tau_y_m = (
+        values)
+    cog, man = AgentKind.COGNITIVE, AgentKind.MANUAL
     return _WedgeTable(
-        tau={
-            (h, s): intertemporal_wedge_formula(up[h][now], up[h][nxt], prefs.beta, fw[s])
-            for h in AgentKind
-            for s in _STOCKS
-        },
-        tau_mult=tau_mult,
-        fw=fw,
+        tau={(cog, "k"): tau_k_c, (cog, "ai"): tau_ai_c,
+             (man, "k"): tau_k_m, (man, "ai"): tau_ai_m},
+        tau_mult={"k": mult_k, "ai": mult_ai},
+        fw={"k": fw_k, "ai": fw_ai},
         lam=lam,
-        tau_y={
-            h: np.where(
-                np.asarray(l[h]) > 0.0,
-                intratemporal_wedge_formula(nu_prime(prefs, l[h]), w[h], up[h]),
-                math.nan,
-            )
-            for h in AgentKind
-        },
+        tau_y={cog: tau_y_c, man: tau_y_m},
     )
 
 

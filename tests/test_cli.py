@@ -363,6 +363,27 @@ def test_oracle_verify_refuses_a_solution_with_no_feasible_grid_point(tmp_path, 
     assert "no grid point satisfies stationary feasibility" in capsys.readouterr().err
 
 
+def test_oracle_verify_fails_a_stored_value_that_overflows_quietly(tmp_path, capsys):
+    """A stored l_c of 1e200 is in the domain but overflows the kernels.
+    It once printed numpy RuntimeWarnings from the KKT map, the preferences
+    and the oracle before exit 6, and stopped with a traceback under
+    ``-W error``; now the non-finite values fail their checks quietly, and
+    the oracle's refusal is the only line on stderr."""
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", cfg("regime_a.cfg"), "--out", str(sol)]) == 0
+    capsys.readouterr()
+    doc = json.loads(sol.read_text())
+    doc["payload"]["allocation"]["l_c"] = [1e200]
+    sol.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["oracle-verify", cfg("regime_a.cfg"), "--solution", str(sol),
+                       "--out", str(tmp_path / "oracle.json")])
+    assert rc == 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oracle error: "), err
+
+
 def test_oracle_verify_refuses_a_misshapen_solution(tmp_path, capsys):
     """An emptied multiplier once failed inside numpy, with exit 1."""
     sol = tmp_path / "sol.json"

@@ -22,7 +22,7 @@ from aitax import (
     threshold_economy,
 )
 from aitax.configio import load_config, parse_config
-from aitax.economy import TechForm
+from aitax.economy import TechForm, UtilityForm
 from aitax.errors import (
     ConfigError,
     DomainError,
@@ -791,6 +791,56 @@ def test_out_of_range_points_read_as_non_finite(name, active):
             assert not np.all(np.isfinite(r))
             non_finite += 1
     assert non_finite == 3
+
+
+def _numpy_scalar_route(config, alloc, mults) -> list:
+    """``foc_residuals``'s values for a stationary candidate, from the kernel
+    on numpy scalars."""
+    a = alloc
+    point = (np.float64(v[0]) for v in (a.c_c, a.c_m, a.l_c, a.l_m, a.k, a.ai, mults.lam))
+    rows, slack_c, slack_m, _ = planner._kkt(config, *point, mults.mu_c, mults.mu_m)
+    return [*rows, mults.mu_c * slack_c, mults.mu_m * slack_m]
+
+
+@pytest.mark.parametrize("g", [0.0, 0.05])
+@pytest.mark.parametrize("utility", ["log", "crra2"])
+@pytest.mark.parametrize("name", ["symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas"])
+def test_foc_residuals_on_floats_are_the_numpy_scalar_route(monkeypatch, name, utility, g):
+    """A stationary candidate's KKT map runs the kernel on Python floats,
+    and gives the bits the kernel gives on numpy scalars: on the five desks,
+    with log and CRRA (gamma = 2) utility and g = 0 and 0.05."""
+    config = load_config(CONFIGS / f"{name}.cfg")[0]
+    if utility == "crra2":
+        config = dataclasses.replace(config, prefs=dataclasses.replace(
+            config.prefs, u_form=UtilityForm.CRRA, gamma=2.0))
+    config = dataclasses.replace(config, g=g)
+    s = solve_steady_state(config)
+    kinds = set()
+    kkt = planner._kkt
+
+    def recorded(config, *point):
+        kinds.update(type(v) for v in point)
+        return kkt(config, *point)
+
+    monkeypatch.setattr(planner, "_kkt", recorded)
+    got = foc_residuals(config, s.allocation, s.multipliers)
+    assert kinds == {float}
+    assert {type(v) for v in got.values()} == {float}
+    want = _numpy_scalar_route(config, s.allocation, s.multipliers)
+    assert np.array(list(got.values())).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_foc_residuals_that_overflow_floats_are_the_numpy_scalar_route(regime_a_solution):
+    """At l_c = 1e200 the float kernel raises; the map then reads the
+    numpy-scalar kernel's rows, non-finite where an overflow reaches them,
+    instead of raising."""
+    s = regime_a_solution
+    alloc = dataclasses.replace(s.allocation, l_c=np.array([1e200]))
+    with np.errstate(all="ignore"):
+        got = list(foc_residuals(s.config, alloc, s.multipliers).values())
+        want = _numpy_scalar_route(s.config, alloc, s.multipliers)
+    assert not np.all(np.isfinite(got))
+    assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -21,6 +21,7 @@ from aitax import production
 from aitax.errors import DomainError
 from aitax.production import check_assumptions, evaluate, mpl_ratio_gradient
 from test_acceptance import grad_check
+import reference_verdicts
 
 COMPLEMENTS = symmetric_economy().tech
 SUBSTITUTE = threshold_economy().tech
@@ -327,6 +328,72 @@ def test_overflowing_assumption_derivatives_are_no_verdict(factor):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=rf"derivatives must be finite.* K \[{1 / factor:g}, "):
             check_assumptions(regime_a_economy().tech, factor=factor)
+
+
+DESK_TECHS = tuple(e().tech for e in (symmetric_economy, regime_a_economy, regime_b_economy,
+                                       threshold_economy, cobb_douglas_economy))
+
+
+def _report(check, *args) -> str:
+    """The report's repr, or the DomainError's message."""
+    try:
+        return repr(check(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_stacked_verdicts_are_the_per_condition_ones():
+    """The stacked pass gives the report one ``_judge`` per assumption
+    gives (``tests/reference_verdicts.py``), repr for repr: on 2,000 seeded
+    grids over the five desks' technologies, centers 10**U(-2, 2) on each
+    axis, factors from 1.5 to 1e6 and 3, 5 or 7 points."""
+    rng = np.random.default_rng(0)
+    for case in range(2000):
+        args = (DESK_TECHS[case % 5], tuple(10.0 ** rng.uniform(-2.0, 2.0, 4)),
+                (1.5, 2.0, 10.0, 1e3, 1e6)[rng.integers(5)], (3, 5, 7)[rng.integers(3)])
+        assert _report(check_assumptions, *args) == _report(reference_verdicts.check_assumptions,
+                                                            *args), args
+
+
+@pytest.mark.parametrize("args", [
+    # sigma below rho_c and rho_m: A1 and A2 fail
+    (dataclasses.replace(COMPLEMENTS, sigma_top=-1.0, rho_c=0.5, rho_m=0.8),),
+    (dataclasses.replace(SUBSTITUTE, sigma_top=-1.0, rho_c=0.5), (0.3, 0.7, 2.0, 0.5), 10.0, 7),
+    # sigma above 1, which no valid config has: A3 fails on its L_c partial
+    (dataclasses.replace(COMPLEMENTS, sigma_top=3.0), (0.3, 0.7, 2.0, 0.5), 4.0, 5),
+    (regime_a_economy().tech, (1.0, 1.0, 1.0, 1.0), 1e80),
+    (COMPLEMENTS, (1.0, 1.0, np.nan, 1.0)),
+], ids=["complements_fail", "substitute_fail", "a3_fail", "overflow", "nan_center"])
+def test_stacked_verdicts_fail_and_refuse_as_before(args):
+    """Failing verdicts, and the non-finite-grid DomainError's message, are
+    the per-condition reference's too."""
+    want = _report(reference_verdicts.check_assumptions, *args)
+    assert _report(check_assumptions, *args) == want
+    assert "verdict='fail'" in want or want.startswith("DomainError: ratio derivatives")
+
+
+# partials at and around the strictness margin: a margin just beyond, at
+# and within TOL_STRICT on either side
+_EDGES = (-1e-7, -2e-8, -1e-8, -5e-9, -0.0, 0.0, 5e-9, 1e-8, 2e-8, 1e-7)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.integers(0, 4 * 3**4 - 1), st.sampled_from(_EDGES), max_size=6))
+def test_stacked_verdicts_on_partials_at_the_margin(edges):
+    """On a 3-point grid whose four partials all have the required sign,
+    margin 1, except at a few entries drawn at the strictness margin, the
+    stacked pass gives the per-condition reference's report: the margins
+    tie across the grid and across A3's two conditions, and straddle
+    -TOL_STRICT and TOL_STRICT."""
+    partials = np.repeat([-1.0, 1.0, 1.0, -1.0], 3**4)  # each partial's required sign
+    for at, value in edges.items():
+        partials[at] = value
+    fake = lambda tech, ev, *mesh: tuple(partials.reshape(4, 3, 3, 3, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(production, "mpl_ratio_gradient", fake)
+        mp.setattr(reference_verdicts, "mpl_ratio_gradient", fake)
+        assert repr(check_assumptions(COMPLEMENTS, points=3)) == repr(
+            reference_verdicts.check_assumptions(COMPLEMENTS, points=3))
 
 
 def test_grid4_validation(monkeypatch):

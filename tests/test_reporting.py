@@ -1,4 +1,5 @@
 import csv
+import enum
 import json
 import math
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aitax import compute_wedge_report, foc_residuals
-from aitax.economy import AgentKind
+import reference_emitter
+from aitax import Regime, compute_wedge_report, foc_residuals
+from aitax.economy import AgentKind, TechForm
 from aitax.errors import ConfigError
 from aitax.reporting import (
     RunManifest,
@@ -21,6 +23,48 @@ from aitax.reporting import (
     write_manifest_sidecar,
     write_solution_csv,
 )
+
+class _Level(enum.Enum):
+    """An enum that is no str: it renders as json.dumps of its value."""
+
+    LOW = 1
+    HALF = 0.5
+    PAIR = (1, "two")
+
+
+_TEXT = st.text(st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", " ",
+                                 "\u00e9", "\u2028", "\u4e2d", "\U0001f600"]), max_size=6)
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+                    st.floats())
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+    _FLOATS.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), _FLOATS.map(np.array),
+    st.sampled_from([*Regime, *AgentKind, *TechForm, *_Level]),
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(_FLOATS, min_size=1, max_size=3).map(lambda v: np.array([v, v[::-1]])),
+)
+_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_TEXT, st.integers(), st.sampled_from([*Regime, *_Level])), inner,
+                    max_size=4),
+), max_leaves=12)
+
+
+def _text_or_error(dump, payload) -> str:
+    try:
+        return dump(payload)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+@given(_PAYLOADS)
+def test_emitter_keeps_the_reference_bytes(payload):
+    """``dumps`` gives the recursive reference emitter's text
+    (``tests/reference_emitter.py``) byte for byte, or its TypeError (a
+    numpy bool, say), on nested payloads of every kind a document holds."""
+    assert _text_or_error(dumps, payload) == _text_or_error(reference_emitter.dumps, payload)
+
 
 MANIFEST = RunManifest(
     config_digest="sha256:0000", subcommand="solve", parameters={"mode": "steady_state"},
