@@ -15,7 +15,11 @@ Solution method: active-set Newton.  Solve without constraints; if an
 incentive constraint is violated impose it as an equality with its
 multiplier as an unknown, and accept the first regime that converges with
 an admissible multiplier and a slack other constraint.  Regimes are tried
-most-violated first, then the other single constraint, then both.
+most-violated first, then the other single constraint, then both.  A warm
+start whose multipliers bind exactly one constraint, such as a sweep's
+previous point, predicts its regime: that regime is solved first, from
+that start alone, and accepted when admissible, with no first best; when
+it fails the solve takes the path above.
 
 One KKT kernel (``_kkt``) writes each first-order condition once, for the
 steady state and the finite-horizon path alike: a steady state is the path
@@ -48,8 +52,8 @@ stocks refuses the economy, naming where it stopped.  A converged vector
 is judged from its multipliers and lifetime slacks (the kept pass); only
 the attempt a solver returns is built into a PlannerSolution with its
 assumption report, KKT residuals and objective, and a steady state's keeps
-the point of the first best it was judged from.  All solves are
-deterministic: no randomness.
+the point of the first best it was judged from, when it solved one.  All
+solves are deterministic: no randomness.
 """
 
 from __future__ import annotations
@@ -158,7 +162,8 @@ class PlannerSolution:
     warnings: tuple[str, ...] = ()
     # the stationary point (c_c, ..., lam, mu_c, mu_m) of the first best a
     # steady state was judged from, kept in memory to start a neighbor's
-    # first best; never serialized, and None for a path
+    # first best; never serialized, and None for a path and for a steady
+    # state solved in the regime its warm start predicted
     first_best: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -774,7 +779,7 @@ def _base_start(base: np.ndarray, config: EconomyConfig, active: tuple) -> np.nd
 def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> PlannerSolution:
     """Solution for an admissible attempt: allocation, KKT residuals,
     objective and assumption report; a steady state keeps the point of its
-    first best ``fb``."""
+    first best ``fb``, when it solved one."""
     c_c, c_m, l_c, l_m, k, ai, lam, _, _ = att.point
     mu_c, mu_m, ch, layout = att.mu_c, att.mu_m, att.chain, att.layout
     n = layout.n
@@ -859,11 +864,16 @@ def _solve_steady(config: EconomyConfig, active: tuple,
     layout = _Layout(active)
 
     def starts():
-        if warm is not None and (isinstance(warm, tuple) or warm.stationary):
+        if _repeatable(warm):
             yield layout.start(warm)
         yield _base_start(_cold_start(config) if base is None else base, config, active)
 
     return _newton(config, layout, starts())
+
+
+def _repeatable(warm: Start | None) -> bool:
+    """Whether ``warm`` is a stationary point a steady state can start from."""
+    return warm is not None and (isinstance(warm, tuple) or warm.stationary)
 
 
 def _first_best(config: EconomyConfig, *, warm: Start | None = None) -> _Attempt:
@@ -903,17 +913,40 @@ def solve_steady_state(config: EconomyConfig, *, warm: Start | None = None,
     ``warm`` starts every regime's Newton: a solved steady state (a
     PlannerSolution or a first-best attempt) or a bare stationary point
     (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m), such as one predicted
-    from neighboring solutions.  ``warm_first_best``, when given, starts
-    the first best instead.  Only the returned attempt is built into a
-    solution, which keeps its first best's point.
+    from neighboring solutions.  When its multipliers bind exactly one
+    constraint, that regime is solved first, from ``warm`` alone, and
+    returned when admissible; the solution then has no first best.
+    Otherwise the first best is solved, started from ``warm_first_best``
+    when given, and then the ladder.  Only the returned attempt is built
+    into a solution, which keeps its first best's point, if any.
     """
     return _build(config, *_steady_attempt(config, warm, warm_first_best))
 
 
 def _steady_attempt(config: EconomyConfig, warm: Start | None,
-                    warm_first_best: Start | None) -> tuple[_Attempt, _Attempt]:
-    """The steady state's admissible attempt and its first best's, unbuilt:
-    ``solve_steady_state`` without the solution."""
+                    warm_first_best: Start | None) -> tuple[_Attempt, _Attempt | None]:
+    """The steady state's admissible attempt and its first best's (None
+    when it solved none), unbuilt: ``solve_steady_state`` without the
+    solution.
+
+    A stationary warm start with exactly one binding constraint predicts
+    its regime: the config is validated, as the first best would, and that
+    regime is solved from that start alone and returned when admissible.
+    When it does not converge or is inadmissible, and without such a
+    start, the first best is solved and then the ladder.
+    """
+    if _repeatable(warm):
+        active = _BINDING[_regime(*_steady_point(warm)[7:])]
+        if len(active) == 1:
+            require_valid(config)
+            layout = _Layout(active)
+            try:
+                att = _newton(config, layout, [layout.start(warm)])
+            except SolverError:
+                pass
+            else:
+                if _rejection(att, active) is None:
+                    return att, None
     fb = _first_best(config, warm=warm if warm_first_best is None else warm_first_best)
     reason = _rejection(fb, ())
     if reason is None:

@@ -3,15 +3,18 @@
 A sweep re-solves the stationary planner problem along a grid of one
 technology or productivity parameter as natural-parameter continuation:
 each solve starts from a prediction, a secant in the parameter through the
-two solved grid points before it, taken for the first best and for the
-constrained solution apart.  Where fewer than two consecutive points
-solved (at the start, and after a failure) a solve starts from the last
-solution, or cold before the first.  Individual failures are recorded on
-the affected grid point rather than aborting the sweep.
-``find_threshold`` then brackets the parameter value where the binding
-incentive constraint flips from the cognitive type to the manual type (or
-back).  It bisects on which constraint the first best violates, a sign
-change at equal first-best earnings, starting each probe between the
+two solved grid points before it.  A start in one binding regime predicts
+the point's regime too (a predicted active set), which is solved first,
+without a first best; only a point whose prediction fails solves its first
+best and the regime ladder, its first best started from a secant through
+the two points' first bests when both solved one.  Where fewer than two
+consecutive points solved (at the start, and after a failure) a solve
+starts from the last solution, or cold before the first.  Individual
+failures are recorded on the affected grid point rather than aborting the
+sweep.  ``find_threshold`` then brackets the parameter value where the
+binding incentive constraint flips from the cognitive type to the manual
+type (or back).  It bisects on which constraint the first best violates, a
+sign change at equal first-best earnings, starting each probe between the
 bracket ends' first bests, and solves the constrained problem only at the
 bracket's ends.
 
@@ -156,10 +159,11 @@ def _secant(run: list[tuple[float, PlannerSolution]], v: float) -> dict:
 
     Natural-parameter continuation (Allgower & Georg, ch. 2): a secant in the
     parameter itself extends each stationary point (c_c, ..., lam, mu_c, mu_m)
-    linearly to ``v``, the first best's and the solution's apart.  Across a
-    regime change the solution's incentive multipliers mu_c and mu_m are not
-    extrapolated: the last point's are kept.  The prediction makes no
-    residual call.
+    linearly to ``v``, the solution's as ``warm`` and, when both points kept
+    one, the first best's as ``warm_first_best``.  Across a regime change the
+    solution's incentive multipliers mu_c and mu_m are not extrapolated: the
+    last point's are kept, and so is the regime they predict.  The prediction
+    makes no residual call.
     """
     (v0, s0), (v1, s1) = run
     step = (v - v1) / (v1 - v0)
@@ -168,6 +172,8 @@ def _secant(run: list[tuple[float, PlannerSolution]], v: float) -> dict:
     point = extend(p0, p1)
     if s0.regime is not s1.regime:
         point = point[:7] + p1[7:]
+    if s0.first_best is None or s1.first_best is None:
+        return {"warm": point}
     return {"warm": point, "warm_first_best": extend(s0.first_best, s1.first_best)}
 
 
@@ -210,12 +216,13 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
     each one takes.  ``warm``, a pair of solved steady states at ``lo`` and
     ``hi`` (a sweep's solutions on either side of its flip), starts each
     end's first best at the first best that solution kept, which costs one
-    residual call; without it the first best at ``lo`` starts cold and the
-    one at ``hi`` from it.  Both ends' first bests must violate a
-    constraint, on different sides, otherwise ThresholdRangeError.  The
-    final ends are then solved with their constraints, which gives the
-    reported solutions and regimes; an end so close to the flip that its
-    multiplier is below TOL_ICC reports none_bind.
+    residual call, or at the solution itself when it kept none; without
+    ``warm`` the first best at ``lo`` starts cold and the one at ``hi``
+    from it.  Both ends' first bests must violate a constraint, on
+    different sides, otherwise ThresholdRangeError.  The final ends are
+    then solved with their constraints, which gives the reported
+    solutions and regimes; an end so close to the flip that its multiplier
+    is below TOL_ICC reports none_bind.
 
     ``converged`` is False, with the bracket reached so far, when a probe's
     first best raises SolverError (recorded in ``anomalies``) or when the
@@ -231,9 +238,9 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
         raise DomainError("bisection endpoints must differ")
 
     fb_lo = _first_best(with_param(config, param, lo),
-                        warm=None if warm_lo is None else warm_lo.first_best)
+                        warm=None if warm_lo is None else _first_best_start(warm_lo))
     fb_hi = _first_best(with_param(config, param, hi),
-                        warm=fb_lo if warm_hi is None else warm_hi.first_best)
+                        warm=fb_lo if warm_hi is None else _first_best_start(warm_hi))
     side_lo, side_hi = (
         _SIDE[violated_side(fb)] if _rejection(fb, ()) is not None else Regime.NONE_BIND
         for fb in (fb_lo, fb_hi)
@@ -275,6 +282,11 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
         trace=tuple(trace), anomalies=tuple(anomalies),
         lo_solution=sol_lo, hi_solution=sol_hi,
     )
+
+
+def _first_best_start(solution: PlannerSolution):
+    """Where a solved end's first best starts: the first best it kept, else itself."""
+    return solution if solution.first_best is None else solution.first_best
 
 
 def apply_ubi(config: EconomyConfig, ubi: float) -> PlannerSolution:

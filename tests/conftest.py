@@ -29,7 +29,7 @@ def unsolved_end_economy() -> str:
     """Config text of a drawn threshold-preset economy (bench/fuzz.py, seed
     0, draw 3) with no interior steady state: holding AI does not pay, so
     its capital presolve walks AI down to the stock floor, and its z_c
-    sweep on [0.5, 4] solves only its three lowest points."""
+    sweep on [0.5, 4] solves only its five lowest points."""
     return """
 agents.cognitive.pi = 0.2634941473047342
 agents.cognitive.z = 2.1189470642771253

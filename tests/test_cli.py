@@ -270,7 +270,7 @@ def test_sweep_threshold_with_an_unsolved_end_is_no_flip(tmp_path, capsys, unsol
     err = capsys.readouterr().err
     assert "threshold error" in err and "range end z_c=4.0 did not solve" in err
     with open(out) as fh:
-        assert sum(row["error"] != "" for row in csv.DictReader(fh)) == 22
+        assert sum(row["error"] != "" for row in csv.DictReader(fh)) == 20
 
 
 def test_oracle_verify_fresh_solve(tmp_path):

@@ -183,6 +183,44 @@ def test_invalid_config_rejected():
         solve_steady_state(bad)
 
 
+def test_a_warm_start_in_one_regime_still_validates_the_config(regime_a_solution):
+    """A warm start with one binding constraint is solved in that regime
+    without a first best, whose solve validates the config elsewhere, so
+    this path validates it itself.  Shares summing to 1 + 1e-6 leave the
+    warm regime solvable and admissible: only the check refuses them."""
+    cfg = regime_a_economy()
+    cognitive = dataclasses.replace(cfg.cognitive, pi=cfg.cognitive.pi + 1e-6)
+    bad = dataclasses.replace(cfg, cognitive=cognitive)
+    assert regime_a_solution.regime is Regime.COGNITIVE_BINDS
+    with pytest.raises(ConfigError, match="population shares must sum to 1"):
+        solve_steady_state(bad, warm=regime_a_solution)
+
+
+@pytest.mark.parametrize("a_ai, why", [(10.0, "did not converge from 1 start"),
+                                        (0.2, "converged but inadmissible (mu=(-")],
+                         ids=["newton_fails", "inadmissible"])
+def test_a_warm_start_on_the_wrong_side_falls_back_to_the_ladder(a_ai, why):
+    """Warm from the cognitive solution at a_AI = 0.1, a manual-side
+    economy gets its predicted regime tried first, from that start alone.
+    At a_AI = 10 Newton does not converge there; at 0.2 it converges with
+    mu_c < 0.  Either way the first best and the ladder give the cold
+    solve's regime."""
+    cfg = threshold_economy()
+    lo = solve_steady_state(dataclasses.replace(cfg, tech=dataclasses.replace(cfg.tech, a_ai=0.1)))
+    hi = dataclasses.replace(cfg, tech=dataclasses.replace(cfg.tech, a_ai=a_ai))
+    assert lo.regime is Regime.COGNITIVE_BINDS
+    layout = planner._Layout((AgentKind.COGNITIVE,))
+    try:
+        why_not = planner._rejection(planner._newton(hi, layout, [layout.start(lo)]), layout.active)
+    except SolverError as exc:
+        why_not = str(exc)
+    assert why in why_not
+    warm, cold = solve_steady_state(hi, warm=lo), solve_steady_state(hi)
+    assert warm.regime is cold.regime is Regime.MANUAL_BINDS
+    assert warm.first_best is not None  # the fallback solved the first best
+    assert warm.foc_residual <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # finite horizon
 # ---------------------------------------------------------------------------

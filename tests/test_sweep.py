@@ -18,9 +18,10 @@ from aitax.errors import (
     ThresholdRangeError,
     UbiInfeasibleError,
 )
-from aitax.planner import Regime
+from aitax.planner import TOL_ICC, Regime
 from aitax.sweep import SweepResult, _failure, _metrics
 from aitax.wedges import compute_wedge_report
+from second_order import reduced_hessian_eigenvalues
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -113,11 +114,12 @@ def test_find_threshold_stops_at_adjacent_floats():
 
 # exact residual evaluations of the bundled threshold run's sweep, and of a
 # cold search over its whole range (the CLI's fallback when there is no single
-# flip), and their Newton iterations; forward-difference Jacobians took 1,444
-# and 702 evaluations in the same iterations
-SWEEP_EVALS = 219
+# flip), and their Newton iterations.  Each sweep point solved its first best
+# before its regime in 219 evaluations and 167 iterations, with forward-
+# difference Jacobians in 1,444; the cold search took 702 with them.
+SWEEP_EVALS = 124
 THRESHOLD_EVALS = 119
-SWEEP_ITERATIONS = 167
+SWEEP_ITERATIONS = 95
 THRESHOLD_ITERATIONS = 86
 
 
@@ -125,7 +127,8 @@ def test_residual_evaluations_of_the_threshold_run(count_evals):
     """The sweep of ``aitax sweep configs/threshold.cfg --param a_AI --lo 0.1
     --hi 10 --points 25 --log --threshold`` and a cold search over [0.1, 10],
     counted exactly.  Warm solves build no cold start, predicted starts take
-    no residual call of their own, and bisection probes solve only the
+    no residual call of their own, a point warm in one binding regime solves
+    that regime without a first best, and bisection probes solve only the
     first best."""
     grid = np.geomspace(0.1, 10.0, 25)
     assert count_evals(lambda: sweep(threshold_economy(), "a_AI", grid)) == SWEEP_EVALS
@@ -140,10 +143,10 @@ THRESHOLD_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "10", "--points", "25
 # its exact residual evaluations, the sweep's and then those of bisecting the
 # sweep's own bracket, one point per call and one call per line-search trial
 # (every Jacobian is exact and costs none); and their Newton iterations.
-# Forward-difference Jacobians took 1,606 evaluations in 433 calls, in the
-# same 185 iterations.
-THRESHOLD_RUN_EVALS = 248
-THRESHOLD_RUN_ITERATIONS = 185
+# With a first best at every sweep point the run took 248 evaluations in 185
+# iterations, and forward-difference Jacobians 1,606 in 433 calls.
+THRESHOLD_RUN_EVALS = 156
+THRESHOLD_RUN_ITERATIONS = 116
 # the bracket the bundled run writes, and the trace of sides that led to it
 THRESHOLD_RUN_BRACKET = (0.15260142943252294, 0.1535716798775756)
 THRESHOLD_RUN_TRACE = [
@@ -280,8 +283,12 @@ def test_a_failed_point_restarts_the_secant(monkeypatch):
     s = res.solutions
     assert starts[0] == {"warm": None} and starts[1] == {"warm": s[0]}
     assert starts[4] == {"warm": s[2]} and starts[5] == {"warm": s[4]}
-    for kw in (starts[2], starts[3], starts[6]):
-        assert set(kw) == {"warm", "warm_first_best"}
+    # a cold point keeps its first best; one warm in its regime has none
+    assert s[0].first_best is not None and s[1].first_best is None
+    for kw, pair in zip((starts[2], starts[3], starts[6]), ((0, 1), (1, 2), (4, 5))):
+        # the secant predicts a first best only from two points that have one
+        both = all(s[i].first_best is not None for i in pair)
+        assert set(kw) == ({"warm", "warm_first_best"} if both else {"warm"})
         assert all(isinstance(v, tuple) and len(v) == 9 for v in kw.values())
 
 
@@ -295,6 +302,72 @@ def test_prediction_keeps_the_flip_on_a_linear_grid():
                         warm=res.solutions[:2])
     assert th.converged
     assert (th.lo_regime, th.hi_regime) == (Regime.COGNITIVE_BINDS, Regime.MANUAL_BINDS)
+
+
+# a sweep point and a cold solve of its economy both stop at a KKT residual
+# of TOL_NEWTON = 1e-10, from different starts; their allocations differ by
+# that tolerance's start dependence, at most 1.1e-10 relative on the log grid
+# below and 1.8e-9 on the linear one, with or without a first best per point
+COLD_REL = 1e-8
+ALLOCATION = ("c_c", "c_m", "l_c", "l_m", "k", "ai")
+
+
+@pytest.mark.parametrize("grid, first_bests", [(np.geomspace(0.1, 10.0, 25), 2),
+                                               (np.linspace(0.1, 1.0, 7), 3)],
+                         ids=["log_25", "linear_7"])
+def test_a_sweep_point_is_the_cold_answer(grid, first_bests):
+    """Points solved in their predicted regime, without a first best, are
+    what a cold solve of the same economy finds: the same regime, a KKT
+    residual within tolerance, the allocation within COLD_REL.  Only the
+    first point and those whose prediction fails solve a first best: the
+    flip, and on the linear grid the point predicted across it."""
+    res = sweep(threshold_economy(), "a_AI", grid)
+    assert sum(s.first_best is not None for s in res.solutions) == first_bests
+    for v, got in zip(grid, res.solutions):
+        cold = solve_steady_state(with_param(threshold_economy(), "a_AI", v))
+        assert got.regime is cold.regime, v
+        assert got.foc_residual <= 1e-10, v
+        for name in ALLOCATION:
+            a, b = getattr(got.allocation, name), getattr(cold.allocation, name)
+            assert np.all(np.abs(a - b) <= COLD_REL * np.abs(b)), (v, name, a, b)
+
+
+# the z_c grid of ``unsolved_end_economy``'s sweep on [0.5, 4], and its two
+# points that a first best cannot reach and the cognitive regime, predicted
+# from the points before, solves
+Z_C_GRID = np.geomspace(0.5, 4.0, 25)
+NEWLY_SOLVED = (0.64841977732550482, 0.70710678118654757)
+
+
+@pytest.fixture(scope="module")
+def z_c_sweep(unsolved_end_economy):
+    return sweep(parse_config(unsolved_end_economy), "z_c", Z_C_GRID)
+
+
+def test_the_z_c_sweep_solves_its_five_lowest_points(z_c_sweep, unsolved_end_economy):
+    """The five lowest points solve, all cognitive_binds; cold solves of the
+    fourth and fifth refuse, as the sweep did when each point solved its
+    first best first."""
+    assert [p.ok for p in z_c_sweep.points] == [True] * 5 + [False] * 20
+    assert {p.regime for p in z_c_sweep.points[:5]} == {"cognitive_binds"}
+    assert z_c_sweep.values[3:5] == NEWLY_SOLVED
+    for v in NEWLY_SOLVED:
+        with pytest.raises(SolverError):
+            solve_steady_state(with_param(parse_config(unsolved_end_economy), "z_c", v))
+
+
+@pytest.mark.parametrize("value", NEWLY_SOLVED)
+def test_a_newly_solved_point_is_a_strict_local_maximum(z_c_sweep, value):
+    """A KKT point with admissible multipliers, whose Lagrangian Hessian is
+    symmetric and negative definite on the constraints' null space
+    (``tests/second_order.py``): a strict local maximum, not a saddle.  Its
+    largest reduced eigenvalue reads about -0.24 and -0.23."""
+    s = z_c_sweep.solutions[z_c_sweep.values.index(value)]
+    assert s.regime is Regime.COGNITIVE_BINDS and s.foc_residual <= 1e-10
+    assert s.multipliers.mu_c > 0.0 and s.multipliers.mu_m == 0.0 and s.slack_m >= -TOL_ICC
+    eigenvalues, asymmetry = reduced_hessian_eigenvalues(s)
+    assert asymmetry <= 1e-9
+    assert eigenvalues[-1] < -1e-3 * np.max(np.abs(eigenvalues))
 
 
 def test_without_a_single_flip_the_search_runs_cold(tmp_path, monkeypatch, cold_bracket):
