@@ -16,10 +16,11 @@ incentive constraint is violated impose it as an equality with its
 multiplier as an unknown, and accept the first regime that converges with
 an admissible multiplier and a slack other constraint.  Regimes are tried
 most-violated first, then the other single constraint, then both.  A warm
-start whose multipliers bind exactly one constraint, such as a sweep's
-previous point, predicts its regime: that regime is solved first, from
-that start alone, and accepted when admissible, with no first best; when
-it fails the solve takes the path above.
+start is one stationary point; when its multipliers bind exactly one
+constraint, as a sweep's previous point's do, it predicts its regime, the
+ladder's first rung: solved from that point alone, before any first best,
+and accepted when admissible.  When it fails the first best and the
+regimes above follow, and no regime runs the same Newton twice.
 
 One KKT kernel (``_kkt``) writes each first-order condition once, for the
 steady state and the finite-horizon path alike: a steady state is the path
@@ -44,11 +45,11 @@ floats, which give the bits of numpy scalars; where float arithmetic
 raises, ``foc_residuals`` runs again on numpy scalars, which give inf or
 nan there.
 
-A regime's steady state gets at most two Newton starts, a warm one (a
-solution, an attempt or a bare predicted point) and then one base start
-(the first best's vector, or a cold start from a capital presolve), and
-fails fast when neither converges; a presolve that finds no interior
-stocks refuses the economy, naming where it stopped.  A converged vector
+A regime's steady state gets at most two Newton starts, the warm point and
+then one base start (the first best's vector, or for the first best a cold
+start from a capital presolve), and fails fast when neither converges; a
+presolve that finds no interior stocks refuses the economy, naming where
+it stopped.  A converged vector
 is judged from its multipliers and lifetime slacks (the kept pass); only
 the attempt a solver returns is built into a PlannerSolution with its
 assumption report, KKT residuals and objective, and a steady state's keeps
@@ -161,9 +162,9 @@ class PlannerSolution:
     assumptions: AssumptionReport
     warnings: tuple[str, ...] = ()
     # the stationary point (c_c, ..., lam, mu_c, mu_m) of the first best a
-    # steady state was judged from, kept in memory to start a neighbor's
-    # first best; never serialized, and None for a path and for a steady
-    # state solved in the regime its warm start predicted
+    # steady state was judged from, kept in memory to start a bisection
+    # end's first best; never serialized, and None for a path and for a
+    # steady state solved in the regime its warm start predicted
     first_best: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -403,14 +404,14 @@ class _Layout:
     def lower(self) -> np.ndarray:
         return np.concatenate([np.repeat(_LOWER, self.sizes), np.full(len(self.active), -np.inf)])
 
-    def start(self, warm: Start) -> np.ndarray:
-        """Start vector repeating a stationary point: a steady state's
-        PlannerSolution or ``_Attempt``, or a bare (predicted) point.
+    def start(self, point: tuple) -> np.ndarray:
+        """Start vector repeating a stationary point (c_c, c_m, l_c, l_m, k,
+        ai, lam, mu_c, mu_m).
 
         An active constraint's multiplier is carried over when positive and
         otherwise seeded with a small positive guess.
         """
-        c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = _steady_point(warm)
+        c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m = point
         head = tuple(float(v) for v in (c_c, c_m, l_c, l_m, k, ai, lam))
         stored = {AgentKind.COGNITIVE: mu_c, AgentKind.MANUAL: mu_m}
         mus = [stored[kind] if stored[kind] > 0.0 else _MU_INIT_FRACTION * 0.5
@@ -426,7 +427,8 @@ class _Attempt:
     mu_c, mu_m), Python floats for a steady state, and ``chain`` its chain
     terms; the slacks are lifetime values.  All of it comes from the pass
     the residual made at the vector (``_LastPass``).  That is all
-    admissibility, ``violated_side`` and a warm start read; ``_build``
+    admissibility and ``violated_side`` read, and ``point`` is what a warm
+    start repeats; ``_build``
     turns the one attempt a solver returns into a solution.
     """
 
@@ -478,17 +480,14 @@ def _judge(config: EconomyConfig, layout: _Layout, x: np.ndarray,
                     slack_c=_lifetime(beta, flow_c), slack_m=_lifetime(beta, flow_m))
 
 
-# a warm start: a solution, an attempt, or a bare stationary point
-# (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m), such as a predicted one
-Start = PlannerSolution | _Attempt | tuple
-
-
-def _steady_point(warm: Start) -> tuple:
-    """The stationary candidate (c_c, ..., lam, mu_c, mu_m) a warm start repeats."""
-    if isinstance(warm, tuple):
+def _steady_point(warm: PlannerSolution | tuple | None) -> tuple | None:
+    """The stationary point (c_c, ..., lam, mu_c, mu_m) a public warm start
+    repeats: a steady state's, or the point itself; None for none and for a
+    path, which no steady state repeats."""
+    if warm is None or isinstance(warm, tuple):
         return warm
-    if isinstance(warm, _Attempt):
-        return warm.point
+    if not warm.stationary:
+        return None
     a, m = warm.allocation, warm.multipliers
     return (a.c_c[0], a.c_m[0], a.l_c[0], a.l_m[0], a.k[0], a.ai[0], m.lam[0], m.mu_c, m.mu_m)
 
@@ -837,8 +836,10 @@ def _rejection(att: _Attempt, active: tuple) -> str | None:
             f"(mu=({att.mu_c:.3e}, {att.mu_m:.3e}), slacks=({att.slack_c:.3e}, {att.slack_m:.3e}))")
 
 
-def _first_admissible(ladder: list, solve, failures: list) -> _Attempt:
-    """Solve each active set of ``ladder`` in turn; return the first admissible attempt."""
+def _first_admissible(ladder, solve) -> _Attempt:
+    """Solve each active set of ``ladder`` in turn; return the first
+    admissible attempt, else raise NoRegimeFoundError naming each failure."""
+    failures = []
     for active in ladder:
         try:
             att = solve(active)
@@ -852,34 +853,29 @@ def _first_admissible(ladder: list, solve, failures: list) -> _Attempt:
     raise NoRegimeFoundError("; ".join(failures))
 
 
-def _solve_steady(config: EconomyConfig, active: tuple,
-                  warm: Start | None, base: np.ndarray | None) -> _Attempt:
-    """Steady-state attempt with ``active`` imposed.
+def _solve_steady(config: EconomyConfig, active: tuple, warm: tuple | None, base) -> _Attempt:
+    """Steady-state attempt with ``active`` imposed, from the point ``warm``
+    and then from the vector ``base()``, each when given.
 
-    At most two starts: the warm start (when stationary), then one start
-    from ``base``, or from a cold start when there is none.  The cold start
-    (a capital presolve) is only built when the warm start fails, and it
-    raises NoInteriorSolutionError when the presolve finds no stocks.
+    ``base`` is only called when the warm start fails: a first best's is a
+    cold start (a capital presolve), which raises NoInteriorSolutionError
+    when the presolve finds no stocks.
     """
     layout = _Layout(active)
 
     def starts():
-        if _repeatable(warm):
+        if warm is not None:
             yield layout.start(warm)
-        yield _base_start(_cold_start(config) if base is None else base, config, active)
+        if base is not None:
+            yield _base_start(base(), config, active)
 
     return _newton(config, layout, starts())
 
 
-def _repeatable(warm: Start | None) -> bool:
-    """Whether ``warm`` is a stationary point a steady state can start from."""
-    return warm is not None and (isinstance(warm, tuple) or warm.stationary)
-
-
-def _first_best(config: EconomyConfig, *, warm: Start | None = None) -> _Attempt:
+def _first_best(config: EconomyConfig, *, warm: tuple | None = None) -> _Attempt:
     """The first best's attempt, unbuilt: ``first_best`` without the solution."""
     require_valid(config)
-    return _solve_steady(config, (), warm, None)
+    return _solve_steady(config, (), warm, lambda: _cold_start(config))
 
 
 def first_best(config: EconomyConfig, *, warm: PlannerSolution | None = None) -> PlannerSolution:
@@ -889,7 +885,7 @@ def first_best(config: EconomyConfig, *, warm: PlannerSolution | None = None) ->
     slacks report whether that optimum is incentive-compatible;
     negative slack means the corresponding constraint would bind.
     """
-    fb = _first_best(config, warm=warm)
+    fb = _first_best(config, warm=_steady_point(warm))
     return _build(config, fb, fb)
 
 
@@ -906,57 +902,56 @@ def violated_side(fb: PlannerSolution | _Attempt) -> AgentKind:
     return AgentKind.COGNITIVE if fb.slack_c <= fb.slack_m else AgentKind.MANUAL
 
 
-def solve_steady_state(config: EconomyConfig, *, warm: Start | None = None,
-                       warm_first_best: Start | None = None) -> PlannerSolution:
+def solve_steady_state(config: EconomyConfig, *,
+                       warm: PlannerSolution | tuple | None = None) -> PlannerSolution:
     """Stationary constrained-efficient allocation via active-set Newton.
 
-    ``warm`` starts every regime's Newton: a solved steady state (a
-    PlannerSolution or a first-best attempt) or a bare stationary point
-    (c_c, c_m, l_c, l_m, k, ai, lam, mu_c, mu_m), such as one predicted
-    from neighboring solutions.  When its multipliers bind exactly one
-    constraint, that regime is solved first, from ``warm`` alone, and
-    returned when admissible; the solution then has no first best.
-    Otherwise the first best is solved, started from ``warm_first_best``
-    when given, and then the ladder.  Only the returned attempt is built
-    into a solution, which keeps its first best's point, if any.
+    ``warm`` is a solved steady state or a bare stationary point (c_c, c_m,
+    l_c, l_m, k, ai, lam, mu_c, mu_m), such as one predicted from
+    neighboring solutions; a path solution is ignored.  It becomes one
+    point here (``_steady_point``), which starts each regime's Newton
+    (``_steady_attempt``).  Only the returned attempt is built into a
+    solution, which keeps its first best's point, if it solved one.
     """
-    return _build(config, *_steady_attempt(config, warm, warm_first_best))
+    return _build(config, *_steady_attempt(config, _steady_point(warm)))
 
 
-def _steady_attempt(config: EconomyConfig, warm: Start | None,
-                    warm_first_best: Start | None) -> tuple[_Attempt, _Attempt | None]:
+def _steady_attempt(config: EconomyConfig, warm: tuple | None) -> tuple[_Attempt, _Attempt | None]:
     """The steady state's admissible attempt and its first best's (None
     when it solved none), unbuilt: ``solve_steady_state`` without the
     solution.
 
-    A stationary warm start with exactly one binding constraint predicts
-    its regime: the config is validated, as the first best would, and that
-    regime is solved from that start alone and returned when admissible.
-    When it does not converge or is inadmissible, and without such a
-    start, the first best is solved and then the ladder.
+    The config is validated, then one ladder is climbed: the regime a warm
+    point binding exactly one constraint predicts, from that point alone;
+    the first best, from the warm point and then cold (its failure is the
+    solve's, as it orders the rest); then its most-violated side, the
+    other and both, each from the warm point and then the first best's
+    vector, but the predicted regime from that vector alone.
     """
-    if _repeatable(warm):
-        active = _BINDING[_regime(*_steady_point(warm)[7:])]
-        if len(active) == 1:
-            require_valid(config)
-            layout = _Layout(active)
-            try:
-                att = _newton(config, layout, [layout.start(warm)])
-            except SolverError:
-                pass
-            else:
-                if _rejection(att, active) is None:
-                    return att, None
-    fb = _first_best(config, warm=warm if warm_first_best is None else warm_first_best)
-    reason = _rejection(fb, ())
-    if reason is None:
-        return fb, fb
+    require_valid(config)
+    binding = () if warm is None else _BINDING[_regime(*warm[7:])]
+    predicted = binding if len(binding) == 1 else None
+    fb = None
 
-    first = violated_side(fb)
-    ladder = [(first,), (first.other,), _BINDING[Regime.BOTH_BIND]]
-    return _first_admissible(
-        ladder, lambda active: _solve_steady(config, active, warm, fb.x), [reason]
-    ), fb
+    def ladder():
+        nonlocal fb
+        if predicted:
+            yield predicted
+        fb = _solve_steady(config, (), warm, lambda: _cold_start(config))
+        yield ()
+        first = violated_side(fb)
+        yield from ((first,), (first.other,), _BINDING[Regime.BOTH_BIND])
+
+    def solve(active: tuple) -> _Attempt:
+        if fb is None:  # the predicted rung
+            return _solve_steady(config, active, warm, None)
+        if not active:
+            return fb
+        return _solve_steady(config, active, None if active == predicted else warm,
+                             lambda: fb.x)
+
+    att = _first_admissible(ladder(), solve)
+    return att, fb
 
 
 # ---------------------------------------------------------------------------
@@ -1025,7 +1020,7 @@ def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
         raise ConfigError("finite horizon requires strictly positive initial stocks k0, ai0")
     n = config.horizon + 1
 
-    ss, _ = _steady_attempt(replace(config, mode=SolveMode.STEADY_STATE, horizon=None), None, None)
+    ss, _ = _steady_attempt(replace(config, mode=SolveMode.STEADY_STATE, horizon=None), None)
     k, ai = ss.point[4:6]
     ends = (config.k0, config.ai0, k, ai)
     # the steady state's regime first, then the others in a fixed order
@@ -1034,6 +1029,6 @@ def solve_finite_horizon(config: EconomyConfig) -> PlannerSolution:
 
     def solve(active: tuple) -> _Attempt:
         layout = _Layout(active, n=n, ends=ends)
-        return _newton(config, layout, [layout.start(ss)])
+        return _newton(config, layout, [layout.start(ss.point)])
 
-    return _build(config, _first_admissible(ladder, solve, []), None)
+    return _build(config, _first_admissible(ladder, solve), None)

@@ -6,8 +6,8 @@ each solve starts from a prediction, a secant in the parameter through the
 two solved grid points before it.  A start in one binding regime predicts
 the point's regime too (a predicted active set), which is solved first,
 without a first best; only a point whose prediction fails solves its first
-best and the regime ladder, its first best started from a secant through
-the two points' first bests when both solved one.  Where fewer than two
+best, from the same prediction, and the rest of the regime ladder.  Where
+fewer than two
 consecutive points solved (at the start, and after a failure) a solve
 starts from the last solution, or cold before the first.  Individual
 failures are recorded on the affected grid point rather than aborting the
@@ -139,9 +139,9 @@ def sweep(config: EconomyConfig, param: str, values) -> SweepResult:
     warm: PlannerSolution | None = None
     run: list[tuple[float, PlannerSolution]] = []  # the last solved points, consecutive, at most two
     for v, cfg in zip(grid, configs):
-        starts = _secant(run, v) if len(run) == 2 else {"warm": warm}
+        start = _secant(run, v) if len(run) == 2 else warm
         try:
-            sol = solve_steady_state(cfg, **starts)
+            sol = solve_steady_state(cfg, warm=start)
         except SolverError as exc:
             points.append(_failure(v, exc))
             solutions.append(None)
@@ -154,27 +154,23 @@ def sweep(config: EconomyConfig, param: str, values) -> SweepResult:
     return SweepResult(param=param, points=tuple(points), solutions=tuple(solutions))
 
 
-def _secant(run: list[tuple[float, PlannerSolution]], v: float) -> dict:
-    """Starts at grid value ``v`` predicted from the two solved points before it.
+def _secant(run: list[tuple[float, PlannerSolution]], v: float) -> tuple:
+    """The stationary point at grid value ``v`` predicted from the two solved
+    points before it.
 
     Natural-parameter continuation (Allgower & Georg, ch. 2): a secant in the
-    parameter itself extends each stationary point (c_c, ..., lam, mu_c, mu_m)
-    linearly to ``v``, the solution's as ``warm`` and, when both points kept
-    one, the first best's as ``warm_first_best``.  Across a regime change the
-    solution's incentive multipliers mu_c and mu_m are not extrapolated: the
-    last point's are kept, and so is the regime they predict.  The prediction
-    makes no residual call.
+    parameter itself extends each point (c_c, ..., lam, mu_c, mu_m) linearly
+    to ``v``.  Across a regime change the incentive multipliers mu_c and mu_m
+    are not extrapolated: the last point's are kept, and so is the regime
+    they predict.  The prediction makes no residual call.
     """
     (v0, s0), (v1, s1) = run
     step = (v - v1) / (v1 - v0)
-    extend = lambda p0, p1: tuple(b + (b - a) * step for a, b in zip(p0, p1))
     p0, p1 = _steady_point(s0), _steady_point(s1)
-    point = extend(p0, p1)
+    point = tuple(b + (b - a) * step for a, b in zip(p0, p1))
     if s0.regime is not s1.regime:
         point = point[:7] + p1[7:]
-    if s0.first_best is None or s1.first_best is None:
-        return {"warm": point}
-    return {"warm": point, "warm_first_best": extend(s0.first_best, s1.first_best)}
+    return point
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
     fb_lo = _first_best(with_param(config, param, lo),
                         warm=None if warm_lo is None else _first_best_start(warm_lo))
     fb_hi = _first_best(with_param(config, param, hi),
-                        warm=fb_lo if warm_hi is None else _first_best_start(warm_hi))
+                        warm=fb_lo.point if warm_hi is None else _first_best_start(warm_hi))
     side_lo, side_hi = (
         _SIDE[violated_side(fb)] if _rejection(fb, ()) is not None else Regime.NONE_BIND
         for fb in (fb_lo, fb_hi)
@@ -273,8 +269,8 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
         else:
             hi, fb_hi = mid, fb_mid
 
-    sol_lo = solve_steady_state(with_param(config, param, lo), warm=fb_lo)
-    sol_hi = solve_steady_state(with_param(config, param, hi), warm=fb_hi)
+    sol_lo = solve_steady_state(with_param(config, param, lo), warm=fb_lo.point)
+    sol_hi = solve_steady_state(with_param(config, param, hi), warm=fb_hi.point)
     return ThresholdResult(
         param=param, lo=lo, hi=hi,
         lo_regime=sol_lo.regime, hi_regime=sol_hi.regime,
@@ -284,9 +280,9 @@ def find_threshold(config: EconomyConfig, param: str, lo: float, hi: float,
     )
 
 
-def _first_best_start(solution: PlannerSolution):
-    """Where a solved end's first best starts: the first best it kept, else itself."""
-    return solution if solution.first_best is None else solution.first_best
+def _first_best_start(solution: PlannerSolution) -> tuple:
+    """Where a solved end's first best starts: the first best it kept, else its own point."""
+    return _steady_point(solution) if solution.first_best is None else solution.first_best
 
 
 def apply_ubi(config: EconomyConfig, ubi: float) -> PlannerSolution:

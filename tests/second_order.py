@@ -29,7 +29,7 @@ def lagrangian_hessian(solution, n: int = 7) -> tuple[np.ndarray, int]:
     a = solution.allocation
     ends = (a.k[0], a.ai[0], a.k[0], a.ai[0])
     layout = planner._Layout(planner._BINDING[solution.regime], n=n, ends=ends)
-    x = layout.start(solution)
+    x = layout.start(planner._steady_point(solution))
     band = layout.band
     jac = np.zeros((len(x), len(x)))
     jac[band.rows, band.owners] = planner._jacobian_fn(config, layout)(x)[band.entry_at]

@@ -78,7 +78,7 @@ def path_system(paths, name, active, horizon):
     config, ss = paths[name]
     ends = (config.k0, config.ai0, float(ss.allocation.k[0]), float(ss.allocation.ai[0]))
     layout = planner._Layout(active, n=horizon + 1, ends=ends)
-    x0 = layout.start(ss)
+    x0 = layout.start(planner._steady_point(ss))
     rng = np.random.default_rng(horizon)
     x = x0 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(x0)))
     return layout, planner._residual_fn(config, layout), planner._jacobian_fn(config, layout), x
@@ -91,7 +91,7 @@ def steady_layout(name, active):
     config = config_of(name)
     layout = planner._Layout(active)
     return (layout, planner._residual_fn(config, layout), planner._jacobian_fn(config, layout),
-            layout.start(planner.solve_steady_state(config)))
+            layout.start(planner._steady_point(planner.solve_steady_state(config))))
 
 
 def path_pattern(layout):

@@ -27,11 +27,14 @@ from aitax.errors import (
     ConfigError,
     DomainError,
     NoInteriorSolutionError,
+    NoRegimeFoundError,
     SolverError,
 )
 from aitax.planner import TOL_ICC, violated_side
 from aitax.preferences import nu_eval, u_eval
 from aitax.production import evaluate
+from aitax.reporting import dumps, solution_payload
+from aitax.wedges import compute_wedge_report
 from incentives import icc_slack
 
 
@@ -211,7 +214,8 @@ def test_a_warm_start_on_the_wrong_side_falls_back_to_the_ladder(a_ai, why):
     assert lo.regime is Regime.COGNITIVE_BINDS
     layout = planner._Layout((AgentKind.COGNITIVE,))
     try:
-        why_not = planner._rejection(planner._newton(hi, layout, [layout.start(lo)]), layout.active)
+        start = layout.start(planner._steady_point(lo))
+        why_not = planner._rejection(planner._newton(hi, layout, [start]), layout.active)
     except SolverError as exc:
         why_not = str(exc)
     assert why in why_not
@@ -219,6 +223,45 @@ def test_a_warm_start_on_the_wrong_side_falls_back_to_the_ladder(a_ai, why):
     assert warm.regime is cold.regime is Regime.MANUAL_BINDS
     assert warm.first_best is not None  # the fallback solved the first best
     assert warm.foc_residual <= 1e-10
+
+
+def test_a_warm_start_binding_both_constraints_predicts_no_regime(monkeypatch):
+    """Only a warm point in one binding regime predicts it.  One that binds
+    both starts the first best and every rung, the both-bind rung too, from
+    itself first: here every rung is rejected, so the ladder runs out."""
+    cfg = regime_a_economy()
+    point = planner._steady_point(solve_steady_state(cfg))[:8] + (0.01,)
+    assert point[7] > TOL_ICC and point[8] > TOL_ICC
+    starts = []
+    newton_solve = planner.newton_solve
+
+    def recorded(f, x0, **kw):
+        starts.append(x0.tobytes())
+        return newton_solve(f, x0, **kw)
+
+    monkeypatch.setattr(planner, "newton_solve", recorded)
+    monkeypatch.setattr(planner, "_rejection", lambda att, active: "rejected")
+    with pytest.raises(NoRegimeFoundError, match="^rejected; rejected; rejected; rejected$"):
+        planner._steady_attempt(cfg, point)
+    for active in ((), (AgentKind.COGNITIVE,), (AgentKind.MANUAL,),
+                   (AgentKind.COGNITIVE, AgentKind.MANUAL)):
+        assert planner._Layout(active).start(point).tobytes() in starts, active
+
+
+def test_a_path_solution_given_as_warm_is_ignored(count_evals):
+    """No steady state repeats a path: warm from the regime_a_t20 path, a
+    steady solve makes the cold solve's residual calls and gives its
+    payload, byte for byte."""
+    config, _ = load_config(CONFIGS / "regime_a_t20.cfg")
+    path = solve_finite_horizon(config)
+    steady = dataclasses.replace(config, mode=SolveMode.STEADY_STATE, horizon=None)
+    assert not path.stationary and path.regime is not Regime.NONE_BIND
+    got = []
+    evals = [count_evals(lambda: got.append(solve_steady_state(steady, **kw)))
+             for kw in ({"warm": path}, {})]
+    assert evals[0] == evals[1]
+    warm, cold = (dumps(solution_payload(s, compute_wedge_report(s))) for s in got)
+    assert warm == cold
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +854,7 @@ def test_out_of_range_points_read_as_non_finite(name, active):
     config = load_config(CONFIGS / f"{name}.cfg")[0]
     layout = planner._Layout(active)
     f = planner._residual_fn(config, layout)
-    start = layout.start(solve_steady_state(config))
+    start = layout.start(planner._steady_point(solve_steady_state(config)))
     non_finite = 0
     for i, value in OUT_OF_RANGE:
         x = start.copy()

@@ -19,7 +19,7 @@ from aitax.errors import (
     UbiInfeasibleError,
 )
 from aitax.planner import TOL_ICC, Regime
-from aitax.sweep import SweepResult, _failure, _metrics
+from aitax.sweep import SweepResult, _failure, _metrics, _secant
 from aitax.wedges import compute_wedge_report
 from second_order import reduced_hessian_eigenvalues
 
@@ -199,6 +199,61 @@ def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, mon
     assert (b["lo_regime"], b["hi_regime"]) == ("cognitive_binds", "manual_binds")
 
 
+# CI's other two sweeps of threshold.cfg, each with its threshold search: a
+# 7-point linear grid, whose flip is bisected, and a 3-point log grid without
+# a flip, whose search exits 5; and their exact residual evaluations.  When a
+# failed prediction's ladder reached the predicted regime again, it reran that
+# regime's warm Newton first: 9,231 and 199 evaluations, 4,142 of them twice
+# over at a_AI = 0.4 in a Newton that does not converge.
+LINEAR_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "1", "--points", "7", "--threshold")
+NO_FLIP_RUN = ("--param", "a_AI", "--lo", "1", "--hi", "10", "--points", "3", "--log",
+               "--threshold")
+LINEAR_RUN_EVALS = 5089
+NO_FLIP_RUN_EVALS = 152
+
+
+@pytest.mark.parametrize("args, rc, evals", [(LINEAR_RUN, 0, LINEAR_RUN_EVALS),
+                                             (NO_FLIP_RUN, 5, NO_FLIP_RUN_EVALS)],
+                         ids=["linear_7", "no_flip_3"])
+def test_residual_evaluations_of_the_other_ci_sweeps(tmp_path, count_evals, args, rc, evals):
+    codes = []
+    out = tmp_path / "sweep.csv"
+    run = lambda: codes.append(cli.main(["sweep", str(CONFIGS / "threshold.cfg"), *args,
+                                         "--out", str(out)]))
+    assert count_evals(run) == evals
+    assert codes == [rc]
+
+
+@pytest.mark.parametrize("grid, fallbacks", [(np.linspace(0.1, 1.0, 7), (1, 2)),
+                                             (np.geomspace(1.0, 10.0, 3), (2,))],
+                         ids=["linear_7", "no_flip_3"])
+def test_no_steady_solve_runs_the_same_newton_twice(monkeypatch, grid, fallbacks):
+    """Each Newton run of one ``solve_steady_state`` differs from the others
+    in its system's size or in its start.  At the ``fallbacks`` points (a_AI
+    = 0.25 and 0.4 on the linear grid, 10 on the log one) the predicted
+    regime fails and the first best and the ladder run; a rung that reaches
+    the predicted regime again starts from the first best's vector alone."""
+    runs = []  # each solve's Newton runs, keyed by (unknowns, start bytes)
+    newton_solve = planner.newton_solve
+
+    def keyed(f, x0, **kw):
+        runs[-1].append((len(x0), x0.tobytes()))
+        return newton_solve(f, x0, **kw)
+
+    def solve(config, **kw):
+        runs.append([])
+        return solve_steady_state(config, **kw)
+
+    monkeypatch.setattr(planner, "newton_solve", keyed)
+    monkeypatch.setattr(importlib.import_module("aitax.sweep"), "solve_steady_state", solve)
+    res = sweep(threshold_economy(), "a_AI", grid)
+    assert all(p.ok for p in res.points) and len(runs) == len(grid)
+    for i, keys in enumerate(runs):
+        assert len(set(keys)) == len(keys), grid[i]
+        # a one-constraint Newton (8 unknowns) first, then more: the prediction failed
+        assert (keys[0][0] == 8 and len(keys) > 1) == (i in fallbacks), grid[i]
+
+
 @pytest.mark.parametrize("economy", [regime_a_economy, regime_b_economy, threshold_economy])
 def test_a_steady_solve_builds_one_solution(monkeypatch, economy):
     """The first best is judged from its multipliers and slacks; a rejected
@@ -285,11 +340,10 @@ def test_a_failed_point_restarts_the_secant(monkeypatch):
     assert starts[4] == {"warm": s[2]} and starts[5] == {"warm": s[4]}
     # a cold point keeps its first best; one warm in its regime has none
     assert s[0].first_best is not None and s[1].first_best is None
-    for kw, pair in zip((starts[2], starts[3], starts[6]), ((0, 1), (1, 2), (4, 5))):
-        # the secant predicts a first best only from two points that have one
-        both = all(s[i].first_best is not None for i in pair)
-        assert set(kw) == ({"warm", "warm_first_best"} if both else {"warm"})
-        assert all(isinstance(v, tuple) and len(v) == 9 for v in kw.values())
+    for i in (2, 3, 6):
+        # a secant start is one stationary point, predicted from the two before
+        run = [(A_AI_GRID[j], s[j]) for j in (i - 2, i - 1)]
+        assert starts[i] == {"warm": _secant(run, A_AI_GRID[i])} and len(starts[i]["warm"]) == 9
 
 
 def test_prediction_keeps_the_flip_on_a_linear_grid():
