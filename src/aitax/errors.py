@@ -19,8 +19,10 @@ class SolverError(AitaxError, RuntimeError):
 
 class NoInteriorSolutionError(SolverError):
     """No interior point found: Newton failed from each of its one or two
-    starts, or a cold start's capital presolve stopped short of interior
-    stocks (the message names the K, AI and residual it stopped at)."""
+    starts, or a cold start's capital presolve found no interior stocks
+    (the message names the AI corner, with its K and AI row, where the
+    presolve proves its stocks sit there, else the K, AI and residual it
+    stopped at)."""
 
 
 class NoRegimeFoundError(SolverError):

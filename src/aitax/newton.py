@@ -175,9 +175,10 @@ def newton_solve(
 
     ``f`` signals a point outside its domain by a non-finite residual,
     which fails a start and rejects a line-search trial.  An exception
-    that ``f`` raises is a bug in ``f``, and it propagates.  Each residual
-    is reduced once, to its max-norm; a residual with an inf or a nan has
-    a non-finite norm, and that is how it is told apart.
+    that ``f`` raises propagates and ends the solve: a bug in ``f``, or
+    its caller's own refusal (the capital presolve's, at the AI corner).
+    Each residual is reduced once, to its max-norm; a residual with an inf
+    or a nan has a non-finite norm, and that is how it is told apart.
     """
     x = np.asarray(x0, dtype=float).copy()
     lo = np.full_like(x, -np.inf) if lower is None else np.asarray(lower, dtype=float)

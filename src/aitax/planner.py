@@ -48,13 +48,13 @@ nan there.
 A regime's steady state gets at most two Newton starts, the warm point and
 then one base start (the first best's vector, or for the first best a cold
 start from a capital presolve), and fails fast when neither converges; a
-presolve that finds no interior stocks refuses the economy, naming where
-it stopped.  A converged vector
-is judged from its multipliers and lifetime slacks (the kept pass); only
-the attempt a solver returns is built into a PlannerSolution with its
-assumption report, KKT residuals and objective, and a steady state's keeps
-the point of the first best it was judged from, when it solved one.  All
-solves are deterministic: no randomness.
+presolve that finds no interior stocks refuses the economy, naming the AI
+corner where it proves its stocks sit there, else where it stopped.  A
+converged vector is judged from its multipliers and lifetime slacks (the
+kept pass); only the attempt a solver returns is built into a
+PlannerSolution with its assumption report, KKT residuals and objective,
+and a steady state's keeps the point of the first best it was judged from,
+when it solved one.  All solves are deterministic: no randomness.
 """
 
 from __future__ import annotations
@@ -707,6 +707,11 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
     )
 
 
+# the capital presolve's AI at or below which a falling AI row is checked
+# once for the corner: AI at its floor, the K row solved
+_CORNER_AI = 1e-8
+
+
 def _cold_start(config: EconomyConfig) -> np.ndarray:
     """The first best's start without a warm one: labor 0.5, the stocks that
     solve the no-ICC stationary stock FOCs at that labor, and the
@@ -718,32 +723,88 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     solves' floor (``_LOWER``).  Above it they are unbounded: a stock that
     overflows to inf makes the residual infinite, which Newton's line search
     rejects like any other non-finite trial.  The Jacobian is exact: the
-    stock block of the technology's Hessian, times the stocks.  When the
-    presolve stops short of stocks below 1e9 there is no interior steady
-    state to start from (where holding AI does not pay, AI falls to the
-    floor): raises NoInteriorSolutionError naming the stocks and residual
-    it stopped at.
+    stock block of the technology's Hessian, times the stocks.
+
+    The first point the presolve evaluates with AI at most ``_CORNER_AI``
+    and a negative AI row is checked once for the AI corner: AI pinned at
+    its floor, a 1-D Newton solves the K row alone, and where the AI row is
+    still below -1e-9 there the solve refuses at once.  The check proves
+    what it refuses.  Every CES exponent is at most 1 and returns to scale
+    are constant, so F is jointly concave, and the two rows, beta (1 -
+    delta_k + F_K) - 1 and beta (1 - delta_ai + F_AI) - 1, are the gradient
+    of the concave G = beta F(K, AI) - (1 - beta (1 - delta_k)) K - (1 -
+    beta (1 - delta_ai)) AI.  At a point on AI's floor where the K row is
+    zero and the AI row negative, G's KKT conditions on AI >= floor hold,
+    so it is G's maximum there (Nocedal & Wright, Thm 12.6 and the
+    convexity of section 12.2).  An interior root would be another one,
+    which the negative AI row rules out: no interior root exists, and the
+    presolve could not converge.  When the check fails the 2-D Newton goes
+    on as it was, so the trigger sets the cost only, never the outcome.
+
+    Raises NoInteriorSolutionError naming the corner, with K and the AI
+    row, when the check proves it; otherwise, when the presolve stops short
+    of stocks below 1e9 (their overflow among others), naming the stocks
+    and residual it stopped at.
     """
     beta, tech = config.prefs.beta, config.tech
     l0 = 0.5
     el_c = config.cognitive.pi * l0 * config.cognitive.z
     el_m = config.manual.pi * l0 * config.manual.z
+    floor = _LOWER[5]
 
     last = _LastPass()  # each accepted point's evaluation, for its Jacobian
+    checked = False
 
     def f(u):
+        nonlocal checked
         stocks = np.exp(u)
         if not np.all(stocks < np.inf):
             return np.full(2, np.inf)
         ev = evaluate(tech, el_c, el_m, *stocks)
         last.keep(u, ev)
-        return np.array([beta * ev.fw_k - 1.0, beta * ev.fw_ai - 1.0])
+        rows = np.array([beta * ev.fw_k - 1.0, beta * ev.fw_ai - 1.0])
+        if not checked and stocks[1] <= _CORNER_AI and rows[1] < 0.0:
+            checked = True
+            at_floor(u[0])
+        return rows
 
     def jac(u):
         stocks = np.exp(u)
         ev = last.at(u) or evaluate(tech, el_c, el_m, *stocks)
         h = hessian(tech, ev, el_c, el_m, *stocks)
         return beta * np.array([[h[7], h[8]], [h[8], h[9]]]) * stocks
+
+    def at_floor(v0):
+        """Refuse when the K row has a root at AI's floor, from log K =
+        ``v0``, where the AI row is below -1e-9: the error ends the 2-D
+        Newton from inside its residual."""
+        corner = _LastPass()
+
+        def f_k(v):
+            k = np.exp(v[0])
+            if not k < np.inf:
+                return np.full(1, np.inf)
+            ev = evaluate(tech, el_c, el_m, k, floor)
+            corner.keep(v, ev)
+            return np.array([beta * ev.fw_k - 1.0])
+
+        def jac_k(v):
+            k = np.exp(v[0])
+            ev = corner.at(v) or evaluate(tech, el_c, el_m, k, floor)
+            return np.array([[beta * hessian(tech, ev, el_c, el_m, k, floor)[7] * k]])
+
+        res = newton_solve(f_k, np.array([v0]), tol=1e-9, max_iter=80,
+                           lower=np.log(_LOWER[4:5]), jac=jac_k)
+        if res.converged:
+            k = np.exp(res.x[0])
+            ev = corner.at(res.x) or evaluate(tech, el_c, el_m, k, floor)
+            row = float(beta * ev.fw_ai - 1.0)
+            if row < -1e-9:
+                raise NoInteriorSolutionError(
+                    f"{_label(())}: the capital presolve's stocks, at labor {l0}, sit at the "
+                    f"AI corner: beta*(1 - delta_ai + F_AI) = 1 - {-row:.3e} < 1 at "
+                    f"K={k:.3e}, AI={floor:.3e}"
+                )
 
     grid = np.linspace(np.log(1e-3), np.log(1e4), 25)
     kk, aa = np.meshgrid(grid, grid, indexing="ij")

@@ -28,8 +28,9 @@ def regime_b_solution():
 def unsolved_end_economy() -> str:
     """Config text of a drawn threshold-preset economy (bench/fuzz.py, seed
     0, draw 3) with no interior steady state: holding AI does not pay, so
-    its capital presolve walks AI down to the stock floor, and its z_c
-    sweep on [0.5, 4] solves only its five lowest points."""
+    its capital presolve's stocks sit at the AI corner, which the presolve
+    proves as AI falls below 1e-8, and its z_c sweep on [0.5, 4] solves
+    only its five lowest points."""
     return """
 agents.cognitive.pi = 0.2634941473047342
 agents.cognitive.z = 2.1189470642771253

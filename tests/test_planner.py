@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -749,19 +751,183 @@ def test_a_refusal_costs_one_start(count_evals):
 
 
 def test_a_presolve_refusal_names_its_stocks(count_evals, unsolved_end_economy):
-    """Where holding AI does not pay, the capital presolve walks AI down to
-    the stock floor and stops unconverged.  The solve refuses there, naming
-    the stocks and residual, and tries no other start.  (With forward-
-    difference Jacobians it took 109 points in 96 calls and stopped at AI =
-    4.894e-10.)"""
+    """Where holding AI does not pay, the capital presolve's AI falls toward
+    the stock floor, and the first point it evaluates at AI <= 1e-8 with a
+    falling AI row is checked for the AI corner: AI pinned at its floor, K
+    solved alone.  The AI row is negative there, so the solve refuses at
+    once, naming the corner's K and AI row, and tries no other start.  (The
+    presolve walked on to the floor and stopped unconverged at K = 6.631e-01
+    in 83 calls; with forward-difference Jacobians it took 109 points in 96
+    calls.)"""
     config = parse_config(unsolved_end_economy)
 
     def refused():
-        with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve "
-                           r"stopped at K=6\.631e-01, AI=1\.000e-10 \(residual 4\.247e-02\)$"):
+        with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve's "
+                           r"stocks, at labor 0\.5, sit at the AI corner: beta\*\(1 - delta_ai "
+                           r"\+ F_AI\) = 1 - 3\.878e-02 < 1 at K=7\.152e-01, AI=1\.000e-10$"):
             solve_steady_state(config)
 
-    assert count_evals(refused) == 83
+    assert count_evals(refused) == 11
+
+
+def test_a_presolve_whose_stocks_run_off_upward_names_where_it_stopped(monkeypatch):
+    """The corner check is for a falling AI: the unbounded economy's stocks
+    run off upward, never near AI's floor, so no check runs and the solve
+    still refuses naming where its presolve stopped."""
+    corners = _corner_checks(monkeypatch)
+    with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve stopped at "
+                       r"K=\S+, AI=\S+ \(residual \S+\)$"):
+        solve_steady_state(unbounded_economy())
+    assert corners == []
+
+
+def _corner_checks(monkeypatch) -> list:
+    """The result of each corner check's 1-unknown Newton, in order, from
+    here on."""
+    newton_solve, results = planner.newton_solve, []
+
+    def recorded(f, x0, **kw):
+        result = newton_solve(f, x0, **kw)
+        if len(x0) == 1:
+            results.append(result)
+        return result
+
+    monkeypatch.setattr(planner, "newton_solve", recorded)
+    return results
+
+
+def _floor_rows(config, k: float) -> tuple:
+    """The presolve's K and AI rows, beta fw - 1, at labor 0.5, K = ``k``
+    and AI at its floor, evaluated apart from the solver."""
+    ev = evaluate(config.tech, config.cognitive.pi * 0.5 * config.cognitive.z,
+                  config.manual.pi * 0.5 * config.manual.z, k, 1e-10)
+    return config.prefs.beta * ev.fw_k - 1.0, config.prefs.beta * ev.fw_ai - 1.0
+
+
+# two drawn economies (bench/fuzz.py, seed 7, both spreads 1.0) whose
+# presolve reaches AI <= 1e-8 with a falling AI row, but not a corner: at
+# draw 87's K that solves the K row with AI at its floor, AI pays; at draw
+# 197's floor no K solves it (K falls to its floor too)
+NOT_A_CORNER = {
+    "seed7_draw87": ("""
+agents.cognitive.pi = 0.3026728149039095
+agents.cognitive.z = 0.7871010578993606
+agents.manual.pi = 0.6973271850960905
+agents.manual.z = 1.027089955705569
+prefs.beta = 0.962972045443141
+prefs.u_form = log
+prefs.psi = 0.4468436925670865
+prefs.phi = 2.6825534837270375
+tech.form = nest_substitute_cognitive
+tech.a = 0.9579936466141531
+tech.mu_top = 0.9350430867109241
+tech.lambda_c = 0.372542090693269
+tech.theta_m = 0.3891767091303386
+tech.sigma_top = 0.3830911083524793
+tech.rho_c = -2.3367382585264487
+tech.rho_m = -0.3154078625922945
+tech.a_ai = 0.13858162992983988
+tech.delta_k = 0.04084544739297434
+tech.delta_ai = 0.051653875529137916
+""", True, "K=1.277e+45, AI=5.802e+45 (residual 1.581e-02)", 99),
+    "seed7_draw197": ("""
+agents.cognitive.pi = 0.33932957779519346
+agents.cognitive.z = 3.2636316901023066
+agents.manual.pi = 0.6606704222048065
+agents.manual.z = 1.298405700216159
+prefs.beta = 0.9618374357039351
+prefs.u_form = log
+prefs.psi = 2.3623189455532074
+prefs.phi = 1.403937314763892
+tech.form = nest_complements
+tech.a = 0.36899227931714895
+tech.mu_top = 0.2121429079802834
+tech.lambda_c = 0.15832562002533745
+tech.theta_m = 0.348888744103512
+tech.sigma_top = -0.09544180697688187
+tech.rho_c = -0.2877046414596982
+tech.rho_m = -1.1727884363331584
+tech.a_ai = 0.038831585232365975
+tech.delta_k = 0.0842669176583777
+tech.delta_ai = 0.10429210157821416
+""", False, "K=1.000e-10, AI=5.450e-10 (residual 4.956e-02)", 19),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_CORNER))
+def test_a_corner_check_that_fails_leaves_the_presolve_as_it_was(name, count_evals, monkeypatch):
+    """Where the corner check proves nothing, the presolve's 2-D Newton
+    goes on from where it was and refuses where it stopped before the check
+    existed, with the same message (draw 87 took 76 calls without the
+    check, draw 197 12): the check sets the cost, never the outcome.  At
+    draw 87's K, with AI at its floor, the AI row is not below -1e-9."""
+    text, solved_k, stopped, calls = NOT_A_CORNER[name]
+    corners = _corner_checks(monkeypatch)
+    config = parse_config(text)
+
+    def refused():
+        with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve stopped at "
+                           + re.escape(stopped) + "$"):
+            solve_steady_state(config)
+
+    assert count_evals(refused) == calls
+    assert [res.converged for res in corners] == [solved_k]
+    if solved_k:
+        k_row, ai_row = _floor_rows(config, float(np.exp(corners[0].x[0])))
+        assert abs(k_row) <= 1e-9
+        assert ai_row >= -1e-9
+
+
+def _bench_draws() -> dict:
+    """The 24 seed-0 draws of ``bench/fuzz.py``, the fuzz workload's, by name."""
+    spec = importlib.util.spec_from_file_location("fuzz", CONFIGS.parent / "bench" / "fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return dict(fuzz.draw_economies(CONFIGS, 0, 24))
+
+
+CORNER = re.compile(r"^none: the capital presolve's stocks, at labor 0\.5, sit at the AI corner: "
+                    r"beta\*\(1 - delta_ai \+ F_AI\) = 1 - (\S+) < 1 at K=(\S+), AI=1\.000e-10$")
+
+
+def test_the_ai_corner_refusal_is_sound_and_exact(count_evals, monkeypatch, unsolved_end_economy):
+    """Exactly the fuzz workload's three AI-corner draws refuse with the
+    corner, and each corner is one: at its K with AI at the floor, the
+    technology evaluated apart from the solver gives a zero K row and an AI
+    row below -1e-9.  fuzz07, whose presolve converges, still refuses in its
+    first best's Newton.  The 24 solves take exactly 419 residual calls (the
+    presolve walked the three corners to the floor in 83, 250 and 133 of
+    847)."""
+    corners = _corner_checks(monkeypatch)
+    draws = _bench_draws()
+    refusals = {}
+
+    def solve_all():
+        for name, text in draws.items():
+            try:
+                solve_steady_state(parse_config(text))
+            except SolverError as exc:
+                refusals[name] = str(exc)
+
+    assert count_evals(solve_all) == 419
+    certified = {name for name, text in refusals.items() if CORNER.match(text)}
+    assert certified == {"fuzz03_threshold", "fuzz11_threshold", "fuzz15_threshold"}
+    assert set(refusals) == certified | {"fuzz07_threshold"}
+    assert "Newton did not converge" in refusals["fuzz07_threshold"]
+    assert len(corners) == 3 and all(res.converged for res in corners)
+
+    checked = [(draws[name], refusals[name], res) for name, res in zip(sorted(certified), corners)]
+    corners.clear()
+    with pytest.raises(NoInteriorSolutionError) as refused:
+        solve_steady_state(parse_config(unsolved_end_economy))
+    checked.append((unsolved_end_economy, str(refused.value), corners[0]))
+    for text, message, res in checked:
+        config = parse_config(text)
+        k = float(np.exp(res.x[0]))
+        k_row, ai_row = _floor_rows(config, k)
+        assert abs(k_row) <= 1e-9
+        assert ai_row < -1e-9
+        assert CORNER.match(message).groups() == (f"{-ai_row:.3e}", f"{k:.3e}")
 
 
 # the kernels the planner calls through its module globals
@@ -794,8 +960,9 @@ def test_kernels_only_see_their_domain(monkeypatch, unsolved_end_economy):
         monkeypatch.setattr(planner, name, checked(name, getattr(planner, name)))
     for name in ("symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas", "regime_a_t20"):
         solve(load_config(CONFIGS / f"{name}.cfg")[0])
-    # draw 3's presolve stops with AI near the stock floor, which alone keeps
-    # it positive; the unbounded economy's stocks run off upward
+    # draw 3's presolve reaches the AI corner, whose check pins AI at the
+    # stock floor, which alone keeps it positive; the unbounded economy's
+    # stocks run off upward
     for refused in (parse_config(REFUSED_ECONOMY), parse_config(unsolved_end_economy),
                     unbounded_economy()):
         with pytest.raises(SolverError):
