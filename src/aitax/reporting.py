@@ -11,14 +11,25 @@ multipliers) to be re-ingested and re-checked: ``load_solution`` rebuilds
 the dataclasses so KKT residuals can be recomputed on the loaded copy.
 CSV outputs get a ``<path>.manifest.json`` sidecar holding the manifest
 plus the scalar fields that do not fit a per-period table.
+
+Every writer writes its output whole, in one write.  An output path that
+is an existing regular file with one link is unlinked first and written as
+a new file, whose mode comes from the umask rather than from the old file.
+A symlink is written through, and a hard-linked file or a special file is
+written in place, as is any path whose unlink fails.  The reason is ext4's
+``auto_da_alloc``: truncating an existing file and writing it again starts
+a flush on close, and the next truncating open of that file waits for it.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
+import os
+import stat
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -205,13 +216,26 @@ def threshold_payload(th: ThresholdResult) -> dict:
     }
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` in one write, as a new file where the path
+    is a regular file with one link (see the module docstring)."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_json(path: str | Path, manifest: RunManifest, payload: dict) -> None:
-    Path(path).write_text(dumps({"manifest": manifest.to_dict(), "payload": payload}))
+    _write(path, dumps({"manifest": manifest.to_dict(), "payload": payload}))
 
 
 def write_manifest_sidecar(path: str | Path, manifest: RunManifest, extra: dict) -> Path:
     side = Path(str(path) + ".manifest.json")
-    side.write_text(dumps({"manifest": manifest.to_dict(), "payload": extra}))
+    _write(side, dumps({"manifest": manifest.to_dict(), "payload": extra}))
     return side
 
 
@@ -222,24 +246,26 @@ _SOLUTION_COLUMNS = ("t", "c_c", "c_m", "l_c", "l_m", "eff_l_c", "eff_l_m",
 def write_solution_csv(path: str | Path, solution: PlannerSolution) -> None:
     """One row per period; carried-out stocks appear as k_next/ai_next."""
     a = solution.allocation
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SOLUTION_COLUMNS)
-        for t in range(a.n_periods):
-            row = (t, a.c_c[t], a.c_m[t], a.l_c[t], a.l_m[t],
-                   a.eff_l_c[t], a.eff_l_m[t], a.k[t], a.ai[t],
-                   a.k[t + 1], a.ai[t + 1], solution.multipliers.lam[t],
-                   solution.wages_c[t], solution.wages_m[t])
-            writer.writerow([render_value(v) for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_SOLUTION_COLUMNS)
+    for t in range(a.n_periods):
+        row = (t, a.c_c[t], a.c_m[t], a.l_c[t], a.l_m[t],
+               a.eff_l_c[t], a.eff_l_m[t], a.k[t], a.ai[t],
+               a.k[t + 1], a.ai[t + 1], solution.multipliers.lam[t],
+               solution.wages_c[t], solution.wages_m[t])
+        writer.writerow([render_value(v) for v in row])
+    _write(path, buf.getvalue())
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
     """One row per grid point, one column per SweepPoint field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(SweepPoint)])
-        for p in result.points:
-            writer.writerow([render_value(v) for v in _record(p).values()])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f.name for f in fields(SweepPoint)])
+    for p in result.points:
+        writer.writerow([render_value(v) for v in _record(p).values()])
+    _write(path, buf.getvalue())
 
 
 @dataclass(frozen=True)

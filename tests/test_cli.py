@@ -481,3 +481,28 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert [cli.main(argv) for argv, _ in runs] == [rc for _, rc in runs]
     assert csv_out.read_text().startswith("t,")
     assert json.loads(json_out.read_text())["payload"]["regime"] == "cognitive_binds"
+
+
+def test_a_rerun_to_the_same_paths_gives_the_same_outputs(tmp_path):
+    """A solve in json and in csv and the threshold sweep, each run twice
+    to the same paths, which the second run replaces: the CSVs keep their
+    bytes, and the JSON documents theirs from "payload" on (the manifest's
+    duration_s differs from run to run)."""
+    runs = [
+        ["solve", cfg("regime_a.cfg"), "--out", "sol.json"],
+        ["solve", cfg("regime_a_t20.cfg"), "--format", "csv", "--out", "path.csv"],
+        ["sweep", cfg("threshold.cfg"), "--param", "a_AI", "--lo", "0.1", "--hi", "10",
+         "--points", "25", "--log", "--threshold", "--out", "sweep.csv"],
+    ]
+    outputs = ("sol.json", "path.csv", "path.csv.manifest.json",
+               "sweep.csv", "sweep.csv.manifest.json", "sweep.csv.bracket.json")
+
+    def kept() -> dict:
+        texts = {name: (tmp_path / name).read_bytes() for name in outputs}
+        return {name: text[text.index(b'"payload"'):] if name.endswith(".json") else text
+                for name, text in texts.items()}
+
+    assert [cli.main(argv) for argv in runs] == [0, 0, 0]
+    first = kept()
+    assert [cli.main(argv) for argv in runs] == [0, 0, 0]
+    assert kept() == first

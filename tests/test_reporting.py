@@ -2,6 +2,8 @@ import csv
 import enum
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_emitter
-from aitax import Regime, compute_wedge_report, foc_residuals
+from aitax import Regime, cli, compute_wedge_report, foc_residuals
 from aitax.economy import AgentKind, TechForm
 from aitax.errors import ConfigError
 from aitax.reporting import (
@@ -22,7 +24,11 @@ from aitax.reporting import (
     write_json,
     write_manifest_sidecar,
     write_solution_csv,
+    write_sweep_csv,
 )
+from aitax.sweep import SweepPoint, SweepResult
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 class _Level(enum.Enum):
     """An enum that is no str: it renders as json.dumps of its value."""
@@ -202,3 +208,112 @@ def test_manifest_sidecar_naming(tmp_path):
     doc = json.loads(side.read_text())
     assert doc["manifest"]["config_digest"] == "sha256:0000"
     assert doc["payload"]["regime"] == "none_bind"
+
+
+# a sweep table whose cells are exact in 17 digits, with a failed point
+# whose error the csv module must quote
+SWEEP = SweepResult(param="a_AI", solutions=(None, None), points=(
+    SweepPoint(0.5, "cognitive_binds", 0.25, -0.5, 0.0, 0.125, 2.0, -36.5),
+    SweepPoint(4.0, error='no root, "x"'),
+))
+SWEEP_CSV = ("value,regime,tau_k,tau_ai,tau_y_c,tau_y_m,wage_ratio,objective,error\r\n"
+             "0.5,cognitive_binds,0.25,-0.5,0,0.125,2,-36.5,\r\n"
+             '4,,NaN,NaN,NaN,NaN,NaN,NaN,"no root, ""x"""\r\n')
+
+
+def _output(writer: str, path: Path, sol):
+    """The file ``writer`` writes for the output path ``path``, a call that
+    writes it, and the bytes it must hold: the JSON text of ``dumps``, and
+    CSV rows ended by CRLF, as the csv module ends them."""
+    if writer == "write_json":
+        payload = {"regime": "none_bind", "x": [0.5, math.nan]}
+        return (path, lambda: write_json(path, MANIFEST, payload),
+                dumps({"manifest": MANIFEST.to_dict(), "payload": payload}).encode())
+    if writer == "write_manifest_sidecar":
+        extra = {"regime": "none_bind"}
+        return (Path(str(path) + ".manifest.json"),
+                lambda: write_manifest_sidecar(path, MANIFEST, extra),
+                dumps({"manifest": MANIFEST.to_dict(), "payload": extra}).encode())
+    if writer == "write_solution_csv":
+        a, lam = sol.allocation, sol.multipliers.lam
+        row = (0, a.c_c[0], a.c_m[0], a.l_c[0], a.l_m[0], a.eff_l_c[0], a.eff_l_m[0],
+               a.k[0], a.ai[0], a.k[1], a.ai[1], lam[0], sol.wages_c[0], sol.wages_m[0])
+        text = ("t,c_c,c_m,l_c,l_m,eff_l_c,eff_l_m,k,ai,k_next,ai_next,lam,w_c,w_m\r\n"
+                + ",".join(render_value(v) for v in row) + "\r\n")
+        return path, lambda: write_solution_csv(path, sol), text.encode()
+    return path, lambda: write_sweep_csv(path, SWEEP), SWEEP_CSV.encode()
+
+
+WRITERS = ("write_json", "write_manifest_sidecar", "write_solution_csv", "write_sweep_csv")
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_rewritten_output_is_a_new_file(tmp_path, regime_a_solution, writer):
+    """A handle open on the old output still reads the old bytes: the
+    writer unlinked the old file and wrote its bytes to a new one."""
+    target, write, expected = _output(writer, tmp_path / "out", regime_a_solution)
+    target.write_bytes(b"old bytes\n")
+    with open(target, "rb") as old:
+        write()
+        assert old.read() == b"old bytes\n"
+    assert target.read_bytes() == expected
+    assert not target.is_symlink()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_symlinked_output_is_written_through(tmp_path, regime_a_solution, writer):
+    target, write, expected = _output(writer, tmp_path / "out", regime_a_solution)
+    real = tmp_path / "real"
+    real.write_bytes(b"old bytes\n")
+    target.symlink_to(real)
+    write()
+    assert target.is_symlink()
+    assert real.read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_hard_linked_output_is_rewritten_in_place(tmp_path, regime_a_solution, writer):
+    target, write, expected = _output(writer, tmp_path / "out", regime_a_solution)
+    target.write_bytes(b"old bytes\n")
+    other = tmp_path / "other"
+    os.link(target, other)
+    write()
+    assert os.path.samefile(target, other)
+    assert target.read_bytes() == other.read_bytes() == expected
+
+
+def test_an_output_that_cannot_be_unlinked_is_rewritten_in_place(tmp_path, monkeypatch):
+    """An unlink that fails, as in a read-only directory, leaves the old
+    file to be truncated and rewritten, so an open handle sees the new bytes."""
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+    target, write, expected = _output("write_json", tmp_path / "out", None)
+    target.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(os, "unlink", refuse)
+    with open(target, "rb") as old:
+        write()
+        assert old.read() == expected
+
+
+# per writer, the command line that reaches it with ``out`` as its output
+# path, and the path that is made a directory
+_DIRECTORY_RUNS = {
+    "write_json": (["check-assumptions", "regime_a.cfg"], ""),
+    "write_manifest_sidecar": (["solve", "regime_a.cfg", "--format", "csv"], ".manifest.json"),
+    "write_solution_csv": (["solve", "regime_a.cfg", "--format", "csv"], ""),
+    "write_sweep_csv": (["sweep", "threshold.cfg", "--param", "a_AI", "--lo", "0.1",
+                         "--hi", "10", "--points", "3", "--log"], ""),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_an_output_path_that_is_a_directory_exits_2(tmp_path, capsys, writer):
+    (command, name, *rest), suffix = _DIRECTORY_RUNS[writer]
+    out = tmp_path / "out"
+    directory = Path(str(out) + suffix)
+    directory.mkdir()
+    (directory / "kept").write_text("kept")
+    rc = cli.main([command, str(CONFIGS / name), *rest, "--out", str(out)])
+    assert rc == 2
+    assert f"output error: [Errno 21] Is a directory: '{directory}'" in capsys.readouterr().err
+    assert (directory / "kept").read_text() == "kept"
