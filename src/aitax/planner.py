@@ -703,7 +703,7 @@ def _newton(config: EconomyConfig, layout: _Layout, starts) -> _Attempt:
             return _judge(config, layout, res.x, last)
     raise NoInteriorSolutionError(
         f"{_label(layout.active)}: Newton did not converge from {tried} start(s) "
-        f"(last residual {res.residual_norm:.3e})"
+        f"(last residual {res.residual_norm:.3e}); the last {res.reason}"
     )
 
 
@@ -819,7 +819,7 @@ def _cold_start(config: EconomyConfig) -> np.ndarray:
     if not (res.converged and k0 < 1e9 and ai0 < 1e9):
         raise NoInteriorSolutionError(
             f"{_label(())}: the capital presolve stopped at K={k0:.3e}, AI={ai0:.3e} "
-            f"(residual {res.residual_norm:.3e})"
+            f"(residual {res.residual_norm:.3e}); its {res.reason}"
         )
     y = evaluate(tech, el_c, el_m, k0, ai0).y
     spend = y - tech.delta_k * k0 - tech.delta_ai * ai0 - config.g

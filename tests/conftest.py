@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from aitax import (
@@ -22,6 +25,17 @@ def regime_a_solution():
 @pytest.fixture(scope="session")
 def regime_b_solution():
     return solve_steady_state(regime_b_economy())
+
+
+@pytest.fixture(scope="session")
+def bench_draws() -> dict:
+    """The 24 seed-0 draws of ``bench/fuzz.py``, the fuzz workload's: each
+    economy's config text by name."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("fuzz", root / "bench" / "fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return dict(fuzz.draw_economies(root / "configs", 0, 24))
 
 
 @pytest.fixture(scope="session")

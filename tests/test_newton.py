@@ -1,15 +1,18 @@
 """The exact Jacobians of a steady state and of a path, the LU step of a
-dense system and the band step of a path, in ``aitax.newton``."""
+dense system, the band step of a path and the line search's two stops, in
+``aitax.newton``."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aitax import newton, planner
-from aitax.configio import load_config
+from aitax.configio import load_config, parse_config
 from aitax.economy import AgentKind, SolveMode, UtilityForm
+from aitax.errors import SolverError
 import reference_jacobian
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -162,6 +165,72 @@ def test_a_residual_error_propagates(where):
 
     with pytest.raises(ValueError, match="broadcast"):
         newton.newton_solve(f, x0, jac=lambda x: np.eye(2))
+
+
+def traced(f, jac):
+    """``f`` and ``jac`` wrapped to log each call, "f" or "j", in order, and
+    the log."""
+    calls = []
+    return (lambda x: calls.append("f") or f(x)), (lambda x: calls.append("j") or jac(x)), calls
+
+
+def line_searches(calls) -> list:
+    """The trials of each line search in a traced run: the residual calls
+    after each Jacobian call."""
+    return [len(trials) for trials in "".join(calls).split("j")[1:]]
+
+
+def test_a_crawl_stops_after_max_halvings_rejected_trials():
+    """x^2 + 1 has no real root: its floor, 1 at x = 0, is where its
+    Jacobian vanishes.  From x = 0.5 each Newton step overshoots further,
+    so each accepted step needs more halvings than the last (1, then 5),
+    until a line search rejects all 12 of its trials and the run stops."""
+    f, jac, calls = traced(lambda x: x**2 + 1.0, lambda x: np.diag(2.0 * x))
+    res = newton.newton_solve(f, np.array([0.5]), jac=jac)
+    assert not res.converged and res.stop is newton.Stop.HALVINGS and res.iterations == 3
+    assert line_searches(calls) == [2, 6, 12] and newton.MAX_HALVINGS == 12
+
+
+def test_a_step_below_rounding_stops_at_the_first_halved_trial():
+    """1e6 (x^2 - 2) has its root at sqrt(2), which no float holds: at the
+    float nearest it the residual is 4.4e-10, above the tolerance, and the
+    Newton step is 1.6e-16, under one ulp.  The full step is tried and
+    rejected; half of it moves x by less than 4 eps of max(|x|, 1), so the
+    run stops without evaluating it."""
+    f, jac, calls = traced(lambda x: 1e6 * (x * x - 2.0), lambda x: np.diag(2e6 * x))
+    res = newton.newton_solve(f, np.array([math.sqrt(2.0)]), jac=jac)
+    assert not res.converged and res.stop is newton.Stop.ROUNDING and res.iterations == 1
+    assert res.residual_norm > 1e-10
+    assert calls == ["f", "j", "f"]
+
+
+def test_no_accepted_step_comes_near_the_halving_cap(monkeypatch, bench_draws):
+    """Every accepted step of every converged Newton, the AI-corner
+    checks' among them, needs at most 10 halvings on the five desks,
+    regime_a_t20 and the bench's 24 fuzz draws (4 at most, measured; 10 at
+    most on the 1,300 draws of the seed-0 and wider fuzz samples), so the
+    cap of 12 trials ends only runs that fail.  Halvings are counted from
+    outside: the residual calls after each Jacobian call, less the
+    accepted one."""
+    searches = []
+    newton_solve = planner.newton_solve
+
+    def counted(f, x0, *, jac, **kw):
+        f, jac, calls = traced(f, jac)
+        res = newton_solve(f, x0, jac=jac, **kw)
+        if res.converged:
+            searches.extend(line_searches(calls))
+        return res
+
+    monkeypatch.setattr(planner, "newton_solve", counted)
+    for name in DESK + ("regime_a_t20",):
+        solve(config_of(name))
+    for text in bench_draws.values():
+        try:
+            planner.solve_steady_state(parse_config(text))
+        except SolverError:
+            pass
+    assert max(searches) - 1 <= 10 < newton.MAX_HALVINGS
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 20])

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import re
 import tracemalloc
 from pathlib import Path
@@ -740,14 +739,15 @@ tech.delta_ai = 0.10021842852087343
 def test_a_refusal_costs_one_start(count_evals):
     """A cold solve with no interior solution fails fast: one capital
     presolve and one Newton start, counted exactly (eight rescaled restarts
-    took 860 evaluations, and forward-difference Jacobians 132)."""
+    took 860 evaluations, forward-difference Jacobians 132, and line
+    searches of up to 40 halvings 60)."""
     config = parse_config(REFUSED_ECONOMY)
 
     def refused():
         with pytest.raises(NoInteriorSolutionError, match=r"from 1 start\(s\)"):
             solve_steady_state(config)
 
-    assert count_evals(refused) == 60
+    assert count_evals(refused) == 21
 
 
 def test_a_presolve_refusal_names_its_stocks(count_evals, unsolved_end_economy):
@@ -776,7 +776,8 @@ def test_a_presolve_whose_stocks_run_off_upward_names_where_it_stopped(monkeypat
     still refuses naming where its presolve stopped."""
     corners = _corner_checks(monkeypatch)
     with pytest.raises(NoInteriorSolutionError, match=r"^none: the capital presolve stopped at "
-                       r"K=\S+, AI=\S+ \(residual \S+\)$"):
+                       r"K=\S+, AI=\S+ \(residual \S+\); its Newton stopped at iteration 2 "
+                       r"\(12 rejected halvings\)$"):
         solve_steady_state(unbounded_economy())
     assert corners == []
 
@@ -829,7 +830,8 @@ tech.rho_m = -0.3154078625922945
 tech.a_ai = 0.13858162992983988
 tech.delta_k = 0.04084544739297434
 tech.delta_ai = 0.051653875529137916
-""", True, "K=1.277e+45, AI=5.802e+45 (residual 1.581e-02)", 99),
+""", True, "K=1.277e+45, AI=5.802e+45 (residual 1.581e-02); its Newton stopped at iteration 5 "
+       "(12 rejected halvings)", 49),
     "seed7_draw197": ("""
 agents.cognitive.pi = 0.33932957779519346
 agents.cognitive.z = 3.2636316901023066
@@ -850,7 +852,8 @@ tech.rho_m = -1.1727884363331584
 tech.a_ai = 0.038831585232365975
 tech.delta_k = 0.0842669176583777
 tech.delta_ai = 0.10429210157821416
-""", False, "K=1.000e-10, AI=5.450e-10 (residual 4.956e-02)", 19),
+""", False, "K=1.000e-10, AI=5.450e-10 (residual 4.956e-02); its Newton stopped at iteration "
+       "10 (step below rounding)", 19),
 }
 
 
@@ -858,9 +861,11 @@ tech.delta_ai = 0.10429210157821416
 def test_a_corner_check_that_fails_leaves_the_presolve_as_it_was(name, count_evals, monkeypatch):
     """Where the corner check proves nothing, the presolve's 2-D Newton
     goes on from where it was and refuses where it stopped before the check
-    existed, with the same message (draw 87 took 76 calls without the
-    check, draw 197 12): the check sets the cost, never the outcome.  At
-    draw 87's K, with AI at its floor, the AI row is not below -1e-9."""
+    existed, with the same stocks and residual (draw 87 took 76 calls
+    without the check, draw 197 12): the check sets the cost, never the
+    outcome.  (Draw 87 took 99 calls when a line search gave up only after
+    40 halvings.)  At draw 87's K, with AI at its floor, the AI row is not
+    below -1e-9."""
     text, solved_k, stopped, calls = NOT_A_CORNER[name]
     corners = _corner_checks(monkeypatch)
     config = parse_config(text)
@@ -878,45 +883,41 @@ def test_a_corner_check_that_fails_leaves_the_presolve_as_it_was(name, count_eva
         assert ai_row >= -1e-9
 
 
-def _bench_draws() -> dict:
-    """The 24 seed-0 draws of ``bench/fuzz.py``, the fuzz workload's, by name."""
-    spec = importlib.util.spec_from_file_location("fuzz", CONFIGS.parent / "bench" / "fuzz.py")
-    fuzz = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fuzz)
-    return dict(fuzz.draw_economies(CONFIGS, 0, 24))
-
-
 CORNER = re.compile(r"^none: the capital presolve's stocks, at labor 0\.5, sit at the AI corner: "
                     r"beta\*\(1 - delta_ai \+ F_AI\) = 1 - (\S+) < 1 at K=(\S+), AI=1\.000e-10$")
 
 
-def test_the_ai_corner_refusal_is_sound_and_exact(count_evals, monkeypatch, unsolved_end_economy):
+def test_the_ai_corner_refusal_is_sound_and_exact(count_evals, monkeypatch, unsolved_end_economy,
+                                                  bench_draws):
     """Exactly the fuzz workload's three AI-corner draws refuse with the
     corner, and each corner is one: at its K with AI at the floor, the
     technology evaluated apart from the solver gives a zero K row and an AI
     row below -1e-9.  fuzz07, whose presolve converges, still refuses in its
-    first best's Newton.  The 24 solves take exactly 419 residual calls (the
-    presolve walked the three corners to the floor in 83, 250 and 133 of
-    847)."""
+    first best's Newton, whose last line search stops at a step below
+    rounding.  The 24 solves take exactly 380 residual calls (the presolve
+    walked the three corners to the floor in 83, 250 and 133 of 847; line
+    searches of up to 40 halvings took 419)."""
     corners = _corner_checks(monkeypatch)
-    draws = _bench_draws()
     refusals = {}
 
     def solve_all():
-        for name, text in draws.items():
+        for name, text in bench_draws.items():
             try:
                 solve_steady_state(parse_config(text))
             except SolverError as exc:
                 refusals[name] = str(exc)
 
-    assert count_evals(solve_all) == 419
+    assert count_evals(solve_all) == 380
     certified = {name for name, text in refusals.items() if CORNER.match(text)}
     assert certified == {"fuzz03_threshold", "fuzz11_threshold", "fuzz15_threshold"}
     assert set(refusals) == certified | {"fuzz07_threshold"}
     assert "Newton did not converge" in refusals["fuzz07_threshold"]
+    assert refusals["fuzz07_threshold"].endswith(
+        "; the last Newton stopped at iteration 8 (step below rounding)")
     assert len(corners) == 3 and all(res.converged for res in corners)
 
-    checked = [(draws[name], refusals[name], res) for name, res in zip(sorted(certified), corners)]
+    checked = [(bench_draws[name], refusals[name], res)
+               for name, res in zip(sorted(certified), corners)]
     corners.clear()
     with pytest.raises(NoInteriorSolutionError) as refused:
         solve_steady_state(parse_config(unsolved_end_economy))

@@ -204,12 +204,14 @@ def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, mon
 # a flip, whose search exits 5; and their exact residual evaluations.  When a
 # failed prediction's ladder reached the predicted regime again, it reran that
 # regime's warm Newton first: 9,231 and 199 evaluations, 4,142 of them twice
-# over at a_AI = 0.4 in a Newton that does not converge.
+# over at a_AI = 0.4 in a Newton that does not converge.  When a line search
+# gave up only after 40 halvings, they took 5,089 and 152: the failed Newtons
+# at a_AI = 0.25 and 0.4 took 823 and 4,142 of the linear grid's.
 LINEAR_RUN = ("--param", "a_AI", "--lo", "0.1", "--hi", "1", "--points", "7", "--threshold")
 NO_FLIP_RUN = ("--param", "a_AI", "--lo", "1", "--hi", "10", "--points", "3", "--log",
                "--threshold")
-LINEAR_RUN_EVALS = 5089
-NO_FLIP_RUN_EVALS = 152
+LINEAR_RUN_EVALS = 352
+NO_FLIP_RUN_EVALS = 85
 
 
 @pytest.mark.parametrize("args, rc, evals", [(LINEAR_RUN, 0, LINEAR_RUN_EVALS),
