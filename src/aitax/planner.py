@@ -52,9 +52,11 @@ presolve that finds no interior stocks refuses the economy, naming the AI
 corner where it proves its stocks sit there, else where it stopped.  A
 converged vector is judged from its multipliers and lifetime slacks (the
 kept pass); only the attempt a solver returns is built into a
-PlannerSolution with its assumption report, KKT residuals and objective,
-and a steady state's keeps the point of the first best it was judged from,
-when it solved one.  All solves are deterministic: no randomness.
+PlannerSolution with its objective, and a steady state's keeps the point
+of the first best it was judged from, when it solved one.  A solution's
+KKT residual and assumption report are computed on first read, so a
+sweep builds neither for the grid points it does not report on.  All
+solves are deterministic: no randomness.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -158,8 +161,6 @@ class PlannerSolution:
     slack_c: float
     slack_m: float
     objective: float
-    foc_residual: float
-    assumptions: AssumptionReport
     warnings: tuple[str, ...] = ()
     # the stationary point (c_c, ..., lam, mu_c, mu_m) of the first best a
     # steady state was judged from, kept in memory to start a bisection
@@ -170,6 +171,27 @@ class PlannerSolution:
     @property
     def stationary(self) -> bool:
         return self.allocation.n_periods == 1
+
+    # computed on first read, through the module globals (the bench's tracer
+    # and tier-1's call counts patch them), then cached on the instance
+    @cached_property
+    def foc_residual(self) -> float:
+        """The largest absolute KKT residual (``foc_residuals``) at the solution."""
+        res = foc_residuals(self.config, self.allocation, self.multipliers)
+        return max(abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
+                   for v in res.values())
+
+    @cached_property
+    def assumptions(self) -> AssumptionReport:
+        """``check_assumptions`` around the solution's (eff_l_c, eff_l_m, K, AI),
+        for a path their geometric means over the n periods."""
+        a, n = self.allocation, self.allocation.n_periods
+        factors = (a.eff_l_c, a.eff_l_m, a.k[:n], a.ai[:n])
+        if self.stationary:
+            center = tuple(float(v[0]) for v in factors)
+        else:
+            center = tuple(float(np.exp(np.mean(np.log(v)))) for v in factors)
+        return check_assumptions(self.config.tech, center)
 
 
 # _Mimicry and _ChainTerms take slots and are not frozen: each Newton
@@ -837,12 +859,11 @@ def _base_start(base: np.ndarray, config: EconomyConfig, active: tuple) -> np.nd
 
 
 def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> PlannerSolution:
-    """Solution for an admissible attempt: allocation, KKT residuals,
-    objective and assumption report; a steady state keeps the point of its
-    first best ``fb``, when it solved one."""
+    """Solution for an admissible attempt: allocation, multipliers and
+    objective; a steady state keeps the point of its first best ``fb``,
+    when it solved one."""
     c_c, c_m, l_c, l_m, k, ai, lam, _, _ = att.point
-    mu_c, mu_m, ch, layout = att.mu_c, att.mu_m, att.chain, att.layout
-    n = layout.n
+    mu_c, mu_m, ch, n = att.mu_c, att.mu_m, att.chain, att.layout.n
     per_period = lambda v, size=n: np.full(size, v, dtype=float)
     alloc = Allocation(
         c_c=per_period(c_c), c_m=per_period(c_m), l_c=per_period(l_c), l_m=per_period(l_m),
@@ -854,11 +875,6 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
         x_k=per_period(ch.incentive[2]), x_ai=per_period(ch.incentive[3]),
         y_term=per_period(mu_c * ch.mimic[0].d_nu[0] if mu_c > 0.0 else mu_m * ch.mimic[1].d_nu[1]),
     )
-    res = foc_residuals(config, alloc, mults)
-    if layout.stationary:
-        center = (ch.el_c, ch.el_m, k, ai)
-    else:
-        center = tuple(float(np.exp(np.mean(np.log(v)))) for v in (ch.el_c, ch.el_m, k[:n], ai[:n]))
     pi_c, pi_m = config.cognitive.pi, config.manual.pi
     warnings = []
     if mu_c > pi_m - 1e-9:
@@ -875,9 +891,6 @@ def _build(config: EconomyConfig, att: _Attempt, fb: _Attempt | None) -> Planner
         slack_c=att.slack_c,
         slack_m=att.slack_m,
         objective=_objective(config, alloc),
-        foc_residual=max(abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
-                         for v in res.values()),
-        assumptions=check_assumptions(config.tech, center),
         warnings=tuple(warnings),
         first_best=None if fb is None else fb.point,
     )

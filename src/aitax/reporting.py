@@ -213,6 +213,10 @@ def threshold_payload(th: ThresholdResult) -> dict:
         "iterations": th.iterations,
         "trace": [list(entry) for entry in th.trace],
         "anomalies": [list(entry) for entry in th.anomalies],
+        "lo_foc_residual": th.lo_solution.foc_residual,
+        "hi_foc_residual": th.hi_solution.foc_residual,
+        "lo_assumptions": assumption_payload(th.lo_solution.assumptions),
+        "hi_assumptions": assumption_payload(th.hi_solution.assumptions),
     }
 
 

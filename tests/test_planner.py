@@ -34,7 +34,7 @@ from aitax.errors import (
 from aitax.planner import TOL_ICC, violated_side
 from aitax.preferences import nu_eval, u_eval
 from aitax.production import evaluate
-from aitax.reporting import dumps, solution_payload
+from aitax.reporting import assumption_payload, dumps, solution_payload
 from aitax.wedges import compute_wedge_report
 from incentives import icc_slack
 
@@ -303,6 +303,48 @@ def test_finite_horizon_transition_monotone():
     assert np.all(np.diff(k) >= -1e-9)  # accumulation toward the steady state
     assert k[-1] == pytest.approx(float(ss.allocation.k[0]), rel=1e-6)
     assert path.foc_residual <= 1e-9
+
+
+def lazy_cases():
+    """The five desks, regime_a_t20 at T = 20 and 160, and a CRRA (gamma = 2)
+    and a government-spending (g = 0.05) variant."""
+    desks = {name: load_config(CONFIGS / f"{name}.cfg")[0] for name in (
+        "symmetric", "regime_a", "regime_b", "threshold", "cobb_douglas")}
+    t20 = load_config(CONFIGS / "regime_a_t20.cfg")[0]
+    crra = dataclasses.replace(desks["regime_a"].prefs, u_form=UtilityForm.CRRA, gamma=2.0)
+    return {**desks, "regime_a_t20": t20, "regime_a_t160": dataclasses.replace(t20, horizon=160),
+            "regime_a_crra2": dataclasses.replace(desks["regime_a"], prefs=crra),
+            "regime_a_t20_g005": dataclasses.replace(t20, g=0.05)}
+
+
+LAZY_CASES = lazy_cases()
+
+
+@pytest.mark.parametrize("name", list(LAZY_CASES))
+def test_the_values_computed_on_read_are_the_ones_the_build_computed(monkeypatch, name):
+    """``foc_residual`` and ``assumptions``, computed on first read from the
+    stored solution, equal bit for bit what the build once computed from
+    the attempt: the assumption grid centered at its chain terms' effective
+    labors and its stocks, for a path their geometric means."""
+    config = LAZY_CASES[name]
+    built = []
+    build = planner._build
+    monkeypatch.setattr(planner, "_build", lambda *args: built.append(args) or build(*args))
+    path = config.mode is SolveMode.FINITE_HORIZON
+    solution = solve_finite_horizon(config) if path else solve_steady_state(config)
+    (_, att, _), = built
+    ch, n = att.chain, att.layout.n
+    k, ai = att.point[4:6]
+    if path:
+        center = tuple(float(np.exp(np.mean(np.log(v)))) for v in (ch.el_c, ch.el_m, k[:n], ai[:n]))
+    else:
+        center = (ch.el_c, ch.el_m, k, ai)
+    res = foc_residuals(config, solution.allocation, solution.multipliers)
+    eager = max(abs(v) if isinstance(v, float) else float(np.max(np.abs(v))) for v in res.values())
+    report = production.check_assumptions(config.tech, center)
+    assert solution.stationary is not path
+    assert solution.foc_residual.hex() == eager.hex()
+    assert dumps(assumption_payload(solution.assumptions)) == dumps(assumption_payload(report))
 
 
 def test_finite_horizon_config_checks():

@@ -19,6 +19,7 @@ from aitax.errors import (
     UbiInfeasibleError,
 )
 from aitax.planner import TOL_ICC, Regime
+from aitax.reporting import assumption_payload, dumps
 from aitax.sweep import SweepResult, _failure, _metrics, _secant
 from aitax.wedges import compute_wedge_report
 from second_order import reduced_hessian_eigenvalues
@@ -180,15 +181,17 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 def test_the_threshold_run_bisects_the_sweeps_bracket(tmp_path, count_evals, monkeypatch):
-    """Counted exactly.  Only the solutions the solvers return are built
-    (one assumption report each): the 25 grid points and the bracket's two
-    ends, not the rejected first bests or the bisection probes."""
+    """Counted exactly.  An assumption report and a KKT residual are computed
+    only where they are read: at the bracket's two ends, which the bracket
+    file reports on, not at the 25 grid points, the rejected first bests or
+    the bisection probes."""
     builds = count_calls(monkeypatch, planner, "check_assumptions")
+    residuals = count_calls(monkeypatch, planner, "foc_residuals")
     outcome = []
     run = lambda: outcome.append(run_sweep(tmp_path, CONFIGS / "threshold.cfg"))
     assert count_evals(run) == THRESHOLD_RUN_EVALS
     assert count_evals.iterations == THRESHOLD_RUN_ITERATIONS
-    assert len(builds) == 25 + 2
+    assert len(builds) == len(residuals) == 2
     rc, b = outcome[0]
     assert rc == 0 and b["converged"] and b["iterations"] == 5
     assert (b["lo"], b["hi"]) == THRESHOLD_RUN_BRACKET and b["trace"] == THRESHOLD_RUN_TRACE
@@ -259,10 +262,42 @@ def test_no_steady_solve_runs_the_same_newton_twice(monkeypatch, grid, fallbacks
 @pytest.mark.parametrize("economy", [regime_a_economy, regime_b_economy, threshold_economy])
 def test_a_steady_solve_builds_one_solution(monkeypatch, economy):
     """The first best is judged from its multipliers and slacks; a rejected
-    one is never built into a solution."""
+    one is never built into a solution.  The returned solution computes its
+    assumption report and KKT residual on first read, once."""
     builds = count_calls(monkeypatch, planner, "check_assumptions")
-    assert solve_steady_state(economy()).regime is not Regime.NONE_BIND
-    assert len(builds) == 1
+    residuals = count_calls(monkeypatch, planner, "foc_residuals")
+    solution = solve_steady_state(economy())
+    assert solution.regime is not Regime.NONE_BIND
+    assert builds == [] and residuals == []
+    for _ in range(2):
+        assert solution.assumptions.all_pass and solution.foc_residual <= 1e-10
+    assert len(builds) == len(residuals) == 1
+
+
+def test_the_bracket_reports_its_ends_kkt_residuals_and_assumptions(tmp_path, monkeypatch):
+    """The bracket file's four end keys are the values its two final end
+    solutions give on read, the KKT residual at 17 digits.  On CI's linear
+    run the two ends' residuals differ, so a swapped end shows."""
+    searches = []
+    search = cli.find_threshold
+
+    def kept(*args, **kw):
+        searches.append(search(*args, **kw))
+        return searches[-1]
+
+    monkeypatch.setattr(cli, "find_threshold", kept)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", str(CONFIGS / "threshold.cfg"), *LINEAR_RUN, "--out", str(out)]) == 0
+    b = json.loads((tmp_path / "sweep.csv.bracket.json").read_text())["payload"]
+    assert len(searches) == 1
+    th = searches[0]
+    assert th.lo_solution.foc_residual != th.hi_solution.foc_residual
+    assert list(b)[-4:] == ["lo_foc_residual", "hi_foc_residual", "lo_assumptions",
+                            "hi_assumptions"]
+    for end, solution in (("lo", th.lo_solution), ("hi", th.hi_solution)):
+        assert b[f"{end}_foc_residual"] == solution.foc_residual <= 1e-10
+        assert b[f"{end}_assumptions"] == json.loads(dumps(assumption_payload(solution.assumptions)))
+        assert b[f"{end}_assumptions"]["all_pass"]
 
 
 @pytest.fixture(scope="module")
